@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .builder import build
+from .builder import InadmissibleTuple, build
 from .core import ONE_FACTOR, Decomposition, verify
 from .factorizations import (
     CycleFactorization,
@@ -23,7 +23,7 @@ from .factorizations import (
     validate_cycle_factorization,
 )
 from .serialization import DocumentFormatError, dumps_document, loads_document
-from .spectrum import ParamTuple, admissible_pairs, check_necessary, inadmissibility_reason
+from .spectrum import ParamTuple, admissible_pairs, inadmissibility_reason
 
 SEED_DIR_ENV = "SUNURD_SEED_DIR"
 
@@ -118,10 +118,6 @@ def _render_text(dec: Decomposition) -> str:
 
 def cmd_build(args) -> int:
     t = ParamTuple(args.v, args.h, args.r, args.s)
-    adm = check_necessary(t)
-    if not adm.ok:
-        print(f"{adm.reason.value}: {adm.detail}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
     try:
         catalog = _load_catalog(args)
     except OSError as exc:
@@ -132,6 +128,9 @@ def cmd_build(args) -> int:
         return EXIT_USAGE
     try:
         dec = build(t, source=IngredientSource(catalog=catalog))
+    except InadmissibleTuple as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_INADMISSIBLE
     except IngredientUnavailable as exc:
         print(f"ingredient-unavailable: {exc}", file=sys.stderr)
         return EXIT_INGREDIENT

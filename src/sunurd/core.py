@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 
@@ -259,75 +259,31 @@ class VerificationReport:
     violations: tuple[Finding, ...]
 
 
-def _fail(findings: list[Finding], r: int = 0, s: int = 0) -> VerificationReport:
-    return VerificationReport(False, r, s, tuple(sorted(findings)))
+def _certify(
+    host: HostGraph,
+    classes: Iterable[tuple[list[int], list[Edge]]],
+    findings: list[Finding],
+    r: int = 0,
+    s: int = 0,
+) -> VerificationReport:
+    """Certification shared by verify() and validate_cycle_factorization().
 
-
-def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationReport:
-    """Certify a claimed decomposition; all defects are reported, never raised.
-
-    Passes iff (i) the block edges partition the host edge set exactly,
-    (ii) every class covers every host vertex exactly once, (iii) every class
-    is uniform, and (iv) all sun blocks are valid suns of one common cycle
-    length (``expected_h`` when given, otherwise inferred from the first sun).
-    The report carries the counts of one-factor and sun-factor classes and a
-    deterministic list of findings (class index, then lexicographic).
+    ``classes`` yields, per class, the vertices its blocks touch and the
+    edges of its well-formed blocks, appending block-shape findings to
+    ``findings`` as it goes; it is consumed only after the host edge set is
+    rebuilt.  Adds the per-class vertex coverage and the exact edge partition
+    checks, then returns the sorted report.
     """
-    findings: list[Finding] = []
     try:
-        target_edges = host_edges(dec.host)
+        target_edges = host_edges(host)
     except ValueError as exc:
-        return _fail([Finding(-1, "malformed-host", str(exc))])
+        return VerificationReport(False, 0, 0, (Finding(-1, "malformed-host", str(exc)),))
 
-    vset = set(host_vertices(dec.host))
-    r = sum(1 for c in dec.classes if c.kind == ONE_FACTOR)
-    s = sum(1 for c in dec.classes if c.kind == SUN_FACTOR)
-
-    sun_h = expected_h
+    vset = set(host_vertices(host))
     covered: list[Edge] = []
-    for ci, cls in enumerate(dec.classes):
-        hits: Counter[int] = Counter()
-        if cls.kind == ONE_FACTOR:
-            if cls.suns:
-                findings.append(
-                    Finding(ci, "non-uniform-class", "one-factor class carries sun blocks")
-                )
-            for u, w in cls.edges:
-                hits[u] += 1
-                hits[w] += 1
-                if u == w:
-                    findings.append(Finding(ci, "malformed-edge", f"loop at vertex {u}"))
-                else:
-                    covered.append(edge(u, w))
-        elif cls.kind == SUN_FACTOR:
-            if cls.edges:
-                findings.append(
-                    Finding(ci, "non-uniform-class", "sun-factor class carries edge blocks")
-                )
-            for sun in cls.suns:
-                problem = _sun_problem(sun)
-                if problem is not None:
-                    findings.append(Finding(ci, "malformed-sun", f"sun {sun}: {problem}"))
-                else:
-                    if sun_h is None:
-                        sun_h = sun.h
-                    elif sun.h != sun_h:
-                        findings.append(
-                            Finding(
-                                ci,
-                                "non-uniform-class",
-                                f"sun {sun} has cycle length {sun.h}, expected {sun_h}",
-                            )
-                        )
-                    covered.extend(_sun_edge_list(sun))
-                for x in sun.cycle:
-                    hits[x] += 1
-                for x in sun.pendants:
-                    hits[x] += 1
-        else:
-            findings.append(
-                Finding(ci, "non-uniform-class", f"unknown class kind {cls.kind!r}")
-            )
+    for ci, (vertices, edges) in enumerate(classes):
+        covered.extend(edges)
+        hits = Counter(vertices)
         for x in sorted(vset - hits.keys()):
             findings.append(Finding(ci, "vertex-missed", f"vertex {x} not covered"))
         for x in sorted(hits):
@@ -351,6 +307,67 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
 
     findings.sort()
     return VerificationReport(not findings, r, s, tuple(findings))
+
+
+def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationReport:
+    """Certify a claimed decomposition; all defects are reported, never raised.
+
+    Passes iff (i) the block edges partition the host edge set exactly,
+    (ii) every class covers every host vertex exactly once, (iii) every class
+    is uniform, and (iv) all sun blocks are valid suns of one common cycle
+    length (``expected_h`` when given, otherwise inferred from the first sun).
+    The report carries the counts of one-factor and sun-factor classes and a
+    deterministic list of findings (class index, then lexicographic).
+    """
+    findings: list[Finding] = []
+
+    def blocks() -> Iterator[tuple[list[int], list[Edge]]]:
+        sun_h = expected_h
+        for ci, cls in enumerate(dec.classes):
+            vertices: list[int] = []
+            edges: list[Edge] = []
+            if cls.kind == ONE_FACTOR:
+                if cls.suns:
+                    findings.append(
+                        Finding(ci, "non-uniform-class", "one-factor class carries sun blocks")
+                    )
+                for e in cls.edges:
+                    vertices.extend(e)
+                    if len(e) != 2:
+                        findings.append(Finding(ci, "malformed-edge", f"edge {e} is not a pair"))
+                    elif e[0] == e[1]:
+                        findings.append(Finding(ci, "malformed-edge", f"loop at vertex {e[0]}"))
+                    else:
+                        edges.append(edge(*e))
+            elif cls.kind == SUN_FACTOR:
+                if cls.edges:
+                    findings.append(
+                        Finding(ci, "non-uniform-class", "sun-factor class carries edge blocks")
+                    )
+                for sun in cls.suns:
+                    vertices += sun.cycle + sun.pendants
+                    problem = _sun_problem(sun)
+                    if problem is not None:
+                        findings.append(Finding(ci, "malformed-sun", f"sun {sun}: {problem}"))
+                        continue
+                    if sun_h is None:
+                        sun_h = sun.h
+                    elif sun.h != sun_h:
+                        findings.append(
+                            Finding(
+                                ci,
+                                "non-uniform-class",
+                                f"sun {sun} has cycle length {sun.h}, expected {sun_h}",
+                            )
+                        )
+                    edges.extend(_sun_edge_list(sun))
+            else:
+                findings.append(
+                    Finding(ci, "non-uniform-class", f"unknown class kind {cls.kind!r}")
+                )
+            yield vertices, edges
+
+    return _certify(dec.host, blocks(), findings, dec.r, dec.s)
 
 
 def vertex_profile(dec: Decomposition) -> dict[int, tuple[int, int]]:
@@ -384,9 +401,8 @@ def canonical_decomposition(dec: Decomposition) -> Decomposition:
     classes: list[ParallelClass] = []
     for cls in dec.classes:
         if cls.kind == ONE_FACTOR:
-            classes.append(
-                ParallelClass.one_factor(sorted(edge(u, w) for u, w in cls.edges))
-            )
+            edges = tuple(sorted(edge(u, w) for u, w in cls.edges))
+            classes.append(ParallelClass(ONE_FACTOR, edges=edges))
         elif cls.kind == SUN_FACTOR:
             suns = sorted(canonicalize_sun(s.cycle, s.pendants) for s in cls.suns)
             classes.append(ParallelClass.sun_factor(suns))

@@ -10,11 +10,11 @@ first, regardless of how it was obtained.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Mapping
 
+from .base_designs import one_factorization
 from .core import (
     COMPLETE,
     COMPLETE_MINUS_F,
@@ -22,6 +22,7 @@ from .core import (
     Finding,
     HostGraph,
     VerificationReport,
+    _certify,
     canonical_cycle,
     edge,
     host_edges,
@@ -81,20 +82,13 @@ class CycleFactorization:
 
 def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
     """Certify a claimed cycle factorization; defects become findings."""
-    findings: list[Finding] = []
     host = cf.host
     if host.kind not in (COMPLETE, COMPLETE_MINUS_F):
-        findings.append(
-            Finding(-1, "malformed-host", f"unsupported host kind {host.kind!r}")
-        )
-        return VerificationReport(False, 0, 0, tuple(findings))
-    try:
-        target_edges = host_edges(host)
-    except ValueError as exc:
         return VerificationReport(
-            False, 0, 0, (Finding(-1, "malformed-host", str(exc)),)
+            False, 0, 0, (Finding(-1, "malformed-host", f"unsupported host kind {host.kind!r}"),)
         )
 
+    findings: list[Finding] = []
     n = host.order
     h = cf.h
     if h < 3 or n % h:
@@ -115,47 +109,25 @@ def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
             )
         )
 
-    covered: list[Edge] = []
-    vset = set(range(n))
-    for ci, cycles in enumerate(cf.classes):
-        hits: Counter[int] = Counter()
-        for cyc in cycles:
-            hits.update(cyc)
-            if len(cyc) != h:
-                findings.append(
-                    Finding(ci, "malformed-cycle", f"cycle {cyc} has length {len(cyc)}")
-                )
-            elif len(set(cyc)) != len(cyc):
-                findings.append(
-                    Finding(ci, "malformed-cycle", f"repeated vertex in cycle {cyc}")
-                )
-            else:
-                covered.extend(
-                    edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))
-                )
-        for x in sorted(vset - hits.keys()):
-            findings.append(Finding(ci, "vertex-missed", f"vertex {x} not covered"))
-        for x in sorted(hits):
-            if x not in vset:
-                findings.append(Finding(ci, "foreign-vertex", f"vertex {x} outside host"))
-            elif hits[x] > 1:
-                findings.append(
-                    Finding(ci, "vertex-repeated", f"vertex {x} covered {hits[x]} times")
-                )
+    def blocks() -> Iterator[tuple[list[int], list[Edge]]]:
+        for ci, cycles in enumerate(cf.classes):
+            vertices: list[int] = []
+            edges: list[Edge] = []
+            for cyc in cycles:
+                vertices.extend(cyc)
+                if len(cyc) != h:
+                    findings.append(
+                        Finding(ci, "malformed-cycle", f"cycle {cyc} has length {len(cyc)}")
+                    )
+                elif len(set(cyc)) != h:
+                    findings.append(
+                        Finding(ci, "malformed-cycle", f"repeated vertex in cycle {cyc}")
+                    )
+                else:
+                    edges.extend(edge(cyc[i - 1], cyc[i]) for i in range(h))
+            yield vertices, edges
 
-    want = Counter(target_edges)
-    got = Counter(covered)
-    for e in sorted(set(want) | set(got)):
-        g = got[e]
-        if e not in want:
-            findings.append(Finding(-1, "foreign-edge", f"edge {e} not in host (used {g}x)"))
-        elif g == 0:
-            findings.append(Finding(-1, "missing-edge", f"edge {e} never covered"))
-        elif g > 1:
-            findings.append(Finding(-1, "duplicated-edge", f"edge {e} covered {g} times"))
-
-    findings.sort()
-    return VerificationReport(not findings, 0, 0, tuple(findings))
+    return _certify(host, blocks(), findings)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +306,6 @@ def _hamiltonian_odd(n: int) -> CycleFactorization:
     )
 
 
-def _circle_matching(i: int, n: int) -> list[Edge]:
-    # Round i of the circle method on Z_{n-1} plus a fixed hub n-1.
-    mod = n - 1
-    pairs = [edge(n - 1, i % mod)]
-    for j in range(1, n // 2):
-        pairs.append(edge((i + j) % mod, (i - j) % mod))
-    return pairs
-
-
 def _hamiltonian_minus_f(n: int) -> CycleFactorization:
     """K_n - F (n even) as (n-2)/2 Hamiltonian cycles.
 
@@ -350,11 +313,11 @@ def _hamiltonian_minus_f(n: int) -> CycleFactorization:
     consecutive rounds is always a single Hamiltonian cycle (the two-step
     map is x -> x+2 on an odd modulus), and the unpaired last round is F.
     """
+    rounds = [cls.edges for cls in one_factorization(range(n))]
     classes = []
     for k in range((n - 2) // 2):
-        union = _circle_matching(2 * k, n) + _circle_matching(2 * k + 1, n)
         nbrs: dict[int, list[int]] = {}
-        for u, w in union:
+        for u, w in rounds[2 * k] + rounds[2 * k + 1]:
             nbrs.setdefault(u, []).append(w)
             nbrs.setdefault(w, []).append(u)
         cyc = [n - 1]
@@ -366,8 +329,7 @@ def _hamiltonian_minus_f(n: int) -> CycleFactorization:
                 break
             cyc.append(nxt[0])
         classes.append((canonical_cycle(cyc),))
-    f = _circle_matching(n - 2, n)
-    host = HostGraph.complete_minus_f(n, f)
+    host = HostGraph.complete_minus_f(n, rounds[n - 2])
     return CycleFactorization(
         host, n, tuple(classes), source="construction:paired-rounds-hamiltonian"
     )

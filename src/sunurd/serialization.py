@@ -23,7 +23,7 @@ from .core import (
     SUN_FACTOR,
     Sun,
     canonical_cycle,
-    canonicalize_sun,
+    canonical_decomposition,
     edge,
 )
 from .factorizations import CycleFactorization
@@ -97,23 +97,19 @@ def to_document(payload, h: int | None = None, source: str | None = None) -> dic
     if h is None:
         raise ValueError("h is required to serialize a decomposition without suns")
     classes = []
-    for cls in payload.classes:
+    for cls in canonical_decomposition(payload).classes:
         if cls.kind == ONE_FACTOR:
-            es = sorted(edge(u, w) for u, w in cls.edges)
-            classes.append({"type": "one_factor", "edges": [list(e) for e in es]})
-        elif cls.kind == SUN_FACTOR:
-            suns = sorted(canonicalize_sun(s.cycle, s.pendants) for s in cls.suns)
+            classes.append({"type": "one_factor", "edges": [list(e) for e in cls.edges]})
+        else:
             classes.append(
                 {
                     "type": "sun_factor",
                     "suns": [
                         {"cycle": list(s.cycle), "pendants": list(s.pendants)}
-                        for s in suns
+                        for s in cls.suns
                     ],
                 }
             )
-        else:
-            raise ValueError(f"unknown class kind {cls.kind!r}")
     doc = {
         "format_version": FORMAT_VERSION,
         "host": _host_to_doc(payload.host),
@@ -185,7 +181,8 @@ def from_document(doc) -> Document:
         source is None or isinstance(source, str), "source must be a string when present"
     )
 
-    kinds = {c.get("type") for c in raw_classes if isinstance(c, dict)}
+    _require(all(isinstance(c, dict) for c in raw_classes), "each class must be an object")
+    kinds = {c.get("type") for c in raw_classes}
     if "cycle_factor" in kinds:
         _require(
             kinds == {"cycle_factor"},
@@ -205,7 +202,6 @@ def from_document(doc) -> Document:
 
     classes = []
     for c in raw_classes:
-        _require(isinstance(c, dict), "each class must be an object")
         ctype = c.get("type")
         if ctype == "one_factor":
             classes.append(ParallelClass.one_factor(_pair_list(c.get("edges"), "edges")))

@@ -99,6 +99,17 @@ class TestBuild:
         )
         assert code == 2
 
+    def test_broken_seed_dir_reported_before_inadmissible_tuple(self, tmp_path, capsys):
+        # The catalog loads before build() screens the tuple, so its error wins.
+        args = ["build", "--v", "12", "--h", "3", "--r", "4", "--s", "4",
+                "--seed-dir", str(tmp_path)]
+        (tmp_path / "dir.json").mkdir()
+        assert main(args) == 5
+        (tmp_path / "dir.json").rmdir()
+        (tmp_path / "junk.json").write_text("{oops", encoding="utf-8")
+        assert main(args) == 2
+        assert "bad seed catalog" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_round_trip_passes(self, tmp_path, capsys):
@@ -122,6 +133,18 @@ class TestVerify:
         path = tmp_path / "junk.json"
         path.write_text("not json at all", encoding="utf-8")
         assert main(["verify", str(path)]) == 2
+
+    def test_non_object_class_exit_2(self, tmp_path, capsys):
+        doc = {
+            "format_version": "1",
+            "host": {"kind": "complete", "v": 3},
+            "h": 3,
+            "classes": [{"type": "cycle_factor", "cycles": [[0, 1, 2]]}, 5],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert "each class must be an object" in capsys.readouterr().err
 
     def test_missing_file_exit_5(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "absent.json")]) == 5

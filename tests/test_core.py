@@ -204,6 +204,16 @@ class TestVerify:
         assert not report.passed
         assert report.violations[0].kind == "malformed-host"
 
+    def test_non_pair_edge_reported_not_raised(self):
+        dec = Decomposition(
+            HostGraph.complete(4),
+            (ParallelClass.one_factor(((0, 1, 2), (3,))),),
+        )
+        report = verify(dec)
+        assert not report.passed
+        details = [f.detail for f in report.violations if f.kind == "malformed-edge"]
+        assert details == ["edge (0, 1, 2) is not a pair", "edge (3,) is not a pair"]
+
     def test_findings_sorted_deterministically(self):
         bad = Decomposition(
             HostGraph.complete(4),

@@ -1,0 +1,216 @@
+"""Golden characterization: exact finding text and exact document bytes.
+
+The other suites check finding kinds and round trips; these pin the detail
+text of every finding and the sha256 of the canonical format-"1" output, so
+a refactor of the certifiers, the constructions or the serializer cannot
+change either unnoticed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from sunurd import (
+    CycleFactorization,
+    Decomposition,
+    HostGraph,
+    ParallelClass,
+    ParamTuple,
+    Sun,
+    admissible_pairs,
+    build,
+    cycle_factorization_minus_f,
+    dumps_document,
+    urd6_h3,
+    validate_cycle_factorization,
+    verify,
+)
+from sunurd.core import ONE_FACTOR
+
+
+def corrupted_design() -> Decomposition:
+    sun_a, sun_b, _ = urd6_h3((1, 2)).classes
+    return Decomposition(
+        HostGraph.complete(6),
+        (
+            # pendants of the first sun swapped: a valid sun, wrong edges
+            ParallelClass.sun_factor((Sun((0, 1, 2), (4, 5, 3)),)),
+            sun_b,
+            ParallelClass.one_factor(((0, 4), (1, 3), (2, 7))),
+            ParallelClass.one_factor(((3, 3), (0, 1), (2, 4), (5, 5))),
+            ParallelClass.sun_factor((Sun((0, 1, 2), (0, 4, 5)),)),
+            ParallelClass(ONE_FACTOR, edges=((0, 1),), suns=sun_a.suns),
+            ParallelClass("star_factor"),
+        ),
+    )
+
+
+DESIGN_FINDINGS = [
+    "decomposition: duplicated-edge: edge (0, 1) covered 3 times",
+    "decomposition: duplicated-edge: edge (0, 4) covered 2 times",
+    "decomposition: duplicated-edge: edge (1, 5) covered 2 times",
+    "decomposition: duplicated-edge: edge (2, 4) covered 2 times",
+    "decomposition: foreign-edge: edge (2, 7) not in host (used 1x)",
+    "decomposition: missing-edge: edge (0, 5) never covered",
+    "decomposition: missing-edge: edge (1, 4) never covered",
+    "decomposition: missing-edge: edge (2, 5) never covered",
+    "class 2: foreign-vertex: vertex 7 outside host",
+    "class 2: vertex-missed: vertex 5 not covered",
+    "class 3: malformed-edge: loop at vertex 3",
+    "class 3: malformed-edge: loop at vertex 5",
+    "class 3: vertex-repeated: vertex 3 covered 2 times",
+    "class 3: vertex-repeated: vertex 5 covered 2 times",
+    "class 4: malformed-sun: sun (0,1,2; 0,4,5): repeated vertex",
+    "class 4: vertex-missed: vertex 3 not covered",
+    "class 4: vertex-repeated: vertex 0 covered 2 times",
+    "class 5: non-uniform-class: one-factor class carries sun blocks",
+    "class 5: vertex-missed: vertex 2 not covered",
+    "class 5: vertex-missed: vertex 3 not covered",
+    "class 5: vertex-missed: vertex 4 not covered",
+    "class 5: vertex-missed: vertex 5 not covered",
+    "class 6: non-uniform-class: unknown class kind 'star_factor'",
+    "class 6: vertex-missed: vertex 0 not covered",
+    "class 6: vertex-missed: vertex 1 not covered",
+    "class 6: vertex-missed: vertex 2 not covered",
+    "class 6: vertex-missed: vertex 3 not covered",
+    "class 6: vertex-missed: vertex 4 not covered",
+    "class 6: vertex-missed: vertex 5 not covered",
+]
+
+
+def corrupted_factorization() -> CycleFactorization:
+    # The triangle factorization of K_9 (four classes) with one class per
+    # kind of damage, and a fifth class that repeats the first.
+    return CycleFactorization(
+        HostGraph.complete(9),
+        3,
+        (
+            ((0, 1, 3), (2, 4, 5), (6, 7, 8)),
+            ((0, 3, 6), (1, 4, 9), (2, 5, 8)),
+            ((0, 4, 8), (1, 5), (2, 3, 7), (6,)),
+            ((0, 5, 5), (1, 3, 8), (2, 4, 6), (7,)),
+            ((0, 1, 2), (3, 4, 5), (6, 7, 8)),
+        ),
+    )
+
+
+FACTORIZATION_FINDINGS = [
+    "decomposition: duplicated-edge: edge (0, 1) covered 2 times",
+    "decomposition: duplicated-edge: edge (0, 3) covered 2 times",
+    "decomposition: duplicated-edge: edge (1, 3) covered 2 times",
+    "decomposition: duplicated-edge: edge (2, 4) covered 2 times",
+    "decomposition: duplicated-edge: edge (2, 5) covered 2 times",
+    "decomposition: duplicated-edge: edge (4, 5) covered 2 times",
+    "decomposition: duplicated-edge: edge (6, 7) covered 2 times",
+    "decomposition: duplicated-edge: edge (6, 8) covered 2 times",
+    "decomposition: duplicated-edge: edge (7, 8) covered 2 times",
+    "decomposition: foreign-edge: edge (1, 9) not in host (used 1x)",
+    "decomposition: foreign-edge: edge (4, 9) not in host (used 1x)",
+    "decomposition: missing-edge: edge (0, 5) never covered",
+    "decomposition: missing-edge: edge (0, 7) never covered",
+    "decomposition: missing-edge: edge (1, 5) never covered",
+    "decomposition: missing-edge: edge (1, 6) never covered",
+    "decomposition: missing-edge: edge (1, 7) never covered",
+    "decomposition: missing-edge: edge (4, 7) never covered",
+    "decomposition: missing-edge: edge (5, 6) never covered",
+    "decomposition: missing-edge: edge (5, 7) never covered",
+    "decomposition: wrong-class-count: 5 classes, expected 4",
+    "class 1: foreign-vertex: vertex 9 outside host",
+    "class 1: vertex-missed: vertex 7 not covered",
+    "class 2: malformed-cycle: cycle (1, 5) has length 2",
+    "class 2: malformed-cycle: cycle (6,) has length 1",
+    "class 3: malformed-cycle: cycle (7,) has length 1",
+    "class 3: malformed-cycle: repeated vertex in cycle (0, 5, 5)",
+    "class 3: vertex-repeated: vertex 5 covered 2 times",
+]
+
+
+def findings(report) -> list[str]:
+    return [str(f) for f in report.violations]
+
+
+class TestFindingText:
+    def test_corrupted_design(self):
+        report = verify(corrupted_design(), expected_h=3)
+        assert not report.passed
+        assert (report.r, report.s) == (3, 3)
+        assert findings(report) == DESIGN_FINDINGS
+
+    def test_corrupted_factorization(self):
+        report = validate_cycle_factorization(corrupted_factorization())
+        assert not report.passed
+        assert (report.r, report.s) == (0, 0)
+        assert findings(report) == FACTORIZATION_FINDINGS
+
+    @pytest.mark.parametrize(
+        "cf, expected",
+        [
+            (
+                CycleFactorization(HostGraph.complete(4), 3, ()),
+                [
+                    "decomposition: bad-parameters: complete host must have odd order",
+                    "decomposition: bad-parameters: cycle length 3 must be >= 3 and divide 4",
+                    "decomposition: missing-edge: edge (0, 1) never covered",
+                    "decomposition: missing-edge: edge (0, 2) never covered",
+                    "decomposition: missing-edge: edge (0, 3) never covered",
+                    "decomposition: missing-edge: edge (1, 2) never covered",
+                    "decomposition: missing-edge: edge (1, 3) never covered",
+                    "decomposition: missing-edge: edge (2, 3) never covered",
+                    "decomposition: wrong-class-count: 0 classes, expected 1",
+                ],
+            ),
+            (
+                CycleFactorization(HostGraph.blown_cycle(((0,), (1,), (2,))), 3, ()),
+                ["decomposition: malformed-host: unsupported host kind 'blown_cycle'"],
+            ),
+            (
+                CycleFactorization(HostGraph.complete_minus_f(4, ((0, 1),)), 4, ()),
+                [
+                    "decomposition: malformed-host: "
+                    "removed matching is not a perfect matching of the host"
+                ],
+            ),
+        ],
+    )
+    def test_factorization_parameter_findings(self, cf, expected):
+        assert findings(validate_cycle_factorization(cf)) == expected
+
+    def test_malformed_host_design(self):
+        report = verify(Decomposition(HostGraph.complete(0), ()))
+        assert findings(report) == [
+            "decomposition: malformed-host: complete host needs a positive order"
+        ]
+        assert (report.r, report.s) == (0, 0)
+
+
+def digest(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode("utf-8"))
+    return h.hexdigest()
+
+
+def test_hamiltonian_minus_f_bytes():
+    texts = (dumps_document(cycle_factorization_minus_f(n, n)) for n in range(4, 41, 2))
+    assert digest(texts) == (
+        "2891323a47ac9e098f8cdc5f9603c8161c19e4bed7a862a74aaf68da55e0fe7a"
+    )
+
+
+SPECTRUM_DIGESTS = {
+    (12, 3): "d862a88766107678f4f08ca37433105a6d8a4695348981efd6e53605ef4abc1c",
+    (18, 3): "d35d7861c57f00b1141605df01177bf4c18e444998ad06bd817bf3cf6704d59e",
+    (16, 4): "67c2099f7f06967d4f669539053e79264cf4be0b40dd10a7328b7083d70231c0",
+    (20, 5): "605053c78394f9370be883f7db305005f620016437a5a5c25bcf2a48a84c682b",
+}
+
+
+@pytest.mark.parametrize("v, h", sorted(SPECTRUM_DIGESTS))
+def test_spectrum_build_bytes(v, h):
+    texts = (
+        dumps_document(build(ParamTuple(v, h, p.r, p.s)), h=h)
+        for p in admissible_pairs(v, h)
+    )
+    assert digest(texts) == SPECTRUM_DIGESTS[(v, h)]
