@@ -6,9 +6,9 @@ host exactly once.  Blocks are single edges (one-factor classes) or suns:
 an h-cycle with one pendant edge hanging off each cycle vertex.
 
 The verifier in this module is deliberately independent of the builders: it
-rebuilds the host edge set from the host descriptor and compares sorted edge
-lists, so any constructed design can be certified without trusting the code
-that produced it.
+rebuilds the host edge set from the host descriptor and checks that the
+blocks use each host edge exactly once and no other edge, so any constructed
+design can be certified without trusting the code that produced it.
 """
 
 from __future__ import annotations
@@ -271,8 +271,9 @@ def _certify(
     ``classes`` yields, per class, the vertices its blocks touch and the
     edges of its well-formed blocks, appending block-shape findings to
     ``findings`` as it goes; it is consumed only after the host edge set is
-    rebuilt.  Adds the per-class vertex coverage and the exact edge partition
-    checks, then returns the sorted report.
+    rebuilt.  One pass over the classes counts block edges and checks each
+    class's vertex coverage; one pass over the host edges then settles each
+    edge's count, and any count left over is an edge outside the host.
     """
     try:
         target_edges = host_edges(host)
@@ -280,30 +281,28 @@ def _certify(
         return VerificationReport(False, 0, 0, (Finding(-1, "malformed-host", str(exc)),))
 
     vset = set(host_vertices(host))
-    covered: list[Edge] = []
+    used: Counter[Edge] = Counter()
     for ci, (vertices, edges) in enumerate(classes):
-        covered.extend(edges)
-        hits = Counter(vertices)
-        for x in sorted(vset - hits.keys()):
+        used.update(edges)
+        seen = set(vertices)
+        for x in vset - seen:
             findings.append(Finding(ci, "vertex-missed", f"vertex {x} not covered"))
-        for x in sorted(hits):
-            if x not in vset:
-                findings.append(Finding(ci, "foreign-vertex", f"vertex {x} outside host"))
-            elif hits[x] > 1:
-                findings.append(
-                    Finding(ci, "vertex-repeated", f"vertex {x} covered {hits[x]} times")
-                )
+        for x in seen - vset:
+            findings.append(Finding(ci, "foreign-vertex", f"vertex {x} outside host"))
+        if len(seen) == len(vertices):
+            continue
+        for x, k in Counter(vertices).items():
+            if k > 1 and x in vset:
+                findings.append(Finding(ci, "vertex-repeated", f"vertex {x} covered {k} times"))
 
-    want = Counter(target_edges)
-    got = Counter(covered)
-    for e in sorted(set(want) | set(got)):
-        g = got[e]
-        if e not in want:
-            findings.append(Finding(-1, "foreign-edge", f"edge {e} not in host (used {g}x)"))
-        elif g == 0:
+    for e in target_edges:
+        g = used.pop(e, 0)
+        if g == 0:
             findings.append(Finding(-1, "missing-edge", f"edge {e} never covered"))
         elif g > 1:
             findings.append(Finding(-1, "duplicated-edge", f"edge {e} covered {g} times"))
+    for e, g in used.items():
+        findings.append(Finding(-1, "foreign-edge", f"edge {e} not in host (used {g}x)"))
 
     findings.sort()
     return VerificationReport(not findings, r, s, tuple(findings))

@@ -353,12 +353,30 @@ def _certified(cf: CycleFactorization) -> CycleFactorization:
     return cf
 
 
-def _catalog_get(
-    catalog: Mapping | None, n: int, h: int, kind: str
-) -> CycleFactorization | None:
-    if not catalog:
-        return None
-    return catalog.get((n, h, kind))
+def _resolve(
+    kind: str, n: int, h: int, catalog: Mapping | None, budget: int | None
+) -> CycleFactorization:
+    """Shape checks, construction (h = n), seed catalog, then bounded search."""
+    if h < 3:
+        raise ValueError("h must be at least 3")
+    odd = kind == COMPLETE
+    if n % 2 != odd or n % h:
+        raise ValueError(f"order {n} must be {'odd' if odd else 'even'} and divisible by h={h}")
+    if kind == COMPLETE_MINUS_F and (n, h) in NONEXISTENT_MINUS_F:
+        raise IngredientUnavailable(n, h, kind, NONEXISTENT)
+    if h == n:
+        return _certified(_hamiltonian_odd(n) if kind == COMPLETE else _hamiltonian_minus_f(n))
+    cf = catalog.get((n, h, kind)) if catalog else None
+    if cf is None:
+        if kind == COMPLETE:
+            host = HostGraph.complete(n)
+        else:
+            host = HostGraph.complete_minus_f(n, canonical_perfect_matching(n))
+        result = search_cycle_factorization(host, h, budget)
+        if result.status != FOUND:
+            raise IngredientUnavailable(n, h, kind, result.status)
+        cf = result.factorization
+    return _certified(cf)
 
 
 def cycle_factorization_odd(
@@ -373,19 +391,7 @@ def cycle_factorization_odd(
     Resolution order: direct construction (Hamiltonian shape h = n), the
     seed catalog, then bounded search.
     """
-    if h < 3:
-        raise ValueError("h must be at least 3")
-    if n % 2 == 0 or n % h:
-        raise ValueError(f"order {n} must be odd and divisible by h={h}")
-    if h == n:
-        return _certified(_hamiltonian_odd(n))
-    cf = _catalog_get(catalog, n, h, COMPLETE)
-    if cf is not None:
-        return _certified(cf)
-    result = search_cycle_factorization(HostGraph.complete(n), h, budget)
-    if result.status != FOUND:
-        raise IngredientUnavailable(n, h, COMPLETE, result.status)
-    return _certified(result.factorization)
+    return _resolve(COMPLETE, n, h, catalog, budget)
 
 
 def cycle_factorization_minus_f(
@@ -400,22 +406,7 @@ def cycle_factorization_minus_f(
     The two classically missing triangle cases are pre-tabled and reported
     as nonexistent without a search.
     """
-    if h < 3:
-        raise ValueError("h must be at least 3")
-    if n % 2 or n % h:
-        raise ValueError(f"order {n} must be even and divisible by h={h}")
-    if (n, h) in NONEXISTENT_MINUS_F:
-        raise IngredientUnavailable(n, h, COMPLETE_MINUS_F, NONEXISTENT)
-    if h == n:
-        return _certified(_hamiltonian_minus_f(n))
-    cf = _catalog_get(catalog, n, h, COMPLETE_MINUS_F)
-    if cf is not None:
-        return _certified(cf)
-    host = HostGraph.complete_minus_f(n, canonical_perfect_matching(n))
-    result = search_cycle_factorization(host, h, budget)
-    if result.status != FOUND:
-        raise IngredientUnavailable(n, h, COMPLETE_MINUS_F, result.status)
-    return _certified(result.factorization)
+    return _resolve(COMPLETE_MINUS_F, n, h, catalog, budget)
 
 
 @dataclass
@@ -432,16 +423,16 @@ class IngredientSource:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def odd(self, n: int, h: int) -> CycleFactorization:
-        return self._get(COMPLETE, n, h, cycle_factorization_odd)
+        return self._get(COMPLETE, n, h)
 
     def minus_f(self, n: int, h: int) -> CycleFactorization:
-        return self._get(COMPLETE_MINUS_F, n, h, cycle_factorization_minus_f)
+        return self._get(COMPLETE_MINUS_F, n, h)
 
-    def _get(self, kind: str, n: int, h: int, fn) -> CycleFactorization:
+    def _get(self, kind: str, n: int, h: int) -> CycleFactorization:
         key = (kind, n, h)
         if key not in self._cache:
             try:
-                self._cache[key] = fn(n, h, catalog=self.catalog, budget=self.budget)
+                self._cache[key] = _resolve(kind, n, h, self.catalog, self.budget)
             except IngredientUnavailable as exc:
                 self._cache[key] = exc
         value = self._cache[key]

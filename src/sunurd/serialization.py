@@ -126,13 +126,14 @@ def _require(cond: bool, message: str) -> None:
         raise DocumentFormatError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_list(value, what: str) -> list[int]:
     _require(isinstance(value, list), f"{what} must be a list")
-    out = []
-    for x in value:
-        _require(isinstance(x, int) and not isinstance(x, bool), f"{what} must hold integers")
-        out.append(x)
-    return out
+    _require(all(_is_int(x) for x in value), f"{what} must hold integers")
+    return value
 
 
 def _pair_list(value, what: str) -> list[tuple[int, int]]:
@@ -148,14 +149,13 @@ def _pair_list(value, what: str) -> list[tuple[int, int]]:
 def _host_from_doc(doc) -> HostGraph:
     _require(isinstance(doc, dict), "host must be an object")
     kind = doc.get("kind")
-    if kind == "complete":
+    if kind in ("complete", "complete_minus_f"):
         v = doc.get("v")
-        _require(isinstance(v, int), "host.v must be an integer")
-        return HostGraph.complete(v)
-    if kind == "complete_minus_f":
-        v = doc.get("v")
-        _require(isinstance(v, int), "host.v must be an integer")
+        _require(_is_int(v), "host.v must be an integer")
+        if kind == "complete":
+            return HostGraph.complete(v)
         matching = _pair_list(doc.get("matching"), "host.matching")
+        _require(all(u != w for u, w in matching), "host.matching entries must not be loops")
         return HostGraph.complete_minus_f(v, matching)
     if kind == "blown_cycle":
         groups = doc.get("groups")
@@ -173,7 +173,7 @@ def from_document(doc) -> Document:
     )
     host = _host_from_doc(doc.get("host"))
     h = doc.get("h")
-    _require(isinstance(h, int) and not isinstance(h, bool), "h must be an integer")
+    _require(_is_int(h), "h must be an integer")
     raw_classes = doc.get("classes")
     _require(isinstance(raw_classes, list), "classes must be a list")
     source = doc.get("source")
@@ -182,12 +182,9 @@ def from_document(doc) -> Document:
     )
 
     _require(all(isinstance(c, dict) for c in raw_classes), "each class must be an object")
-    kinds = {c.get("type") for c in raw_classes}
-    if "cycle_factor" in kinds:
-        _require(
-            kinds == {"cycle_factor"},
-            "cycle_factor classes cannot mix with design classes",
-        )
+    is_cycle = [c.get("type") == "cycle_factor" for c in raw_classes]
+    if any(is_cycle):
+        _require(all(is_cycle), "cycle_factor classes cannot mix with design classes")
         classes = []
         for c in raw_classes:
             cycles = c.get("cycles")

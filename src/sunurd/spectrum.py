@@ -131,7 +131,9 @@ def check_necessary(t: ParamTuple) -> Admissibility:
         return Admissibility(False, Reason.PARITY_OF_S, "s must be even")
     if r + 2 * s != v - 1:
         return Admissibility(False, Reason.EDGE_COUNT, "r+2s must equal v-1")
-    if SpectrumPair(r, s) not in admissible_pairs(v, h):
+    # With 2h | v, s even and r + 2s = v - 1, r = v - 1 (mod 4) holds already,
+    # so (r, s) lies in J(v) exactly when neither count is negative.
+    if r < 0 or s < 0:
         return Admissibility(
             False,
             Reason.RESIDUE_OF_R,

@@ -146,6 +146,30 @@ class TestVerify:
         assert main(["verify", str(path)]) == 2
         assert "each class must be an object" in capsys.readouterr().err
 
+    def test_loop_in_removed_matching_exit_2(self, tmp_path, capsys):
+        doc = {
+            "format_version": "1",
+            "host": {"kind": "complete_minus_f", "v": 4, "matching": [[0, 0], [1, 2]]},
+            "h": 4,
+            "classes": [],
+        }
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert "host.matching entries must not be loops" in capsys.readouterr().err
+
+    def test_boolean_host_order_exit_2(self, tmp_path, capsys):
+        doc = {
+            "format_version": "1",
+            "host": {"kind": "complete", "v": True},
+            "h": 3,
+            "classes": [],
+        }
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert "host.v must be an integer" in capsys.readouterr().err
+
     def test_missing_file_exit_5(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "absent.json")]) == 5
 

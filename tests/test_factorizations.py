@@ -181,6 +181,14 @@ class TestSeedCatalog:
             load_seed_catalog(tmp_path)
         assert "broken.json" in str(exc_info.value)
 
+    def test_loop_in_removed_matching_rejected(self, tmp_path):
+        doc = json.loads(dumps_document(cycle_factorization_minus_f(6, 6)))
+        doc["host"]["matching"][0] = [0, 0]
+        (tmp_path / "loop.json").write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SeedCatalogError) as exc_info:
+            load_seed_catalog(tmp_path)
+        assert "loop.json" in str(exc_info.value)
+
     def test_malformed_json_rejected(self, tmp_path):
         (tmp_path / "junk.json").write_text("{not json", encoding="utf-8")
         with pytest.raises(SeedCatalogError):

@@ -108,6 +108,12 @@ class TestRejection:
         with pytest.raises(DocumentFormatError):
             from_document(doc)
 
+    def test_unhashable_class_type(self):
+        doc = to_document(urd12_h3((3, 4)), h=3)
+        doc["classes"][0]["type"] = ["sun_factor"]
+        with pytest.raises(DocumentFormatError):
+            from_document(doc)
+
     def test_unknown_host_kind(self):
         doc = to_document(urd12_h3((3, 4)), h=3)
         doc["host"] = {"kind": "torus", "v": 12}

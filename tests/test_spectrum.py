@@ -108,6 +108,24 @@ class TestCheckNecessary:
         assert not adm.ok
         assert adm.reason is Reason.RESIDUE_OF_R
 
+    def test_residue_check_agrees_with_spectrum_grid(self):
+        # On the edge-count line r = v - 1 - 2s, a tuple with s != 0 passes
+        # exactly when (r, s) is in J(v); otherwise the residue check names it.
+        for h in range(3, 13):
+            for v in range(1, 241):
+                pairs = set(admissible_pairs(v, h))
+                for s in range(-6, v + 6):
+                    if s == 0:
+                        continue
+                    r = v - 1 - 2 * s
+                    adm = check_necessary(ParamTuple(v, h, r, s))
+                    assert adm.ok == ((r, s) in pairs), (v, h, r, s)
+                    if not adm.ok and v % (2 * h) == 0 and s % 2 == 0:
+                        assert adm.reason is Reason.RESIDUE_OF_R
+                        assert adm.detail == (
+                            f"r must be congruent to {(v - 1) % 4} mod 4 and nonnegative"
+                        )
+
     def test_s_zero_any_even_v(self):
         # plain 1-factorizations are admissible off the 2h grid too
         assert check_necessary(ParamTuple(8, 3, 7, 0)).ok
