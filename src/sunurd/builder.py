@@ -115,8 +115,6 @@ def inflate_cycle(cycle: tuple[int, ...], kind: UrgddKind) -> Decomposition:
     the requested kind (two sun classes, or four matchings).
     """
     cyc = tuple(cycle)
-    if len(cyc) < 3 or len(set(cyc)) != len(cyc):
-        raise ValueError(f"degenerate cycle {cyc}")
     a = [2 * p for p in cyc]
     b = [2 * p + 1 for p in cyc]
     return urgdd_ch2(len(cyc), kind, a, b)
@@ -211,10 +209,9 @@ def build_with_plan(
     if certify:
         report = verify(dec, expected_h=h if s > 0 else None)
         if not report.passed or (report.r, report.s) != (r, s):
-            head = "; ".join(str(f) for f in report.violations[:3])
             raise RuntimeError(
                 f"internal error: built design failed certification for {t}: "
-                f"got ({report.r},{report.s}); {head}"
+                f"got ({report.r},{report.s}); {report.brief()}"
             )
     return dec, p
 

@@ -149,12 +149,12 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        text = Path(args.path).read_text(encoding="utf-8")
+        data = Path(args.path).read_bytes()
     except OSError as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        doc = loads_document(text)
+        doc = loads_document(data)
     except DocumentFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

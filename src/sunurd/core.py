@@ -1,20 +1,20 @@
-"""Core types and the verifier for resolvable sun/matching decompositions.
+"""Core types, both certifiers and the canonical forms.
 
 A decomposition assigns every edge of a host graph to exactly one block and
 groups the blocks into parallel classes, each covering every vertex of the
 host exactly once.  Blocks are single edges (one-factor classes) or suns:
 an h-cycle with one pendant edge hanging off each cycle vertex.
 
-The verifier in this module is deliberately independent of the builders: it
-rebuilds the host edge set from the host descriptor and checks that the
-blocks use each host edge exactly once and no other edge, so any constructed
-design can be certified without trusting the code that produced it.
+The certifiers ``verify`` and ``validate_cycle_factorization`` import no
+builder: they rebuild the host edges and check that the blocks use each
+exactly once and no other edge, so a design is certified without trusting
+the code that built it.  The canonical forms serialization writes live here.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -85,13 +85,9 @@ def canonicalize_sun(raw_cycle: Iterable[int], raw_pendants: Iterable[int]) -> S
     """
     cycle = tuple(raw_cycle)
     pendants = tuple(raw_pendants)
-    h = len(cycle)
-    if h < 3:
-        raise ValueError("a sun needs a cycle of length at least 3")
-    if len(pendants) != h:
-        raise ValueError("pendant count must equal cycle length")
-    if len(set(cycle) | set(pendants)) != 2 * h:
-        raise ValueError(f"sun vertices must be distinct: ({cycle}; {pendants})")
+    problem = _sun_problem(cycle, pendants)
+    if problem is not None:
+        raise ValueError(f"malformed sun ({cycle}; {pendants}): {problem}")
     order = _canonical_indices(cycle)
     return Sun(tuple(cycle[i] for i in order), tuple(pendants[i] for i in order))
 
@@ -108,13 +104,13 @@ def _sun_edge_list(sun: Sun) -> list[Edge]:
     return out
 
 
-def _sun_problem(sun: Sun) -> str | None:
-    """Reason a sun block is malformed, or None if it is a valid sun."""
-    if len(sun.cycle) < 3:
+def _sun_problem(cycle: tuple[int, ...], pendants: tuple[int, ...]) -> str | None:
+    """Reason a sun (cycle, pendants) is malformed, or None if it is valid."""
+    if len(cycle) < 3:
         return "cycle shorter than 3"
-    if len(sun.pendants) != len(sun.cycle):
+    if len(pendants) != len(cycle):
         return "pendant count differs from cycle length"
-    if len(set(sun.cycle) | set(sun.pendants)) != 2 * len(sun.cycle):
+    if len(set(cycle) | set(pendants)) != 2 * len(cycle):
         return "repeated vertex"
     return None
 
@@ -234,6 +230,39 @@ class Decomposition:
         return sum(1 for c in self.classes if c.kind == SUN_FACTOR)
 
 
+@dataclass(frozen=True)
+class CycleFactorization:
+    """Parallel classes of h-cycles covering the host edges exactly once.
+
+    For a complete host of odd order n there are (n-1)/2 classes; for a
+    complete-minus-F host of even order, (n-2)/2 classes plus the removed
+    matching carried on the host.  ``source`` records where the object came
+    from (construction name, catalog file, or search).
+    """
+
+    host: HostGraph
+    h: int
+    classes: tuple[tuple[tuple[int, ...], ...], ...]
+    source: str = "unspecified"
+
+    @property
+    def removed_matching(self) -> tuple[Edge, ...]:
+        return self.host.matching
+
+
+def factorization_shape_problems(kind: str, n: int, h: int) -> list[str]:
+    """Reasons a ``kind`` host on n vertices has no h-cycle factorization: h >= 3
+    must divide n, n odd for K_n, even for K_n - F; then (n-1)//2 classes."""
+    problems = []
+    if h < 3 or n % h:
+        problems.append(f"cycle length {h} must be >= 3 and divide {n}")
+    if kind == COMPLETE and n % 2 == 0:
+        problems.append("complete host must have odd order")
+    elif kind == COMPLETE_MINUS_F and n % 2:
+        problems.append("complete-minus-F host must have even order")
+    return problems
+
+
 @dataclass(frozen=True, order=True)
 class Finding:
     """One structured verification violation.
@@ -257,6 +286,10 @@ class VerificationReport:
     r: int
     s: int
     violations: tuple[Finding, ...]
+
+    def brief(self) -> str:
+        """The first three findings on one line, for an error message."""
+        return "; ".join(str(f) for f in self.violations[:3])
 
 
 def _certify(
@@ -345,7 +378,7 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                     )
                 for sun in cls.suns:
                     vertices += sun.cycle + sun.pendants
-                    problem = _sun_problem(sun)
+                    problem = _sun_problem(sun.cycle, sun.pendants)
                     if problem is not None:
                         findings.append(Finding(ci, "malformed-sun", f"sun {sun}: {problem}"))
                         continue
@@ -367,6 +400,51 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
             yield vertices, edges
 
     return _certify(dec.host, blocks(), findings, dec.r, dec.s)
+
+
+def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
+    """Certify a claimed cycle factorization; defects become findings."""
+    host = cf.host
+    if host.kind not in (COMPLETE, COMPLETE_MINUS_F):
+        return VerificationReport(
+            False, 0, 0, (Finding(-1, "malformed-host", f"unsupported host kind {host.kind!r}"),)
+        )
+
+    n = host.order
+    h = cf.h
+    findings = [
+        Finding(-1, "bad-parameters", problem)
+        for problem in factorization_shape_problems(host.kind, n, h)
+    ]
+    expected = (n - 1) // 2
+    if len(cf.classes) != expected:
+        findings.append(
+            Finding(
+                -1,
+                "wrong-class-count",
+                f"{len(cf.classes)} classes, expected {expected}",
+            )
+        )
+
+    def blocks() -> Iterator[tuple[list[int], list[Edge]]]:
+        for ci, cycles in enumerate(cf.classes):
+            vertices: list[int] = []
+            edges: list[Edge] = []
+            for cyc in cycles:
+                vertices.extend(cyc)
+                if len(cyc) != h:
+                    findings.append(
+                        Finding(ci, "malformed-cycle", f"cycle {cyc} has length {len(cyc)}")
+                    )
+                elif len(set(cyc)) != h:
+                    findings.append(
+                        Finding(ci, "malformed-cycle", f"repeated vertex in cycle {cyc}")
+                    )
+                else:
+                    edges.extend(edge(cyc[i - 1], cyc[i]) for i in range(h))
+            yield vertices, edges
+
+    return _certify(host, blocks(), findings)
 
 
 def vertex_profile(dec: Decomposition) -> dict[int, tuple[int, int]]:
@@ -407,7 +485,16 @@ def canonical_decomposition(dec: Decomposition) -> Decomposition:
             classes.append(ParallelClass.sun_factor(suns))
         else:
             raise ValueError(f"unknown class kind {cls.kind!r}")
-    host = dec.host
+    return Decomposition(_canonical_host(dec.host), tuple(classes))
+
+
+def canonical_factorization(cf: CycleFactorization) -> CycleFactorization:
+    """Canonical form: cycles canonicalized and sorted within each class."""
+    classes = tuple(tuple(sorted(canonical_cycle(c) for c in cls)) for cls in cf.classes)
+    return replace(cf, host=_canonical_host(cf.host), classes=classes)
+
+
+def _canonical_host(host: HostGraph) -> HostGraph:
     if host.kind == COMPLETE_MINUS_F:
-        host = HostGraph.complete_minus_f(host.order, host.matching)
-    return Decomposition(host, tuple(classes))
+        return HostGraph.complete_minus_f(host.order, host.matching)
+    return host

@@ -4,8 +4,8 @@ catalogs, and bounded exact backtracking search.
 A cycle factorization splits the edges of K_n (n odd) or K_n minus a
 perfect matching F (n even) into parallel classes of h-cycles.  These are
 the ingredients the inflation builder consumes; every factorization handed
-out by this module has been re-checked by the validator
-first, regardless of how it was obtained.
+out here is first re-checked by the validator, which lives in ``core`` with
+the type, its canonical form and the shape rule.
 """
 
 from __future__ import annotations
@@ -18,15 +18,16 @@ from .base_designs import one_factorization
 from .core import (
     COMPLETE,
     COMPLETE_MINUS_F,
+    CycleFactorization,
     Edge,
-    Finding,
     HostGraph,
-    VerificationReport,
-    _certify,
     canonical_cycle,
-    edge,
+    canonical_factorization,
+    factorization_shape_problems,
     host_edges,
+    validate_cycle_factorization,
 )
+from .serialization import DocumentFormatError, loads_document
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
@@ -58,76 +59,6 @@ class IngredientUnavailable(Exception):
 
 class SeedCatalogError(Exception):
     """A seed record failed to load or validate (message names the file)."""
-
-
-@dataclass(frozen=True)
-class CycleFactorization:
-    """Parallel classes of h-cycles covering the host edges exactly once.
-
-    For a complete host of odd order n there are (n-1)/2 classes; for a
-    complete-minus-F host of even order, (n-2)/2 classes plus the removed
-    matching carried on the host.  ``source`` records where the object came
-    from (construction name, catalog file, or search).
-    """
-
-    host: HostGraph
-    h: int
-    classes: tuple[tuple[tuple[int, ...], ...], ...]
-    source: str = "unspecified"
-
-    @property
-    def removed_matching(self) -> tuple[Edge, ...]:
-        return self.host.matching
-
-
-def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
-    """Certify a claimed cycle factorization; defects become findings."""
-    host = cf.host
-    if host.kind not in (COMPLETE, COMPLETE_MINUS_F):
-        return VerificationReport(
-            False, 0, 0, (Finding(-1, "malformed-host", f"unsupported host kind {host.kind!r}"),)
-        )
-
-    findings: list[Finding] = []
-    n = host.order
-    h = cf.h
-    if h < 3 or n % h:
-        findings.append(
-            Finding(-1, "bad-parameters", f"cycle length {h} must be >= 3 and divide {n}")
-        )
-    if host.kind == COMPLETE and n % 2 == 0:
-        findings.append(
-            Finding(-1, "bad-parameters", "complete host must have odd order")
-        )
-    expected = (n - 1) // 2 if host.kind == COMPLETE else (n - 2) // 2
-    if len(cf.classes) != expected:
-        findings.append(
-            Finding(
-                -1,
-                "wrong-class-count",
-                f"{len(cf.classes)} classes, expected {expected}",
-            )
-        )
-
-    def blocks() -> Iterator[tuple[list[int], list[Edge]]]:
-        for ci, cycles in enumerate(cf.classes):
-            vertices: list[int] = []
-            edges: list[Edge] = []
-            for cyc in cycles:
-                vertices.extend(cyc)
-                if len(cyc) != h:
-                    findings.append(
-                        Finding(ci, "malformed-cycle", f"cycle {cyc} has length {len(cyc)}")
-                    )
-                elif len(set(cyc)) != h:
-                    findings.append(
-                        Finding(ci, "malformed-cycle", f"repeated vertex in cycle {cyc}")
-                    )
-                else:
-                    edges.extend(edge(cyc[i - 1], cyc[i]) for i in range(h))
-            yield vertices, edges
-
-    return _certify(host, blocks(), findings)
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +119,14 @@ def search_cycle_factorization(
     number of cycle placements tried (None = unbounded); identical inputs
     and budget always produce the identical result.
     """
-    if h < 3:
-        raise ValueError("h must be at least 3")
-    n = host.order
-    if n % h:
-        raise ValueError(f"cycle length {h} must divide the host order {n}")
-    if host.kind == COMPLETE and n % 2 == 0:
-        raise ValueError("complete host must have odd order for a cycle factorization")
     if host.kind not in (COMPLETE, COMPLETE_MINUS_F):
         raise ValueError(f"unsupported search host kind {host.kind!r}")
+    n = host.order
+    problems = factorization_shape_problems(host.kind, n, h)
+    if problems:
+        raise ValueError(problems[0])
 
-    target = (n - 1) // 2 if host.kind == COMPLETE else (n - 2) // 2
+    target = (n - 1) // 2
     avail = [0] * n
     for u, w in host_edges(host):
         avail[u] |= 1 << w
@@ -271,10 +199,7 @@ def search_cycle_factorization(
 
     found = extend([], full, None)
     if found:
-        canon = tuple(
-            tuple(sorted(canonical_cycle(c) for c in cls)) for cls in classes
-        )
-        cf = CycleFactorization(host, h, canon, source="search")
+        cf = canonical_factorization(CycleFactorization(host, h, tuple(classes), source="search"))
         return SearchResult(FOUND, cf, nodes)
     return SearchResult(BUDGET_EXHAUSTED if over_budget else NONEXISTENT, None, nodes)
 
@@ -348,8 +273,7 @@ def canonical_perfect_matching(n: int) -> tuple[Edge, ...]:
 def _certified(cf: CycleFactorization) -> CycleFactorization:
     report = validate_cycle_factorization(cf)
     if not report.passed:
-        head = "; ".join(str(f) for f in report.violations[:3])
-        raise RuntimeError(f"internal error: factorization failed validation: {head}")
+        raise RuntimeError(f"internal error: factorization failed validation: {report.brief()}")
     return cf
 
 
@@ -357,11 +281,9 @@ def _resolve(
     kind: str, n: int, h: int, catalog: Mapping | None, budget: int | None
 ) -> CycleFactorization:
     """Shape checks, construction (h = n), seed catalog, then bounded search."""
-    if h < 3:
-        raise ValueError("h must be at least 3")
-    odd = kind == COMPLETE
-    if n % 2 != odd or n % h:
-        raise ValueError(f"order {n} must be {'odd' if odd else 'even'} and divisible by h={h}")
+    problems = factorization_shape_problems(kind, n, h)
+    if problems:
+        raise ValueError(problems[0])
     if kind == COMPLETE_MINUS_F and (n, h) in NONEXISTENT_MINUS_F:
         raise IngredientUnavailable(n, h, kind, NONEXISTENT)
     if h == n:
@@ -445,17 +367,18 @@ def load_seed_catalog(path) -> dict[tuple[int, int, str], CycleFactorization]:
     """Load and validate every seed record under ``path`` (*.json files).
 
     Records use the standard document schema with cycle-factor classes.
-    Any unreadable file raises OSError; malformed or invalid records raise
+    A ``path`` that is not a directory, or any unreadable file, raises
+    OSError; malformed, undecodable or invalid records raise
     SeedCatalogError naming the offending file.  Keys are (n, h, host kind).
     """
-    from .serialization import DocumentFormatError, loads_document
-
     directory = Path(path)
+    if not directory.is_dir():
+        raise OSError(f"not a directory: {directory}")
     catalog: dict[tuple[int, int, str], CycleFactorization] = {}
     for file in sorted(directory.glob("*.json")):
-        text = file.read_text(encoding="utf-8")
+        data = file.read_bytes()
         try:
-            doc = loads_document(text)
+            doc = loads_document(data)
         except DocumentFormatError as exc:
             raise SeedCatalogError(f"{file.name}: {exc}") from exc
         payload = doc.payload
@@ -463,8 +386,7 @@ def load_seed_catalog(path) -> dict[tuple[int, int, str], CycleFactorization]:
             raise SeedCatalogError(f"{file.name}: not a cycle-factorization record")
         report = validate_cycle_factorization(payload)
         if not report.passed:
-            head = "; ".join(str(f) for f in report.violations[:3])
-            raise SeedCatalogError(f"{file.name}: invalid record: {head}")
+            raise SeedCatalogError(f"{file.name}: invalid record: {report.brief()}")
         key = (payload.host.order, payload.h, payload.host.kind)
         if key in catalog:
             raise SeedCatalogError(f"{file.name}: duplicate record for {key}")

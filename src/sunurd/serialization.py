@@ -16,17 +16,16 @@ from .core import (
     BLOWN_CYCLE,
     COMPLETE,
     COMPLETE_MINUS_F,
+    CycleFactorization,
     Decomposition,
     HostGraph,
     ONE_FACTOR,
     ParallelClass,
     SUN_FACTOR,
     Sun,
-    canonical_cycle,
     canonical_decomposition,
-    edge,
+    canonical_factorization,
 )
-from .factorizations import CycleFactorization
 
 FORMAT_VERSION = "1"
 
@@ -45,14 +44,14 @@ class Document:
 
 
 def _host_to_doc(host: HostGraph) -> dict:
+    # ``host`` comes from a canonical form, so its matching is already sorted.
     if host.kind == COMPLETE:
         return {"kind": "complete", "v": host.order}
     if host.kind == COMPLETE_MINUS_F:
-        matching = sorted(edge(u, w) for u, w in host.matching)
         return {
             "kind": "complete_minus_f",
             "v": host.order,
-            "matching": [list(e) for e in matching],
+            "matching": [list(e) for e in host.matching],
         }
     if host.kind == BLOWN_CYCLE:
         return {
@@ -71,21 +70,18 @@ def to_document(payload, h: int | None = None, source: str | None = None) -> dic
     inferred from pure matchings).
     """
     if isinstance(payload, CycleFactorization):
+        canon = canonical_factorization(payload)
         classes = [
-            {
-                "type": "cycle_factor",
-                "cycles": [list(c) for c in sorted(canonical_cycle(c) for c in cls)],
-            }
-            for cls in payload.classes
+            {"type": "cycle_factor", "cycles": [list(c) for c in cls]}
+            for cls in canon.classes
         ]
-        doc = {
+        return {
             "format_version": FORMAT_VERSION,
-            "host": _host_to_doc(payload.host),
+            "host": _host_to_doc(canon.host),
             "h": payload.h,
             "classes": classes,
             "source": source if source is not None else payload.source,
         }
-        return doc
 
     if not isinstance(payload, Decomposition):
         raise TypeError(f"cannot serialize {type(payload).__name__}")
@@ -96,8 +92,9 @@ def to_document(payload, h: int | None = None, source: str | None = None) -> dic
                 break
     if h is None:
         raise ValueError("h is required to serialize a decomposition without suns")
+    canon = canonical_decomposition(payload)
     classes = []
-    for cls in canonical_decomposition(payload).classes:
+    for cls in canon.classes:
         if cls.kind == ONE_FACTOR:
             classes.append({"type": "one_factor", "edges": [list(e) for e in cls.edges]})
         else:
@@ -112,7 +109,7 @@ def to_document(payload, h: int | None = None, source: str | None = None) -> dic
             )
     doc = {
         "format_version": FORMAT_VERSION,
-        "host": _host_to_doc(payload.host),
+        "host": _host_to_doc(canon.host),
         "h": h,
         "classes": classes,
     }
@@ -225,9 +222,12 @@ def dumps_document(payload, h: int | None = None, source: str | None = None) -> 
     return json.dumps(to_document(payload, h=h, source=source), indent=2) + "\n"
 
 
-def loads_document(text: str) -> Document:
+def loads_document(data: str | bytes) -> Document:
+    """Parse a document from JSON text, or from bytes decoded strictly as UTF-8."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise DocumentFormatError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentFormatError(f"not valid JSON: {exc}") from exc
     return from_document(doc)

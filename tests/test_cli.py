@@ -99,6 +99,26 @@ class TestBuild:
         )
         assert code == 2
 
+    def test_undecodable_seed_record_exit_2(self, tmp_path, capsys):
+        (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")
+        code = main(
+            ["build", "--v", "12", "--h", "3", "--r", "7", "--s", "2",
+             "--seed-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "utf16.json" in capsys.readouterr().err
+
+    def test_missing_seed_dir_exit_5(self, tmp_path, capsys, monkeypatch):
+        args = ["build", "--v", "12", "--h", "3", "--r", "7", "--s", "2"]
+        plain_file = tmp_path / "plain.json"
+        plain_file.write_text("{}", encoding="utf-8")
+        for seed_dir in (tmp_path / "absent", plain_file):
+            assert main(args + ["--seed-dir", str(seed_dir)]) == 5
+            assert "cannot read seed catalog" in capsys.readouterr().err
+            monkeypatch.setenv("SUNURD_SEED_DIR", str(seed_dir))
+            assert main(args) == 5
+            assert "cannot read seed catalog" in capsys.readouterr().err
+
     def test_broken_seed_dir_reported_before_inadmissible_tuple(self, tmp_path, capsys):
         # The catalog loads before build() screens the tuple, so its error wins.
         args = ["build", "--v", "12", "--h", "3", "--r", "4", "--s", "4",
@@ -169,6 +189,12 @@ class TestVerify:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify", str(path)]) == 2
         assert "host.v must be an integer" in capsys.readouterr().err
+
+    def test_undecodable_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["verify", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_missing_file_exit_5(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "absent.json")]) == 5

@@ -138,6 +138,34 @@ class TestConstructions:
         assert cycle_factorization_odd(9, 3) == cycle_factorization_odd(9, 3)
 
 
+def _raises_value_error(fn, *args, **kwargs) -> bool:
+    try:
+        fn(*args, **kwargs)
+    except ValueError:
+        return True
+    except IngredientUnavailable:
+        pass
+    return False
+
+
+@pytest.mark.parametrize("kind", ["complete", "complete_minus_f"])
+def test_shape_rule_agrees_across_entry_points(kind):
+    # With budget=0 a valid shape either returns a Hamiltonian construction or
+    # stops at once, so only the shape rule decides which points raise.
+    resolve = cycle_factorization_odd if kind == "complete" else cycle_factorization_minus_f
+    for n in range(1, 31):
+        host = HostGraph.complete(n) if kind == "complete" else minus_f_host(n)
+        for h in range(-1, 13):
+            report = validate_cycle_factorization(CycleFactorization(host, h, ()))
+            verdicts = (
+                _raises_value_error(resolve, n, h, budget=0),
+                _raises_value_error(search_cycle_factorization, host, h, budget=0),
+                any(f.kind in ("bad-parameters", "malformed-host") for f in report.violations),
+            )
+            valid = h >= 3 and n % h == 0 and n % 2 == (kind == "complete")
+            assert verdicts == (not valid,) * 3, (kind, n, h, verdicts)
+
+
 class TestIngredientSource:
     def test_caches_results(self):
         source = IngredientSource()
@@ -193,6 +221,12 @@ class TestSeedCatalog:
         (tmp_path / "junk.json").write_text("{not json", encoding="utf-8")
         with pytest.raises(SeedCatalogError):
             load_seed_catalog(tmp_path)
+
+    def test_undecodable_record_rejected(self, tmp_path):
+        (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(SeedCatalogError) as exc_info:
+            load_seed_catalog(tmp_path)
+        assert "utf16.json" in str(exc_info.value)
 
     def test_duplicate_key_rejected(self, tmp_path):
         cf = cycle_factorization_odd(9, 3)
