@@ -132,7 +132,7 @@ def cmd_build(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_INADMISSIBLE
     except IngredientUnavailable as exc:
-        print(f"ingredient-unavailable: {exc}", file=sys.stderr)
+        print(f"ingredient-unavailable: {exc} after {exc.nodes} search nodes", file=sys.stderr)
         return EXIT_INGREDIENT
     text = _render_text(dec) if args.format == "text" else dumps_document(dec, h=args.h)
     if args.out:

@@ -46,13 +46,15 @@ class IngredientUnavailable(Exception):
 
     ``outcome`` distinguishes a proven-empty search space ("nonexistent")
     from a search stopped by its node budget ("budget-exhausted").
+    ``nodes`` is the number of search nodes spent, 0 when no search ran.
     """
 
-    def __init__(self, n: int, h: int, host_kind: str, outcome: str):
+    def __init__(self, n: int, h: int, host_kind: str, outcome: str, nodes: int = 0):
         self.n = n
         self.h = h
         self.host_kind = host_kind
         self.outcome = outcome
+        self.nodes = nodes
         what = f"K_{n}" if host_kind == COMPLETE else f"K_{n} minus a perfect matching"
         super().__init__(f"no {h}-cycle factorization of {what} available: {outcome}")
 
@@ -73,21 +75,23 @@ class SearchResult:
     nodes: int
 
 
-def _iter_cycles(anchor: int, avail: list[int], free: int, h: int) -> Iterator[tuple[int, ...]]:
+def _iter_cycles(
+    anchor: int, avail: list[int], free: int, h: int, first: int
+) -> Iterator[tuple[int, ...]]:
     """Canonical h-cycles through ``anchor`` in lexicographic order.
 
     Vertices are drawn from the ``free`` bitmask and consecutive pairs must
-    be available edges.  Rotations are excluded by anchoring at the smallest
-    vertex of the cycle, reflections by requiring the second vertex to be
-    smaller than the last.
+    be available edges; the second vertex is drawn from the ``first``
+    bitmask.  Rotations are excluded by anchoring at the smallest vertex of
+    the cycle, reflections by requiring the second vertex to be smaller than
+    the last.
     """
     path = [anchor]
 
-    def rec(mask: int) -> Iterator[tuple[int, ...]]:
-        u = path[-1]
+    def rec(mask: int, m: int) -> Iterator[tuple[int, ...]]:
         if len(path) == h - 1:
             # Last vertex: must close back to the anchor and beat path[1].
-            m = avail[u] & mask & avail[anchor] & (-1 << (path[1] + 1))
+            m &= avail[anchor] & (-1 << (path[1] + 1))
             while m:
                 bit = m & -m
                 m ^= bit
@@ -95,15 +99,17 @@ def _iter_cycles(anchor: int, avail: list[int], free: int, h: int) -> Iterator[t
                 yield tuple(path)
                 path.pop()
             return
-        m = avail[u] & mask
         while m:
             bit = m & -m
             m ^= bit
-            path.append(bit.bit_length() - 1)
-            yield from rec(mask ^ bit)
+            x = bit.bit_length() - 1
+            rest = mask ^ bit
+            path.append(x)
+            yield from rec(rest, avail[x] & rest)
             path.pop()
 
-    yield from rec(free & ~(1 << anchor))
+    mask = free & ~(1 << anchor)
+    yield from rec(mask, first & mask)
 
 
 def search_cycle_factorization(
@@ -113,11 +119,19 @@ def search_cycle_factorization(
 
     Each parallel class is grown by repeatedly extending the smallest
     uncovered vertex with a canonical h-cycle (exact-cover style).  Classes
-    are forced into increasing order of their cycle through vertex 0, which
-    breaks the class-permutation symmetry without losing any factorization,
-    so an exhausted search certifies nonexistence.  ``budget`` caps the
-    number of cycle placements tried (None = unbounded); identical inputs
-    and budget always produce the identical result.
+    are kept in increasing order of their cycle through vertex 0, which
+    breaks the class-permutation symmetry.  In that order the smallest
+    neighbour m of 0 still available when a class starts is the second
+    vertex of this class's cycle through 0: m is the second vertex of the
+    cycle through 0 of this or a later class (were it the last, that cycle's
+    second vertex would be a smaller available neighbour), and second
+    vertices increase from class to class.  So each class's first cycle is
+    drawn only through m.  The subtrees this cuts hold no factorization and
+    the rest is visited in the same order, so the search returns the same
+    factorization and status as one over every first cycle, in fewer nodes
+    for the same budget; an exhausted search certifies nonexistence.
+    ``budget`` caps the number of cycle placements tried (None = unbounded);
+    identical inputs and budget always produce the identical result.
     """
     if host.kind not in (COMPLETE, COMPLETE_MINUS_F):
         raise ValueError(f"unsupported search host kind {host.kind!r}")
@@ -137,29 +151,18 @@ def search_cycle_factorization(
     over_budget = False
     classes: list[tuple[tuple[int, ...], ...]] = []
 
-    def toggle(cyc: tuple[int, ...], on: bool) -> None:
-        for i in range(h):
-            u, w = cyc[i], cyc[(i + 1) % h]
-            if on:
-                avail[u] &= ~(1 << w)
-                avail[w] &= ~(1 << u)
-            else:
-                avail[u] |= 1 << w
-                avail[w] |= 1 << u
-
-    def extend(cycles: list[tuple[int, ...]], unplaced: int, floor) -> bool:
+    def extend(cycles: list[tuple[int, ...]], unplaced: int) -> bool:
         nonlocal nodes, over_budget
         if unplaced == 0:
             classes.append(tuple(cycles))
-            if len(classes) == target or extend([], full, cycles[0]):
+            if len(classes) == target or extend([], full):
                 return True
             classes.pop()
             return False
-        first_of_class = not cycles
-        if first_of_class:
-            # Smallest vertex first, so every class's first cycle runs through
-            # vertex 0 and the inter-class ordering constraint applies.
-            anchor = (unplaced & -unplaced).bit_length() - 1
+        if not cycles:
+            # A class starts at vertex 0, through its smallest free neighbour.
+            anchor = 0
+            first = avail[0] & -avail[0]
         else:
             # Most-constrained vertex; any unplaced vertex needs two available
             # unplaced neighbours to sit on a cycle of this class.
@@ -176,28 +179,33 @@ def search_cycle_factorization(
                 if d < best:
                     best = d
                     anchor = x
-        for cyc in _iter_cycles(anchor, avail, unplaced, h):
-            if first_of_class and floor is not None and cyc <= floor:
-                continue
+            first = avail[anchor]
+        for cyc in _iter_cycles(anchor, avail, unplaced, h, first):
             nodes += 1
             if budget is not None and nodes > budget:
                 over_budget = True
                 return False
-            toggle(cyc, True)
-            cycles.append(cyc)
             mask = 0
-            for x in cyc:
-                mask |= 1 << x
-            done = extend(cycles, unplaced & ~mask, floor)
+            u = cyc[-1]
+            for w in cyc:
+                avail[u] ^= 1 << w
+                avail[w] ^= 1 << u
+                mask |= 1 << w
+                u = w
+            cycles.append(cyc)
+            done = extend(cycles, unplaced & ~mask)
             cycles.pop()
-            toggle(cyc, False)
+            for w in cyc:
+                avail[u] ^= 1 << w
+                avail[w] ^= 1 << u
+                u = w
             if done:
                 return True
             if over_budget:
                 return False
         return False
 
-    found = extend([], full, None)
+    found = extend([], full)
     if found:
         cf = canonical_factorization(CycleFactorization(host, h, tuple(classes), source="search"))
         return SearchResult(FOUND, cf, nodes)
@@ -296,7 +304,7 @@ def _resolve(
             host = HostGraph.complete_minus_f(n, canonical_perfect_matching(n))
         result = search_cycle_factorization(host, h, budget)
         if result.status != FOUND:
-            raise IngredientUnavailable(n, h, kind, result.status)
+            raise IngredientUnavailable(n, h, kind, result.status, result.nodes)
         cf = result.factorization
     return _certified(cf)
 

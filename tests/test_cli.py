@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import sys
 
-from sunurd import cycle_factorization_odd, dumps_document, urd6_h3
+from sunurd import IngredientSource, cli, cycle_factorization_odd, dumps_document, urd6_h3
 from sunurd.cli import main
 
 
@@ -66,6 +67,16 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "ingredient-unavailable" in err
         assert "K_12" in err
+        assert err.rstrip().endswith("nonexistent after 0 search nodes")
+
+    def test_ingredient_unavailable_exit_4_counts_search_nodes(self, capsys, monkeypatch):
+        small_budget = functools.partial(IngredientSource, budget=10)
+        monkeypatch.setattr(cli, "IngredientSource", small_budget)
+        code = main(["build", "--v", "28", "--h", "7", "--r", "3", "--s", "12"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("ingredient-unavailable: no 7-cycle factorization of K_14")
+        assert err.rstrip().endswith("budget-exhausted after 11 search nodes")
 
     def test_unwritable_out_exit_5(self, tmp_path, capsys):
         code = main(

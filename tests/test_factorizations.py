@@ -85,6 +85,13 @@ class TestSearch:
         b = search_cycle_factorization(HostGraph.complete(9), 3)
         assert a == b
 
+    def test_k6_minus_f_triangles_proven_within_small_budget(self):
+        # Only the first cycles through vertex 0's smallest free neighbour are
+        # tried, so the proof of nonexistence fits in 5 nodes.
+        result = search_cycle_factorization(minus_f_host(6), 3, budget=5)
+        assert result.status == "nonexistent"
+        assert result.nodes <= 5
+
     def test_budget_exhaustion_reported(self):
         result = search_cycle_factorization(minus_f_host(10), 5, budget=3)
         assert result.status == "budget-exhausted"
@@ -125,6 +132,7 @@ class TestConstructions:
                 cycle_factorization_minus_f(n, 3)
             assert exc_info.value.outcome == "nonexistent"
             assert (exc_info.value.n, exc_info.value.h) == (n, 3)
+            assert exc_info.value.nodes == 0
 
     def test_divisibility_errors(self):
         with pytest.raises(ValueError):
@@ -173,6 +181,12 @@ class TestIngredientSource:
         b = source.odd(9, 3)
         assert a is b
 
+    def test_failure_carries_search_nodes(self):
+        source = IngredientSource(budget=10)
+        with pytest.raises(IngredientUnavailable) as exc_info:
+            source.minus_f(14, 7)
+        assert (exc_info.value.outcome, exc_info.value.nodes) == ("budget-exhausted", 11)
+
     def test_caches_failures(self):
         source = IngredientSource()
         with pytest.raises(IngredientUnavailable):
@@ -199,6 +213,7 @@ class TestSeedCatalog:
         with pytest.raises(IngredientUnavailable) as exc_info:
             source.minus_f(8, 4)
         assert exc_info.value.outcome == "budget-exhausted"
+        assert exc_info.value.nodes == 1
 
     def test_record_missing_an_edge_rejected(self, tmp_path):
         cf = cycle_factorization_odd(9, 3)
