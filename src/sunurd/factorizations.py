@@ -1,5 +1,6 @@
 """Cycle-factorization ingredients: direct constructions, validated seed
-catalogs, and bounded exact backtracking search.
+catalogs, a search for one base class under a cyclic group, and bounded
+exact backtracking search.
 
 A cycle factorization splits the edges of K_n (n odd) or K_n minus a
 perfect matching F (n even) into parallel classes of h-cycles.  These are
@@ -46,7 +47,8 @@ class IngredientUnavailable(Exception):
 
     ``outcome`` distinguishes a proven-empty search space ("nonexistent")
     from a search stopped by its node budget ("budget-exhausted").
-    ``nodes`` is the number of search nodes spent, 0 when no search ran.
+    ``nodes`` is the number of search nodes spent by the quotient stage and
+    the plain search together, 0 when no search ran.
     """
 
     def __init__(self, n: int, h: int, host_kind: str, outcome: str, nodes: int = 0):
@@ -84,11 +86,16 @@ def _iter_cycles(
     be available edges; the second vertex is drawn from the ``first``
     bitmask.  Rotations are excluded by anchoring at the smallest vertex of
     the cycle, reflections by requiring the second vertex to be smaller than
-    the last.
+    the last.  The path is grown with an explicit stack: ``todo[i]`` holds
+    the candidates still to try after ``path[i]``, ``rests[i]`` the free
+    vertices before ``path[i + 1]`` was taken.
     """
     path = [anchor]
-
-    def rec(mask: int, m: int) -> Iterator[tuple[int, ...]]:
+    rest = free & ~(1 << anchor)
+    rests: list[int] = []
+    todo = [first & rest]
+    while todo:
+        m = todo[-1]
         if len(path) == h - 1:
             # Last vertex: must close back to the anchor and beat path[1].
             m &= avail[anchor] & (-1 << (path[1] + 1))
@@ -98,18 +105,20 @@ def _iter_cycles(
                 path.append(bit.bit_length() - 1)
                 yield tuple(path)
                 path.pop()
-            return
-        while m:
-            bit = m & -m
-            m ^= bit
-            x = bit.bit_length() - 1
-            rest = mask ^ bit
-            path.append(x)
-            yield from rec(rest, avail[x] & rest)
-            path.pop()
-
-    mask = free & ~(1 << anchor)
-    yield from rec(mask, first & mask)
+            m = 0
+        if not m:
+            todo.pop()
+            if rests:
+                path.pop()
+                rest = rests.pop()
+            continue
+        bit = m & -m
+        todo[-1] = m ^ bit
+        x = bit.bit_length() - 1
+        rests.append(rest)
+        rest ^= bit
+        path.append(x)
+        todo.append(avail[x] & rest)
 
 
 def search_cycle_factorization(
@@ -130,8 +139,11 @@ def search_cycle_factorization(
     the rest is visited in the same order, so the search returns the same
     factorization and status as one over every first cycle, in fewer nodes
     for the same budget; an exhausted search certifies nonexistence.
-    ``budget`` caps the number of cycle placements tried (None = unbounded);
-    identical inputs and budget always produce the identical result.
+    ``budget`` caps the number of cycle placements (None = unbounded); a
+    search stopped by it reports exactly ``budget`` nodes.  The placed
+    cycles live on an explicit stack, so the depth of a search is not bound
+    by the interpreter's recursion limit.  Identical inputs and budget
+    always produce the identical result.
     """
     if host.kind not in (COMPLETE, COMPLETE_MINUS_F):
         raise ValueError(f"unsupported search host kind {host.kind!r}")
@@ -140,76 +152,368 @@ def search_cycle_factorization(
     if problems:
         raise ValueError(problems[0])
 
-    target = (n - 1) // 2
+    needed = (n - 1) // 2 * (n // h)
     avail = [0] * n
     for u, w in host_edges(host):
         avail[u] |= 1 << w
         avail[w] |= 1 << u
     full = (1 << n) - 1
 
-    nodes = 0
-    over_budget = False
-    classes: list[tuple[tuple[int, ...], ...]] = []
-
-    def extend(cycles: list[tuple[int, ...]], unplaced: int) -> bool:
-        nonlocal nodes, over_budget
-        if unplaced == 0:
-            classes.append(tuple(cycles))
-            if len(classes) == target or extend([], full):
-                return True
-            classes.pop()
-            return False
-        if not cycles:
+    def cycles_for(unplaced: int) -> Iterator[tuple[int, ...]]:
+        if unplaced == full:
             # A class starts at vertex 0, through its smallest free neighbour.
-            anchor = 0
-            first = avail[0] & -avail[0]
-        else:
-            # Most-constrained vertex; any unplaced vertex needs two available
-            # unplaced neighbours to sit on a cycle of this class.
-            anchor = -1
-            best = n + 1
-            m = unplaced
-            while m:
-                bit = m & -m
-                m ^= bit
-                x = bit.bit_length() - 1
-                d = (avail[x] & unplaced).bit_count()
-                if d < 2:
-                    return False
-                if d < best:
-                    best = d
-                    anchor = x
-            first = avail[anchor]
-        for cyc in _iter_cycles(anchor, avail, unplaced, h, first):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                over_budget = True
-                return False
-            mask = 0
-            u = cyc[-1]
-            for w in cyc:
-                avail[u] ^= 1 << w
-                avail[w] ^= 1 << u
-                mask |= 1 << w
-                u = w
-            cycles.append(cyc)
-            done = extend(cycles, unplaced & ~mask)
-            cycles.pop()
-            for w in cyc:
-                avail[u] ^= 1 << w
-                avail[w] ^= 1 << u
-                u = w
-            if done:
-                return True
-            if over_budget:
-                return False
-        return False
+            return _iter_cycles(0, avail, unplaced, h, avail[0] & -avail[0])
+        # Most-constrained vertex; any unplaced vertex needs two available
+        # unplaced neighbours to sit on a cycle of this class.
+        anchor = -1
+        best = n + 1
+        m = unplaced
+        while m:
+            bit = m & -m
+            m ^= bit
+            x = bit.bit_length() - 1
+            d = (avail[x] & unplaced).bit_count()
+            if d < 2:
+                return iter(())
+            if d < best:
+                best = d
+                anchor = x
+        return _iter_cycles(anchor, avail, unplaced, h, avail[anchor])
 
-    found = extend([], full)
-    if found:
-        cf = canonical_factorization(CycleFactorization(host, h, tuple(classes), source="search"))
+    def flip(cyc: tuple[int, ...]) -> int:
+        mask = 0
+        u = cyc[-1]
+        for w in cyc:
+            avail[u] ^= 1 << w
+            avail[w] ^= 1 << u
+            mask |= 1 << w
+            u = w
+        return mask
+
+    # One frame per placed cycle, plus one for the next: the cycles still to
+    # try there and the vertices the current class has not yet covered.
+    nodes = 0
+    status = NONEXISTENT
+    placed: list[tuple[int, ...]] = []
+    stack = [(cycles_for(full), full)]
+    while stack:
+        cycles, unplaced = stack[-1]
+        cyc = next(cycles, None)
+        if cyc is None:
+            stack.pop()
+            if placed:
+                flip(placed.pop())
+            continue
+        if nodes == budget:
+            status = BUDGET_EXHAUSTED
+            break
+        nodes += 1
+        placed.append(cyc)
+        unplaced &= ~flip(cyc)
+        if unplaced == 0:
+            if len(placed) == needed:
+                status = FOUND
+                break
+            unplaced = full
+        stack.append((cycles_for(unplaced), unplaced))
+
+    if status == FOUND:
+        per_class = n // h
+        classes = tuple(
+            tuple(placed[i : i + per_class]) for i in range(0, needed, per_class)
+        )
+        cf = canonical_factorization(CycleFactorization(host, h, classes, source="search"))
         return SearchResult(FOUND, cf, nodes)
-    return SearchResult(BUDGET_EXHAUSTED if over_budget else NONEXISTENT, None, nodes)
+    return SearchResult(status, None, nodes)
+
+
+# ---------------------------------------------------------------------------
+# Quotient search: one base class under Z_q, developed by translation
+# ---------------------------------------------------------------------------
+
+# Path extensions the quotient stage may spend on one ingredient, and on the
+# first seeded restart of one structure; each round of restarts doubles it,
+# so a small search space is still run to exhaustion.
+QUOTIENT_NODES = 100_000
+_RESTART_NODES = 1_000
+
+
+# The structure table.  A row gives the name, the host kind, the number k of
+# copies of Z_q and whether the base class is fixed by the half-turn.  The
+# points are the k copies plus the fixed points of the host kind, one for K_n
+# and two for K_n - F, so q = (n - fixed) / k.  Z_q acts by translation on
+# every copy and fixes the fixed points.  With the half-turn the base class
+# is also fixed by x -> x + q/2, and its q/2 translates are the classes;
+# otherwise all q translates are.  F is the edge between the two fixed points
+# plus the pure half-difference pairs when q is even, or the mixed
+# difference-0 pairs when q is odd.
+_STRUCTURES = (
+    ("A", COMPLETE, 1, True),
+    ("B", COMPLETE_MINUS_F, 1, True),
+    ("C", COMPLETE, 2, False),
+    ("C", COMPLETE_MINUS_F, 2, False),
+)
+
+
+def _fit(name: str, kind: str, k: int, half_turn: bool, n: int, h: int) -> "_Quotient | None":
+    """A structure laid on n points for h-cycles, or None if it does not fit."""
+    f = 1 if kind == COMPLETE else 2
+    s = 2 if half_turn else 1
+    q, r = divmod(n - f, k)
+    if r or q < 2 or q % s:
+        return None
+    shift = q // 2 if half_turn else 0
+    turn = list(range(f)) + [v - (v - f) % q + ((v - f) % q + shift) % q for v in range(f, n)]
+    if kind == COMPLETE:
+        removed = set()
+    elif q % 2 == 0:
+        removed = {(i, i, q // 2) for i in range(k)}
+    else:
+        removed = {(0, 1, 0)}
+    index: dict[tuple, int] = {}
+    sizes: list[int] = []
+    orbit = [[-1] * n for _ in range(n)]
+    matching = []
+    for u in range(n):
+        for w in range(max(u + 1, f), n):
+            j, x = divmod(w - f, q)
+            if u < f:
+                key: tuple = (u, j)
+            else:
+                i, y = divmod(u - f, q)
+                d = (x - y) % q
+                key = (i, j, min(d, q - d) if i == j else d)
+            if key in removed:
+                matching.append((u, w))
+                continue
+            o = index.setdefault(key, len(sizes))
+            if o == len(sizes):
+                sizes.append(0)
+            sizes[o] += 1
+            orbit[u][w] = orbit[w][u] = o
+    if f == 2:
+        matching.append((0, 1))
+    if any(size * s % q for size in sizes):
+        return None
+    quota = [size * s // q for size in sizes]
+    if half_turn:
+        # A fixed point's cycle is fixed by the half-turn: for odd h it
+        # closes through an edge {x, x + q/2}, for even h through a second
+        # fixed point.
+        if h % 2:
+            halves = [orbit[v][turn[v]] for v in range(f, n, q)]
+            if f > sum(quota[o] for o in halves if o >= 0):
+                return None
+        elif f % 2:
+            return None
+    return _Quotient(name, kind, n, q, f, s, turn, orbit, quota, matching)
+
+
+class _Quotient:
+    """A structure laid on n points: edge orbits, their quotas and F.
+
+    Fixed points are 0..f-1 and point x of copy i is f + i*q + x.  Edges are
+    keyed by difference; ``orbit[u][w]`` is the orbit index of edge uw, -1
+    for an edge of F.  A base class that takes ``quota[o]`` edges from each
+    orbit o, counting an edge and its half-turn image as two, develops into
+    an exact cover of the host.  ``s`` is the order of the stabilizer: 2
+    with the half-turn, else 1.
+    """
+
+    def __init__(self, name, kind, n, q, f, s, turn, orbit, quota, matching):
+        self.name, self.kind, self.n, self.q, self.f, self.s = name, kind, n, q, f, s
+        self.turn: list[int] = turn
+        self.orbit: list[list[int]] = orbit
+        self.quota: list[int] = quota
+        self.matching: list[Edge] = matching
+
+    def base_class(self, h: int, rng, cap: int) -> tuple[list[list[int]] | None, int, bool]:
+        """One seeded depth-first search for a base class.
+
+        Candidates are tried in an order drawn from ``rng``, a
+        ``random.Random``.  A class is built as walks: each walk starts at
+        the smallest uncovered point and covers its half-turn image too, and
+        its closing edge decides the cycle it stands for (see
+        ``_walk_cycles``).  Returns the base cycles (or None), the path
+        extensions spent (at most ``cap``) and whether the search space was
+        exhausted.
+        """
+        n, f, s, turn, orbit = self.n, self.f, self.s, self.turn, self.orbit
+        cand = [
+            [x for x in range(f if s == 2 else 0, n) if orbit[u][x] >= 0] for u in range(n)
+        ]
+        for row in cand:
+            rng.shuffle(row)
+        rem = list(self.quota)
+        full = (1 << n) - 1
+        walks = [[0]]
+        ends: list[int] = []
+        covered = 1 | 1 << turn[0]
+
+        def fits(x: int, y: int, need: int) -> bool:
+            o = orbit[x][y]
+            return o >= 0 and rem[o] >= need
+
+        def moves() -> list[int]:
+            # Extensions as vertices, closures as their complements.  An
+            # extension to the walk's last position must be able to close.
+            walk = walks[-1]
+            u, w0, size = walk[-1], walk[0], len(walk)
+            row = orbit[u]
+            if s == 1 or w0 >= f:
+                # Closes at its start after h points, or (half-turn, even h)
+                # at the image of its start after h/2.
+                if size == h:
+                    return [~w0] if walk[1] < u and fits(u, w0, s) else []
+                out = [x for x in cand[u] if not covered >> x & 1 and rem[row[x]] >= s]
+                if size == h - 1:
+                    out = [x for x in out if x > walk[1] and fits(x, w0, s)]
+                t0 = turn[w0]
+                if s == 2 and 2 * size == h and walk[1] < turn[u] and fits(u, t0, 2):
+                    out.insert(0, ~t0)
+                return out
+            if 2 * size == h + 1:
+                # Odd h: the edge to the image of the last point is the middle.
+                return [~turn[u]] if fits(u, turn[u], 1) else []
+            if 2 * size == h:
+                # Even h: a second fixed point sits opposite the first.
+                return [~x for x in range(f) if not covered >> x & 1 and fits(u, x, 2)]
+            out = [x for x in cand[u] if not covered >> x & 1 and rem[row[x]] >= 2]
+            if size == 1:
+                # The walk and its half-turn image give the same cycle.
+                out = [x for x in out if x < turn[x]]
+            if 2 * size == h - 1:
+                out = [x for x in out if fits(x, turn[x], 1)]
+            elif 2 * size == h - 2:
+                out = [
+                    x for x in out if any(not covered >> y & 1 and fits(x, y, 2) for y in range(f))
+                ]
+            return out
+
+        nodes = 0
+        stack = [[moves(), 0]]
+        while stack:
+            frame = stack[-1]
+            options, i = frame
+            if i:
+                # Undo the option tried last in this frame.
+                m = options[i - 1]
+                if m >= 0:
+                    walk = walks[-1]
+                    walk.pop()
+                    covered &= ~(1 << m | 1 << turn[m])
+                    rem[orbit[walk[-1]][m]] += s
+                else:
+                    start = walks.pop()[0]
+                    covered &= ~(1 << start | 1 << turn[start])
+                    x = ~m
+                    ends.pop()
+                    walk = walks[-1]
+                    u = walk[-1]
+                    rem[orbit[u][x]] += 1 if x == turn[u] else s
+                    if x < f and x != walk[0]:
+                        covered &= ~(1 << x)
+            if i == len(options):
+                stack.pop()
+                continue
+            if nodes == cap:
+                return None, nodes, False
+            nodes += 1
+            frame[1] = i + 1
+            m = options[i]
+            if m >= 0:
+                walk = walks[-1]
+                rem[orbit[walk[-1]][m]] -= s
+                walk.append(m)
+                covered |= 1 << m | 1 << turn[m]
+            else:
+                x = ~m
+                u = walks[-1][-1]
+                rem[orbit[u][x]] -= 1 if x == turn[u] else s
+                covered |= 1 << x
+                ends.append(x)
+                if covered == full:
+                    return self._walk_cycles(walks, ends), nodes, False
+                free = full & ~covered
+                start = (free & -free).bit_length() - 1
+                walks.append([start])
+                covered |= 1 << start | 1 << turn[start]
+            stack.append([moves(), 0])
+        return None, nodes, True
+
+    def _walk_cycles(self, walks: list[list[int]], ends: list[int]) -> list[list[int]]:
+        """The base cycles the closed walks stand for.
+
+        Without the half-turn a walk is its cycle.  With it, a walk from a
+        fixed point runs to the opposite point of its cycle (the image of its
+        last vertex, or a second fixed point) and the cycle returns along
+        the image of the walk; any other walk closes either at its start,
+        giving the cycle and its image, or at the image of its start, giving
+        one cycle of walk and image.
+        """
+        turn, f = self.turn, self.f
+        cycles = []
+        for walk, x in zip(walks, ends):
+            image = [turn[y] for y in walk]
+            if self.s == 1:
+                cycles.append(walk)
+            elif walk[0] < f:
+                cycles.append(walk + ([x] if x < f else []) + image[:0:-1])
+            elif x == walk[0]:
+                cycles += [walk, image]
+            else:
+                cycles.append(walk + image)
+        return cycles
+
+    def develop(self, h: int, base: list[list[int]]) -> CycleFactorization:
+        """The translates of the base class under Z_q, modulo the stabilizer."""
+        f, q = self.f, self.q
+
+        def shift(v: int, t: int) -> int:
+            return v if v < f else v - (v - f) % q + ((v - f) % q + t) % q
+
+        classes = tuple(
+            tuple(tuple(shift(v, t) for v in cyc) for cyc in base) for t in range(q // self.s)
+        )
+        if self.kind == COMPLETE:
+            host = HostGraph.complete(self.n)
+        else:
+            host = HostGraph.complete_minus_f(self.n, self.matching)
+        return canonical_factorization(
+            CycleFactorization(host, h, classes, source=f"quotient:{self.name}")
+        )
+
+
+def _quotient_search(kind: str, n: int, h: int, cap: int) -> tuple[CycleFactorization | None, int]:
+    """Search each fitting structure for a base class; (result, extensions).
+
+    The fitting structures take seeded restarts in turn, _RESTART_NODES path
+    extensions each in the first round and twice as many in each round after;
+    a structure whose search space runs out is dropped, and the stage stops
+    after ``cap`` extensions in all.  The order of candidates comes from a
+    generator seeded by (kind, n, h), so identical inputs give the identical
+    factorization in any process.  Running out proves nothing about the
+    ingredient, only about the structures.
+    """
+    # Imported here: every CLI call imports this module, few search.
+    import random
+
+    rng = random.Random(f"{kind}:{n}:{h}")
+    fitted = [qs for row in _STRUCTURES if row[1] == kind if (qs := _fit(*row, n, h))]
+    nodes = 0
+    limit = _RESTART_NODES
+    while fitted and nodes < cap:
+        for qs in list(fitted):
+            base, spent, exhausted = qs.base_class(h, rng, min(limit, cap - nodes))
+            nodes += spent
+            if base is not None:
+                return qs.develop(h, base), nodes
+            if exhausted:
+                fitted.remove(qs)
+            if nodes == cap:
+                break
+        limit *= 2
+    return None, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +573,7 @@ def _hamiltonian_minus_f(n: int) -> CycleFactorization:
 
 
 # ---------------------------------------------------------------------------
-# Resolution: construction, then catalog, then search
+# Resolution: construction, catalog, quotient structures, plain search
 # ---------------------------------------------------------------------------
 
 
@@ -288,7 +592,13 @@ def _certified(cf: CycleFactorization) -> CycleFactorization:
 def _resolve(
     kind: str, n: int, h: int, catalog: Mapping | None, budget: int | None
 ) -> CycleFactorization:
-    """Shape checks, construction (h = n), seed catalog, then bounded search."""
+    """Shape checks, construction (h = n), seed catalog, the quotient
+    structures, then the plain search.
+
+    ``budget`` bounds the nodes of both searches together: the quotient
+    stage spends at most QUOTIENT_NODES of it and the plain search the rest.
+    Only the plain search can prove an ingredient nonexistent.
+    """
     problems = factorization_shape_problems(kind, n, h)
     if problems:
         raise ValueError(problems[0])
@@ -298,13 +608,17 @@ def _resolve(
         return _certified(_hamiltonian_odd(n) if kind == COMPLETE else _hamiltonian_minus_f(n))
     cf = catalog.get((n, h, kind)) if catalog else None
     if cf is None:
+        cap = QUOTIENT_NODES if budget is None else min(QUOTIENT_NODES, budget)
+        cf, nodes = _quotient_search(kind, n, h, cap)
+    if cf is None:
         if kind == COMPLETE:
             host = HostGraph.complete(n)
         else:
             host = HostGraph.complete_minus_f(n, canonical_perfect_matching(n))
-        result = search_cycle_factorization(host, h, budget)
+        result = search_cycle_factorization(host, h, None if budget is None else budget - nodes)
+        nodes += result.nodes
         if result.status != FOUND:
-            raise IngredientUnavailable(n, h, kind, result.status, result.nodes)
+            raise IngredientUnavailable(n, h, kind, result.status, nodes)
         cf = result.factorization
     return _certified(cf)
 
@@ -319,7 +633,7 @@ def cycle_factorization_odd(
     """An h-cycle factorization of K_n, n odd, h | n; validated before return.
 
     Resolution order: direct construction (Hamiltonian shape h = n), the
-    seed catalog, then bounded search.
+    seed catalog, the quotient structures, then bounded search.
     """
     return _resolve(COMPLETE, n, h, catalog, budget)
 

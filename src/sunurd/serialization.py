@@ -223,11 +223,20 @@ def dumps_document(payload, h: int | None = None, source: str | None = None) -> 
 
 
 def loads_document(data: str | bytes) -> Document:
-    """Parse a document from JSON text, or from bytes decoded strictly as UTF-8."""
+    """Parse a document from JSON text, or from bytes decoded strictly as UTF-8.
+
+    Every failure to parse raises DocumentFormatError, including nesting
+    deeper than the interpreter's recursion limit and integers longer than
+    its integer-string limit.
+    """
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except UnicodeDecodeError as exc:
         raise DocumentFormatError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentFormatError("JSON nested too deeply") from exc
+    except ValueError as exc:
+        raise DocumentFormatError(f"JSON value out of range: {exc}") from exc
     return from_document(doc)

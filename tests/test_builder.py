@@ -133,6 +133,8 @@ class TestBuild:
 
     def test_provenance_recorded(self, source):
         _, p = build_with_plan(ParamTuple(18, 3, 5, 6), source=source)
+        assert p.provenance == "quotient:A"
+        _, p = build_with_plan(ParamTuple(20, 5, 3, 8), source=source)
         assert p.provenance == "search"
         _, p = build_with_plan(ParamTuple(10, 5, 5, 2), source=source)
         assert p.provenance.startswith("construction:")

@@ -72,11 +72,11 @@ class TestBuild:
     def test_ingredient_unavailable_exit_4_counts_search_nodes(self, capsys, monkeypatch):
         small_budget = functools.partial(IngredientSource, budget=10)
         monkeypatch.setattr(cli, "IngredientSource", small_budget)
-        code = main(["build", "--v", "28", "--h", "7", "--r", "3", "--s", "12"])
+        code = main(["build", "--v", "36", "--h", "3", "--r", "7", "--s", "14"])
         assert code == 4
         err = capsys.readouterr().err
-        assert err.startswith("ingredient-unavailable: no 7-cycle factorization of K_14")
-        assert err.rstrip().endswith("budget-exhausted after 11 search nodes")
+        assert err.startswith("ingredient-unavailable: no 3-cycle factorization of K_18")
+        assert err.rstrip().endswith("budget-exhausted after 10 search nodes")
 
     def test_unwritable_out_exit_5(self, tmp_path, capsys):
         code = main(
@@ -206,6 +206,20 @@ class TestVerify:
         path.write_bytes(b"\xff\xfe{\x00}\x00")
         assert main(["verify", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+    def test_deeply_nested_document_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_overlong_integer_exit_2(self, tmp_path, capsys):
+        doc = json.loads(dumps_document(urd6_h3((1, 2))))
+        text = json.dumps(doc).replace('"v": 6', '"v": ' + "9" * 5_000)
+        path = tmp_path / "long_v.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert "out of range" in capsys.readouterr().err
 
     def test_missing_file_exit_5(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "absent.json")]) == 5

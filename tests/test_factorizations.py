@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+import sys
 
 import pytest
 
@@ -11,15 +13,22 @@ from sunurd import (
     HostGraph,
     IngredientSource,
     IngredientUnavailable,
+    ParamTuple,
     SeedCatalogError,
+    admissible_pairs,
     cycle_factorization_minus_f,
     cycle_factorization_odd,
     dumps_document,
     load_seed_catalog,
+    plan,
     search_cycle_factorization,
     validate_cycle_factorization,
 )
-from sunurd.factorizations import canonical_perfect_matching
+from sunurd.factorizations import (
+    NONEXISTENT_MINUS_F,
+    QUOTIENT_NODES,
+    canonical_perfect_matching,
+)
 
 
 def minus_f_host(n: int) -> HostGraph:
@@ -100,6 +109,18 @@ class TestSearch:
     def test_divisibility_rejected(self):
         with pytest.raises(ValueError):
             search_cycle_factorization(HostGraph.complete(10), 4)
+
+    def test_deep_search_needs_no_recursion(self):
+        # The search goes many placed cycles deep before the budget runs out;
+        # one taking stack frames per placed cycle would overflow this limit.
+        host = minus_f_host(60)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            result = search_cycle_factorization(host, 5, budget=2_000)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (result.status, result.nodes) == ("budget-exhausted", 2_000)
 
 
 class TestConstructions:
@@ -184,8 +205,8 @@ class TestIngredientSource:
     def test_failure_carries_search_nodes(self):
         source = IngredientSource(budget=10)
         with pytest.raises(IngredientUnavailable) as exc_info:
-            source.minus_f(14, 7)
-        assert (exc_info.value.outcome, exc_info.value.nodes) == ("budget-exhausted", 11)
+            source.minus_f(18, 3)
+        assert (exc_info.value.outcome, exc_info.value.nodes) == ("budget-exhausted", 10)
 
     def test_caches_failures(self):
         source = IngredientSource()
@@ -213,7 +234,7 @@ class TestSeedCatalog:
         with pytest.raises(IngredientUnavailable) as exc_info:
             source.minus_f(8, 4)
         assert exc_info.value.outcome == "budget-exhausted"
-        assert exc_info.value.nodes == 1
+        assert exc_info.value.nodes == 0
 
     def test_record_missing_an_edge_rejected(self, tmp_path):
         cf = cycle_factorization_odd(9, 3)
@@ -250,3 +271,80 @@ class TestSeedCatalog:
         with pytest.raises(SeedCatalogError) as exc_info:
             load_seed_catalog(tmp_path)
         assert "duplicate" in str(exc_info.value)
+
+
+def _route_ingredients(max_v: int, hs: range) -> list[tuple[int, int, str]]:
+    """The (order, h, host kind) of every inflation route up to max_v."""
+    seen = set()
+    for v in range(6, max_v + 1, 2):
+        for h in hs:
+            for pair in admissible_pairs(v, h):
+                if pair.s:
+                    seen.add(plan(ParamTuple(v, h, pair.r, pair.s)).ingredient)
+    return sorted(key for key in seen if key is not None)
+
+
+# Route ingredients up to v = 96 that neither the quotient structures nor the
+# plain search supply with the default budget; the README lists the same.
+OPEN_INGREDIENTS = {
+    (18, 3, "complete_minus_f"),
+    (21, 3, "complete"),
+    (28, 7, "complete_minus_f"),
+    (30, 3, "complete_minus_f"),
+    (39, 3, "complete"),
+    (40, 5, "complete_minus_f"),
+    (40, 8, "complete_minus_f"),
+    (42, 3, "complete_minus_f"),
+    (42, 7, "complete_minus_f"),
+    (45, 3, "complete"),
+    (48, 3, "complete_minus_f"),
+}
+
+# Quotient-resolved ingredients of the search-desk benchmark and the golden
+# spectra.
+QUOTIENT_SHAPES = [
+    (9, 3, "complete", "quotient:A"),
+    (15, 3, "complete", "quotient:C"),
+    (8, 4, "complete_minus_f", "quotient:B"),
+    (16, 4, "complete_minus_f", "quotient:B"),
+    (18, 6, "complete_minus_f", "quotient:B"),
+    (14, 7, "complete_minus_f", "quotient:C"),
+]
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("n,h,kind,source", QUOTIENT_SHAPES)
+    def test_fresh_sources_give_identical_bytes(self, n, h, kind, source):
+        docs = []
+        for _ in range(2):
+            src = IngredientSource()
+            cf = src.odd(n, h) if kind == "complete" else src.minus_f(n, h)
+            assert cf.source == source
+            assert validate_cycle_factorization(cf).passed
+            docs.append(dumps_document(cf))
+        assert docs[0] == docs[1]
+
+    def test_structures_exhausted_then_plain_search(self):
+        # No structure holds a 5-cycle factorization of K_10 - F; running out
+        # of them proves nothing, and the plain search still finds one.
+        cf = cycle_factorization_minus_f(10, 5)
+        assert cf.source == "search"
+
+    def test_budget_covers_both_stages(self):
+        budget = QUOTIENT_NODES + 10
+        with pytest.raises(IngredientUnavailable) as exc_info:
+            IngredientSource(budget=budget).minus_f(18, 3)
+        assert (exc_info.value.outcome, exc_info.value.nodes) == ("budget-exhausted", budget)
+
+    def test_route_ingredient_grid(self):
+        # Enough budget for the quotient stage and a short plain search.
+        source = IngredientSource(budget=QUOTIENT_NODES + 1_000)
+        for n, h, kind in _route_ingredients(96, range(3, 13)):
+            if (n, h, kind) in OPEN_INGREDIENTS:
+                continue
+            if kind == "complete_minus_f" and (n, h) in NONEXISTENT_MINUS_F:
+                with pytest.raises(IngredientUnavailable):
+                    source.minus_f(n, h)
+                continue
+            cf = source.odd(n, h) if kind == "complete" else source.minus_f(n, h)
+            assert validate_cycle_factorization(cf).passed, (n, h, kind)

@@ -201,8 +201,8 @@ def test_hamiltonian_minus_f_bytes():
 
 SPECTRUM_DIGESTS = {
     (12, 3): "d862a88766107678f4f08ca37433105a6d8a4695348981efd6e53605ef4abc1c",
-    (18, 3): "d35d7861c57f00b1141605df01177bf4c18e444998ad06bd817bf3cf6704d59e",
-    (16, 4): "67c2099f7f06967d4f669539053e79264cf4be0b40dd10a7328b7083d70231c0",
+    (18, 3): "2a8edcfd920d8745533f32e360958d88e419ebb859779f82b98f4ed2fa30c9f9",
+    (16, 4): "35e7d073012eb85a1907a6fbd60e354c6859ea2c250d305f486e6d0f1b6f1398",
     (20, 5): "605053c78394f9370be883f7db305005f620016437a5a5c25bcf2a48a84c682b",
 }
 

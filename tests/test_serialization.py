@@ -77,7 +77,7 @@ class TestDocumentShape:
     def test_seed_document_carries_source(self):
         cf = cycle_factorization_minus_f(8, 4)
         doc = to_document(cf)
-        assert doc["source"] == "search"
+        assert doc["source"] == "quotient:B"
         assert all(c["type"] == "cycle_factor" for c in doc["classes"])
 
     def test_h_required_for_pure_matching_documents(self):
