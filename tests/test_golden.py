@@ -21,9 +21,12 @@ from sunurd import (
     Sun,
     admissible_pairs,
     build,
+    UrgddKind,
     cycle_factorization_minus_f,
+    cycle_factorization_odd,
     dumps_document,
     urd6_h3,
+    urgdd_ch2,
     validate_cycle_factorization,
     verify,
 )
@@ -214,3 +217,52 @@ def test_spectrum_build_bytes(v, h):
         for p in admissible_pairs(v, h)
     )
     assert digest(texts) == SPECTRUM_DIGESTS[(v, h)]
+
+
+# Documents the spectrum pins do not reach: the odd-order Hamiltonian
+# construction, a quotient-stage ingredient, blown-cycle hosts (default and
+# scattered labels), a source that needs escaping, empty lists, and the
+# certify-large benchmark design (one 200-sun per class, 2.7 MB).
+DOCUMENT_DIGESTS = {
+    "k9-hamiltonian": (
+        lambda: [dumps_document(cycle_factorization_odd(9, 9))],
+        "0238ba5017945711ab0acd67f66ae7c239b3094473a21cc9a3f039cbb5743e5f",
+    ),
+    "k15-quotient": (
+        lambda: [dumps_document(cycle_factorization_odd(15, 3))],
+        "b46ea2046f992b6eeedbafa2d58f68c50cde26b5213770b48416937ce0ec3cd1",
+    ),
+    "blown-cycle": (
+        lambda: [dumps_document(urgdd_ch2(h, k), h=h) for h in (3, 4, 5) for k in UrgddKind]
+        + [dumps_document(urgdd_ch2(4, UrgddKind.ZERO_TWO, [10, 3, 7, 0], [1, 2, 12, 5]), h=4)],
+        "d6aa00351e3ea5b6393df63dcaa54bc12d59a987c54456d9b6e6a8b4f8e28da1",
+    ),
+    "escaped-source": (
+        lambda: [
+            dumps_document(cycle_factorization_odd(9, 3), source='quo"te \\back\nline \u00e9\u2713')
+        ],
+        "923fa21a233bb44ed6e846416cbc3018886fcc0bc370626070e8a21ae2aa049c",
+    ),
+    "empty-classes": (
+        lambda: [
+            dumps_document(
+                Decomposition(
+                    HostGraph.complete(4),
+                    (ParallelClass.one_factor(()), ParallelClass.sun_factor(())),
+                ),
+                h=3,
+            )
+        ],
+        "282300c758040ed6eb819565e06e8e8acfee92744d0c6e267525805c0c57fb34",
+    ),
+    "certify-large": (
+        lambda: [dumps_document(build(ParamTuple(400, 200, 203, 98)), h=200)],
+        "c44f3a9eb52d9f2e0f74fb53e183ce5b7772d607f80d318934105cb388777229",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DOCUMENT_DIGESTS))
+def test_document_bytes(name):
+    texts, expected = DOCUMENT_DIGESTS[name]
+    assert digest(texts()) == expected
