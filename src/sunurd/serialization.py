@@ -5,6 +5,8 @@ length h, and a list of classes typed ``one_factor``, ``sun_factor`` or
 ``cycle_factor`` (the last only in seed records).  Serialization is
 canonical: blocks are sorted within classes, suns and cycles are written in
 canonical form, field order is fixed, so equal inputs give identical bytes.
+``dumps_document`` writes the format-"1" text itself; ``to_document`` is
+that text parsed back into dicts, so the layout has one home.
 """
 
 from __future__ import annotations
@@ -43,79 +45,110 @@ class Document:
     source: str | None = None
 
 
-def _host_to_doc(host: HostGraph) -> dict:
+def _array(items: list[str], depth: int) -> str:
+    """Indent-2 JSON array of pre-rendered items, its brackets at ``depth``."""
+    if not items:
+        return "[]"
+    pad = "  " * depth
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+def _ints(values, depth: int) -> str:
+    """Indent-2 JSON array of ints, its brackets at ``depth``."""
+    return _array(list(map(str, values)), depth)
+
+
+def _pairs(pairs, depth: int) -> str:
+    """Indent-2 JSON array of int pairs, its brackets at ``depth``.
+
+    The same text as ``_array`` over ``_ints`` of each pair, rendered with
+    one f-string per pair: edges are most of a large document.
+    """
+    pad = "  " * (depth + 1)
+    return _array([f"[\n{pad}  {u},\n{pad}  {w}\n{pad}]" for u, w in pairs], depth)
+
+
+def _host_text(host: HostGraph) -> str:
     # ``host`` comes from a canonical form, so its matching is already sorted.
     if host.kind == COMPLETE:
-        return {"kind": "complete", "v": host.order}
-    if host.kind == COMPLETE_MINUS_F:
-        return {
-            "kind": "complete_minus_f",
-            "v": host.order,
-            "matching": [list(e) for e in host.matching],
-        }
-    if host.kind == BLOWN_CYCLE:
-        return {
-            "kind": "blown_cycle",
-            "m": len(host.groups),
-            "n": len(host.groups[0]) if host.groups else 0,
-            "groups": [list(g) for g in host.groups],
-        }
-    raise ValueError(f"unknown host kind {host.kind!r}")
+        fields = f'"kind": "complete",\n    "v": {host.order}'
+    elif host.kind == COMPLETE_MINUS_F:
+        fields = (
+            f'"kind": "complete_minus_f",\n    "v": {host.order},\n'
+            f'    "matching": {_pairs(host.matching, 2)}'
+        )
+    elif host.kind == BLOWN_CYCLE:
+        groups = host.groups
+        n = len(groups[0]) if groups else 0
+        fields = (
+            f'"kind": "blown_cycle",\n    "m": {len(groups)},\n    "n": {n},\n'
+            f'    "groups": {_array([_ints(g, 3) for g in groups], 2)}'
+        )
+    else:
+        raise ValueError(f"unknown host kind {host.kind!r}")
+    return "{\n    " + fields + "\n  }"
 
 
-def to_document(payload, h: int | None = None, source: str | None = None) -> dict:
-    """Canonical document dict for a Decomposition or CycleFactorization.
+def _class_text(kind: str, key: str, blocks: str) -> str:
+    return f'{{\n      "type": "{kind}",\n      "{key}": {blocks}\n    }}'
 
+
+def _sun_text(sun: Sun) -> str:
+    return (
+        f'{{\n          "cycle": {_ints(sun.cycle, 5)},\n'
+        f'          "pendants": {_ints(sun.pendants, 5)}\n        }}'
+    )
+
+
+def dumps_document(payload, h: int | None = None, source: str | None = None) -> str:
+    """Canonical format-"1" JSON text (byte-stable across runs and platforms).
+
+    The text is json's indent-2 rendering of the document, written directly
+    here: two-space indent, one scalar per line, ``[]`` for an empty
+    list, ASCII-escaped strings, fixed key order and a trailing newline.
     ``h`` is required for decompositions without sun classes (it cannot be
     inferred from pure matchings).
     """
     if isinstance(payload, CycleFactorization):
         canon = canonical_factorization(payload)
+        h = payload.h
         classes = [
-            {"type": "cycle_factor", "cycles": [list(c) for c in cls]}
+            _class_text("cycle_factor", "cycles", _array([_ints(c, 4) for c in cls], 3))
             for cls in canon.classes
         ]
-        return {
-            "format_version": FORMAT_VERSION,
-            "host": _host_to_doc(canon.host),
-            "h": payload.h,
-            "classes": classes,
-            "source": source if source is not None else payload.source,
-        }
-
-    if not isinstance(payload, Decomposition):
+        # Seed records always carry their source, null included.
+        source = source if source is not None else payload.source
+        tail = f',\n  "source": {json.dumps(source)}'
+    elif isinstance(payload, Decomposition):
+        if h is None:
+            for cls in payload.classes:
+                if cls.kind == SUN_FACTOR and cls.suns:
+                    h = len(cls.suns[0].cycle)
+                    break
+        if h is None:
+            raise ValueError("h is required to serialize a decomposition without suns")
+        canon = canonical_decomposition(payload)
+        classes = [
+            _class_text("one_factor", "edges", _pairs(cls.edges, 3))
+            if cls.kind == ONE_FACTOR
+            else _class_text("sun_factor", "suns", _array(list(map(_sun_text, cls.suns)), 3))
+            for cls in canon.classes
+        ]
+        tail = "" if source is None else f',\n  "source": {json.dumps(source)}'
+    else:
         raise TypeError(f"cannot serialize {type(payload).__name__}")
-    if h is None:
-        for cls in payload.classes:
-            if cls.kind == SUN_FACTOR and cls.suns:
-                h = len(cls.suns[0].cycle)
-                break
-    if h is None:
-        raise ValueError("h is required to serialize a decomposition without suns")
-    canon = canonical_decomposition(payload)
-    classes = []
-    for cls in canon.classes:
-        if cls.kind == ONE_FACTOR:
-            classes.append({"type": "one_factor", "edges": [list(e) for e in cls.edges]})
-        else:
-            classes.append(
-                {
-                    "type": "sun_factor",
-                    "suns": [
-                        {"cycle": list(s.cycle), "pendants": list(s.pendants)}
-                        for s in cls.suns
-                    ],
-                }
-            )
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "host": _host_to_doc(canon.host),
-        "h": h,
-        "classes": classes,
-    }
-    if source is not None:
-        doc["source"] = source
-    return doc
+    return (
+        f'{{\n  "format_version": {json.dumps(FORMAT_VERSION)},\n'
+        f'  "host": {_host_text(canon.host)},\n'
+        f'  "h": {h},\n'
+        f'  "classes": {_array(classes, 1)}{tail}\n}}\n'
+    )
+
+
+def to_document(payload, h: int | None = None, source: str | None = None) -> dict:
+    """Canonical document dict for a Decomposition or CycleFactorization:
+    the parsed form of ``dumps_document``."""
+    return json.loads(dumps_document(payload, h=h, source=source))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -215,11 +248,6 @@ def from_document(doc) -> Document:
         else:
             raise DocumentFormatError(f"unknown class type {ctype!r}")
     return Document(h=h, payload=Decomposition(host, tuple(classes)), source=source)
-
-
-def dumps_document(payload, h: int | None = None, source: str | None = None) -> str:
-    """Canonical JSON text (byte-stable across runs and platforms)."""
-    return json.dumps(to_document(payload, h=h, source=source), indent=2) + "\n"
 
 
 def loads_document(data: str | bytes) -> Document:

@@ -19,9 +19,9 @@ from sunurd import (
     ParallelClass,
     ParamTuple,
     Sun,
+    UrgddKind,
     admissible_pairs,
     build,
-    UrgddKind,
     cycle_factorization_minus_f,
     cycle_factorization_odd,
     dumps_document,
@@ -222,7 +222,7 @@ def test_spectrum_build_bytes(v, h):
 # Documents the spectrum pins do not reach: the odd-order Hamiltonian
 # construction, a quotient-stage ingredient, blown-cycle hosts (default and
 # scattered labels), a source that needs escaping, empty lists, and the
-# certify-large benchmark design (one 200-sun per class, 2.7 MB).
+# certify-large benchmark design (one 200-cycle sun per sun class, 2.7 MB).
 DOCUMENT_DIGESTS = {
     "k9-hamiltonian": (
         lambda: [dumps_document(cycle_factorization_odd(9, 9))],
