@@ -16,6 +16,7 @@ from sunurd import (
     CycleFactorization,
     Decomposition,
     HostGraph,
+    IngredientSource,
     ParallelClass,
     ParamTuple,
     Sun,
@@ -25,6 +26,7 @@ from sunurd import (
     cycle_factorization_minus_f,
     cycle_factorization_odd,
     dumps_document,
+    one_factorization,
     urd6_h3,
     urgdd_ch2,
     validate_cycle_factorization,
@@ -219,10 +221,46 @@ def test_spectrum_build_bytes(v, h):
     assert digest(texts) == SPECTRUM_DIGESTS[(v, h)]
 
 
+def doubled_c4_catalog(*orders: int) -> dict:
+    """Weight-2-doubled C4-factorizations of K_n - F, keyed as a seed catalog.
+
+    Base point p becomes the pair {2p, 2p+1} (the removed matching) and the
+    base edge {a, b} of a relabelled round robin becomes the 4-cycle
+    (2a, 2b, 2a+1, 2b+1).  The relabelling leaves a > b on about half of the
+    edges, so those cycles are not written in canonical form.
+    """
+    catalog = {}
+    for n in orders:
+        m = n // 2
+        perm = [(7 * p + 3) % m for p in range(m)]
+        classes = tuple(
+            tuple(
+                (2 * perm[u], 2 * perm[w], 2 * perm[u] + 1, 2 * perm[w] + 1)
+                for u, w in cls.edges
+            )
+            for cls in one_factorization(range(m))
+        )
+        host = HostGraph.complete_minus_f(n, [(2 * p, 2 * p + 1) for p in range(m)])
+        catalog[(n, 4, host.kind)] = CycleFactorization(host, 4, classes, source="test:doubled")
+    return catalog
+
+
+def inflation_texts(v: int, h: int, source: IngredientSource | None = None) -> list[str]:
+    """Every inflation build of the (v, h) spectrum that uses both fills."""
+    return [
+        dumps_document(build(ParamTuple(v, h, p.r, p.s), source=source), h=h)
+        for p in admissible_pairs(v, h)
+        if p.s and p.r > 3
+    ]
+
+
 # Documents the spectrum pins do not reach: the odd-order Hamiltonian
 # construction, a quotient-stage ingredient, blown-cycle hosts (default and
 # scattered labels), a source that needs escaping, empty lists, and the
-# certify-large benchmark design (one 200-cycle sun per sun class, 2.7 MB).
+# certify-large benchmark design (one 200-cycle sun per sun class, 2.7 MB),
+# and inflations whose base classes hold several cycles under both fills:
+# even h from a catalog written partly out of canonical form, odd h from the
+# quotient stage.
 DOCUMENT_DIGESTS = {
     "k9-hamiltonian": (
         lambda: [dumps_document(cycle_factorization_odd(9, 9))],
@@ -258,6 +296,18 @@ DOCUMENT_DIGESTS = {
     "certify-large": (
         lambda: [dumps_document(build(ParamTuple(400, 200, 203, 98)), h=200)],
         "c44f3a9eb52d9f2e0f74fb53e183ce5b7772d607f80d318934105cb388777229",
+    ),
+    "inflation-catalog-c4": (
+        lambda: [
+            text
+            for v in (40, 48)
+            for text in inflation_texts(v, 4, IngredientSource(catalog=doubled_c4_catalog(20, 24)))
+        ],
+        "d039fbd1bec3a605801845bf6eaee34cb576fb2b861457adfd8ef986aaf22f11",
+    ),
+    "inflation-odd-h": (
+        lambda: inflation_texts(30, 3) + inflation_texts(30, 5),
+        "e08b780bd4a41defa3401ef3de79cb62a992c59abcf1b674255764b527542b70",
     ),
 }
 
