@@ -5,6 +5,8 @@ The inflation routes double every base point p into the pair 2p, 2p+1 and
 replace each base h-cycle with the blown cycle on its doubled points, filled
 with one of the two uniform fill designs: the sun fill contributes two
 global sun classes per base class, the matching fill four global matchings.
+Each fill comes from one template per kind, built once on the labels
+0..2h-1 and relabelled onto every base cycle.
 The leftover edges inside and across the doubled pairs are swept up by K_4
 overlays on the removed matching (even orders) or by the single matching of
 doubled pairs (odd orders).
@@ -22,6 +24,7 @@ from .core import (
     Decomposition,
     HostGraph,
     ParallelClass,
+    canonicalize_sun,
     edge,
     verify,
 )
@@ -134,22 +137,34 @@ def _k4_overlay_round(pair, k: int) -> list:
 
 
 def _assemble_inflation(t: ParamTuple, p: BuildPlan, cf: CycleFactorization) -> Decomposition:
+    """Inflate every base cycle and add the overlay matchings.
+
+    Each fill kind is built once, as ``urgdd_ch2`` on the template labels
+    a_i = 2i, b_i = 2i+1, and relabelled onto each base cycle: template
+    vertex 2i + k becomes 2*cycle[i] + k, which is ``inflate_cycle(cycle,
+    kind)`` without rebuilding the fill per cycle.  Relabelled suns are
+    canonicalized again, since a base cycle need not be in canonical form.
+    """
     v, h, r, s = t
     x = p.x
+    templates = {kind: urgdd_ch2(h, kind).classes for kind in UrgddKind}
     sun_classes: list[ParallelClass] = []
     matchings: list[ParallelClass] = []
     for j, base_class in enumerate(cf.classes):
-        fill = UrgddKind.FOUR_ZERO if j < x else UrgddKind.ZERO_TWO
-        fragments = [inflate_cycle(c, fill) for c in base_class]
-        if fill is UrgddKind.FOUR_ZERO:
-            # Fragment matchings with the same generator index unite into one
+        labels = [[2 * q + k for q in cycle for k in (0, 1)] for cycle in base_class]
+        if j < x:
+            # Fill matchings with the same generator index unite into one
             # global matching; distinct cycles of a class are vertex-disjoint.
-            for k in range(4):
-                es = [e for frag in fragments for e in frag.classes[k].edges]
+            for cls in templates[UrgddKind.FOUR_ZERO]:
+                es = [edge(lab[u], lab[w]) for lab in labels for u, w in cls.edges]
                 matchings.append(ParallelClass.one_factor(sorted(es)))
         else:
-            for k in range(2):
-                suns = [sun for frag in fragments for sun in frag.classes[k].suns]
+            for cls in templates[UrgddKind.ZERO_TWO]:
+                suns = [
+                    canonicalize_sun([lab[y] for y in sun.cycle], [lab[y] for y in sun.pendants])
+                    for lab in labels
+                    for sun in cls.suns
+                ]
                 sun_classes.append(ParallelClass.sun_factor(sorted(suns)))
 
     extras: list[ParallelClass] = []

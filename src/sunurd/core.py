@@ -34,15 +34,21 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _canonical_indices(seq: tuple[int, ...]) -> list[int]:
-    # Index order rotating/reflecting a cycle into canonical form: start at
-    # the minimum vertex, proceed towards the smaller of its two neighbours.
-    # All 2h dihedral writings of one cycle share this representative.
-    k = len(seq)
-    m = seq.index(min(seq))
-    fwd = [(m + i) % k for i in range(k)]
-    bwd = [(m - i) % k for i in range(k)]
-    return fwd if seq[fwd[1]] <= seq[bwd[1]] else bwd
+def _canonical_order(
+    cycle: tuple[int, ...], pendants: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Rotate the minimum vertex to the front, then reflect if needed so the
+    # second vertex is the smaller of its two neighbours; the pendants (empty
+    # for a bare cycle) move with their positions.  All 2h dihedral writings
+    # of one cycle share this representative.
+    m = cycle.index(min(cycle))
+    if m:
+        cycle = cycle[m:] + cycle[:m]
+        pendants = pendants[m:] + pendants[:m]
+    if cycle[1] > cycle[-1]:
+        cycle = cycle[:1] + cycle[:0:-1]
+        pendants = pendants[:1] + pendants[:0:-1]
+    return cycle, pendants
 
 
 def canonical_cycle(vertices: Iterable[int]) -> tuple[int, ...]:
@@ -52,7 +58,7 @@ def canonical_cycle(vertices: Iterable[int]) -> tuple[int, ...]:
         raise ValueError("a cycle needs at least three vertices")
     if len(set(seq)) != len(seq):
         raise ValueError(f"repeated vertex in cycle {seq}")
-    return tuple(seq[i] for i in _canonical_indices(seq))
+    return _canonical_order(seq, ())[0]
 
 
 @dataclass(frozen=True, order=True)
@@ -88,8 +94,7 @@ def canonicalize_sun(raw_cycle: Iterable[int], raw_pendants: Iterable[int]) -> S
     problem = _sun_problem(cycle, pendants)
     if problem is not None:
         raise ValueError(f"malformed sun ({cycle}; {pendants}): {problem}")
-    order = _canonical_indices(cycle)
-    return Sun(tuple(cycle[i] for i in order), tuple(pendants[i] for i in order))
+    return Sun(*_canonical_order(cycle, pendants))
 
 
 def sun_edges(sun: Sun) -> set[Edge]:
@@ -110,7 +115,7 @@ def _sun_problem(cycle: tuple[int, ...], pendants: tuple[int, ...]) -> str | Non
         return "cycle shorter than 3"
     if len(pendants) != len(cycle):
         return "pendant count differs from cycle length"
-    if len(set(cycle) | set(pendants)) != 2 * len(cycle):
+    if len({*cycle, *pendants}) != 2 * len(cycle):
         return "repeated vertex"
     return None
 
@@ -370,15 +375,25 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                     elif e[0] == e[1]:
                         findings.append(Finding(ci, "malformed-edge", f"loop at vertex {e[0]}"))
                     else:
-                        edges.append(edge(*e))
+                        try:
+                            edges.append(edge(*e))
+                        except TypeError:
+                            detail = f"edge {e} has endpoints that cannot be ordered"
+                            findings.append(Finding(ci, "malformed-edge", detail))
             elif cls.kind == SUN_FACTOR:
                 if cls.edges:
                     findings.append(
                         Finding(ci, "non-uniform-class", "sun-factor class carries edge blocks")
                     )
                 for sun in cls.suns:
-                    vertices += sun.cycle + sun.pendants
+                    vertices += sun.cycle
+                    vertices += sun.pendants
                     problem = _sun_problem(sun.cycle, sun.pendants)
+                    if problem is None:
+                        try:
+                            sun_edge_list = _sun_edge_list(sun)
+                        except TypeError:
+                            problem = "vertices cannot be ordered"
                     if problem is not None:
                         findings.append(Finding(ci, "malformed-sun", f"sun {sun}: {problem}"))
                         continue
@@ -392,7 +407,7 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                                 f"sun {sun} has cycle length {sun.h}, expected {sun_h}",
                             )
                         )
-                    edges.extend(_sun_edge_list(sun))
+                    edges.extend(sun_edge_list)
             else:
                 findings.append(
                     Finding(ci, "non-uniform-class", f"unknown class kind {cls.kind!r}")
@@ -441,7 +456,11 @@ def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
                         Finding(ci, "malformed-cycle", f"repeated vertex in cycle {cyc}")
                     )
                 else:
-                    edges.extend(edge(cyc[i - 1], cyc[i]) for i in range(h))
+                    try:
+                        edges += [edge(cyc[i - 1], cyc[i]) for i in range(h)]
+                    except TypeError:
+                        detail = f"cycle {cyc} has vertices that cannot be ordered"
+                        findings.append(Finding(ci, "malformed-cycle", detail))
             yield vertices, edges
 
     return _certify(host, blocks(), findings)
@@ -481,11 +500,25 @@ def canonical_decomposition(dec: Decomposition) -> Decomposition:
             edges = tuple(sorted(edge(u, w) for u, w in cls.edges))
             classes.append(ParallelClass(ONE_FACTOR, edges=edges))
         elif cls.kind == SUN_FACTOR:
-            suns = sorted(canonicalize_sun(s.cycle, s.pendants) for s in cls.suns)
+            suns = sorted(_canonical_sun(s) for s in cls.suns)
             classes.append(ParallelClass.sun_factor(suns))
         else:
             raise ValueError(f"unknown class kind {cls.kind!r}")
     return Decomposition(_canonical_host(dec.host), tuple(classes))
+
+
+def _canonical_sun(sun: Sun) -> Sun:
+    # A sun already in canonical form is kept as it is, not rebuilt.
+    cycle, pendants = sun.cycle, sun.pendants
+    if (
+        type(cycle) is tuple
+        and type(pendants) is tuple
+        and _sun_problem(cycle, pendants) is None
+        and cycle[0] == min(cycle)
+        and cycle[1] < cycle[-1]
+    ):
+        return sun
+    return canonicalize_sun(cycle, pendants)
 
 
 def canonical_factorization(cf: CycleFactorization) -> CycleFactorization:

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sunurd import (
     Decomposition,
     InadmissibleTuple,
     IngredientSource,
     IngredientUnavailable,
+    ParallelClass,
     ParamTuple,
     Route,
     UrgddKind,
+    admissible_pairs,
     build,
     build_all,
     build_with_plan,
@@ -21,6 +27,8 @@ from sunurd import (
     verify,
     vertex_profile,
 )
+from sunurd.builder import _assemble_inflation
+from sunurd.core import COMPLETE_MINUS_F
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +184,50 @@ class TestBuildAll:
         assert isinstance(results[(23, 0)], Decomposition)
         missing = [p for p, d in results.items() if isinstance(d, IngredientUnavailable)]
         assert missing == [p for p in results if p.s > 0]
+
+
+def per_cycle_fill_classes(p, cf) -> tuple[ParallelClass, ...]:
+    """The fill classes as the assembler built them before fills came from
+    one relabelled template: one ``inflate_cycle`` call per base cycle."""
+    sun_classes, matchings = [], []
+    for j, base_class in enumerate(cf.classes):
+        fill = UrgddKind.FOUR_ZERO if j < p.x else UrgddKind.ZERO_TWO
+        fragments = [inflate_cycle(c, fill) for c in base_class]
+        if fill is UrgddKind.FOUR_ZERO:
+            for k in range(4):
+                es = [e for frag in fragments for e in frag.classes[k].edges]
+                matchings.append(ParallelClass.one_factor(sorted(es)))
+        else:
+            for k in range(2):
+                suns = [sun for frag in fragments for sun in frag.classes[k].suns]
+                sun_classes.append(ParallelClass.sun_factor(sorted(suns)))
+    return tuple(sun_classes + matchings)
+
+
+_shared_source = IngredientSource()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(18, 3), (16, 4), (20, 5), (24, 4), (30, 5), (24, 6), (28, 7), (36, 6)]),
+    st.data(),
+)
+def test_template_relabelling_matches_per_cycle_fills(vh, data):
+    # Every base cycle is rewritten in a random rotation and direction, so
+    # relabelled suns land out of canonical form as often as in it.
+    v, h = vh
+    pair = data.draw(st.sampled_from([q for q in admissible_pairs(v, h) if q.s]))
+    t = ParamTuple(v, h, pair.r, pair.s)
+    p = plan(t)
+    n, _, kind = p.ingredient
+    cf = _shared_source.minus_f(n, h) if kind == COMPLETE_MINUS_F else _shared_source.odd(n, h)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+
+    def reorient(cycle):
+        k = rng.randrange(len(cycle))
+        cycle = cycle[k:] + cycle[:k]
+        return cycle[::-1] if rng.random() < 0.5 else cycle
+
+    cf = replace(cf, classes=tuple(tuple(map(reorient, cls)) for cls in cf.classes))
+    fills = per_cycle_fill_classes(p, cf)
+    assert _assemble_inflation(t, p, cf).classes[: len(fills)] == fills

@@ -10,6 +10,7 @@ from sunurd import (
     HostGraph,
     ParallelClass,
     Sun,
+    canonical_cycle,
     canonical_decomposition,
     canonicalize_sun,
     edge,
@@ -263,3 +264,59 @@ class TestCanonicalDecomposition:
         assert canon.classes[2].edges == ((0, 4), (1, 3), (2, 5))
         assert verify(canon).passed
         assert canonical_decomposition(canon) == canon
+
+
+def dihedral_writings(cycle, pendants):
+    """All 2h rotations and reflections of a cycle, pendants carried along."""
+    h = len(cycle)
+    for seq, pend in ((cycle, pendants), (cycle[::-1], pendants[::-1])):
+        for k in range(h):
+            yield seq[k:] + seq[:k], pend[k:] + pend[:k]
+
+
+@st.composite
+def raw_suns(draw):
+    h = draw(st.integers(3, 8))
+    verts = draw(st.lists(st.integers(0, 999), min_size=2 * h, max_size=2 * h, unique=True))
+    return tuple(verts[:h]), tuple(verts[h:])
+
+
+class TestCanonicalForms:
+    @given(raw_suns())
+    def test_cycle_is_least_dihedral_writing(self, raw):
+        cycle, _ = raw
+        assert canonical_cycle(cycle) == min(c for c, _ in dihedral_writings(cycle, cycle))
+        assert canonical_cycle(list(cycle)) == canonical_cycle(cycle)
+
+    @given(raw_suns())
+    def test_sun_is_least_dihedral_writing_with_pendants(self, raw):
+        best = min(dihedral_writings(*raw))
+        sun = canonicalize_sun(*raw)
+        assert (sun.cycle, sun.pendants) == best
+        assert type(sun.cycle) is tuple and type(sun.pendants) is tuple
+
+    @given(st.lists(st.lists(raw_suns(), max_size=4), max_size=4), st.booleans())
+    def test_decomposition_idempotent_and_keeps_canonical_suns(self, classes, as_lists):
+        wrap = list if as_lists else tuple
+        dec = Decomposition(
+            HostGraph.complete(4),
+            tuple(
+                ParallelClass.sun_factor(Sun(wrap(c), wrap(p)) for c, p in cls) for cls in classes
+            ),
+        )
+        canon = canonical_decomposition(dec)
+        for cls, raw in zip(canon.classes, classes):
+            assert list(cls.suns) == sorted(canonicalize_sun(c, p) for c, p in raw)
+            assert all(type(s.cycle) is tuple and type(s.pendants) is tuple for s in cls.suns)
+        again = canonical_decomposition(canon)
+        assert again == canon
+        for cls, kept in zip(again.classes, canon.classes):
+            assert all(a is b for a, b in zip(cls.suns, kept.suns))
+
+    def test_malformed_sun_still_rejected(self):
+        dec = Decomposition(
+            HostGraph.complete(6),
+            (ParallelClass.sun_factor((Sun((0, 1, 2), (0, 4, 5)),)),),
+        )
+        with pytest.raises(ValueError, match="repeated vertex"):
+            canonical_decomposition(dec)

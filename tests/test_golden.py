@@ -85,6 +85,28 @@ DESIGN_FINDINGS = [
 ]
 
 
+UNORDERABLE_FINDINGS = [
+    "decomposition: duplicated-edge: edge (1, 2) covered 2 times",
+    "decomposition: missing-edge: edge (0, 4) never covered",
+    "decomposition: missing-edge: edge (0, 5) never covered",
+    "decomposition: missing-edge: edge (1, 3) never covered",
+    "decomposition: missing-edge: edge (1, 5) never covered",
+    "decomposition: missing-edge: edge (2, 3) never covered",
+    "decomposition: missing-edge: edge (2, 4) never covered",
+    "decomposition: missing-edge: edge (3, 4) never covered",
+    "decomposition: missing-edge: edge (3, 5) never covered",
+    "decomposition: missing-edge: edge (4, 5) never covered",
+    "class 0: foreign-vertex: vertex a outside host",
+    "class 0: malformed-edge: edge (0, 'a') has endpoints that cannot be ordered",
+    "class 0: vertex-missed: vertex 3 not covered",
+    "class 0: vertex-missed: vertex 4 not covered",
+    "class 0: vertex-missed: vertex 5 not covered",
+    "class 1: foreign-vertex: vertex x outside host",
+    "class 1: malformed-sun: sun (0,1,x; 3,4,5): vertices cannot be ordered",
+    "class 1: vertex-missed: vertex 2 not covered",
+]
+
+
 def corrupted_factorization() -> CycleFactorization:
     # The triangle factorization of K_9 (four classes) with one class per
     # kind of damage, and a fifth class that repeats the first.
@@ -181,6 +203,32 @@ class TestFindingText:
     )
     def test_factorization_parameter_findings(self, cf, expected):
         assert findings(validate_cycle_factorization(cf)) == expected
+
+    def test_unorderable_vertices(self):
+        # A vertex that cannot be compared with the others is a malformed
+        # block, reported like any other, not a TypeError.
+        report = verify(
+            Decomposition(
+                HostGraph.complete(6),
+                (
+                    ParallelClass.one_factor([(0, "a"), (1, 2)]),
+                    ParallelClass.sun_factor([Sun((0, 1, "x"), (3, 4, 5))]),
+                    # a tuple cycle with list pendants is read like any sun
+                    ParallelClass.sun_factor([Sun((0, 1, 2), [3, 4, 5])]),
+                ),
+            ),
+        )
+        assert findings(report) == UNORDERABLE_FINDINGS
+        assert (report.r, report.s) == (1, 2)
+        cf = CycleFactorization(HostGraph.complete(3), 3, (((0, 1, "z"),),))
+        assert findings(validate_cycle_factorization(cf)) == [
+            "decomposition: missing-edge: edge (0, 1) never covered",
+            "decomposition: missing-edge: edge (0, 2) never covered",
+            "decomposition: missing-edge: edge (1, 2) never covered",
+            "class 0: foreign-vertex: vertex z outside host",
+            "class 0: malformed-cycle: cycle (0, 1, 'z') has vertices that cannot be ordered",
+            "class 0: vertex-missed: vertex 2 not covered",
+        ]
 
     def test_malformed_host_design(self):
         report = verify(Decomposition(HostGraph.complete(0), ()))
