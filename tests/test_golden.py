@@ -9,12 +9,14 @@ change either unnoticed.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from sunurd import (
     CycleFactorization,
     Decomposition,
+    DocumentFormatError,
     HostGraph,
     IngredientSource,
     ParallelClass,
@@ -26,6 +28,7 @@ from sunurd import (
     cycle_factorization_minus_f,
     cycle_factorization_odd,
     dumps_document,
+    loads_document,
     one_factorization,
     urd6_h3,
     urgdd_ch2,
@@ -236,6 +239,146 @@ class TestFindingText:
             "decomposition: malformed-host: complete host needs a positive order"
         ]
         assert (report.r, report.s) == (0, 0)
+
+
+# Documents with one fault each, made from a design with both class types
+# and a K_8 - F seed record; each fault is one edit of the parsed document.
+DESIGN_DOC = dumps_document(build(ParamTuple(12, 3, 3, 4)), h=3)
+SEED_DOC = dumps_document(cycle_factorization_minus_f(8, 4))
+
+
+def _edges(doc):
+    return next(c for c in doc["classes"] if c["type"] == "one_factor")["edges"]
+
+
+def _sun(doc):
+    return next(c for c in doc["classes"] if c["type"] == "sun_factor")["suns"][1]
+
+
+def _cycles(doc):
+    return doc["classes"][1]["cycles"]
+
+
+def _set(pick, key, value):
+    return lambda doc: pick(doc).__setitem__(key, value)
+
+
+def _set_in(pick, key, i, value):
+    return lambda doc: pick(doc)[key].__setitem__(i, value)
+
+
+def _resize(pick, key, size):
+    return lambda doc: pick(doc).__setitem__(key, (pick(doc)[key] * 2)[:size])
+
+
+def _matching(doc):
+    return doc["host"]["matching"]
+
+
+# (base document, edit) -> the DocumentFormatError text of the reader.
+READER_MESSAGES = {
+    "edges: field not a list": (
+        DESIGN_DOC,
+        lambda doc: next(c for c in doc["classes"] if c["type"] == "one_factor").update(edges=5),
+        "edges must be a list of pairs",
+    ),
+    "edges: entry not a list": (DESIGN_DOC, _set(_edges, 1, 5), "edges entry must be a list"),
+    "edges: bool": (DESIGN_DOC, _set_in(_edges, 1, 1, True), "edges entry must hold integers"),
+    "edges: float": (DESIGN_DOC, _set_in(_edges, 1, 0, 1.5), "edges entry must hold integers"),
+    "edges: string": (DESIGN_DOC, _set_in(_edges, 0, 1, "1"), "edges entry must hold integers"),
+    "edges: 1 int": (DESIGN_DOC, _resize(_edges, 1, 1), "edges entries must be pairs"),
+    "edges: 3 ints": (DESIGN_DOC, _resize(_edges, 1, 3), "edges entries must be pairs"),
+    "matching: field not a list": (
+        SEED_DOC,
+        lambda doc: doc["host"].update(matching={}),
+        "host.matching must be a list of pairs",
+    ),
+    "matching: entry not a list": (
+        SEED_DOC,
+        _set(_matching, 1, "2,5"),
+        "host.matching entry must be a list",
+    ),
+    "matching: bool": (
+        SEED_DOC,
+        _set_in(_matching, 1, 0, False),
+        "host.matching entry must hold integers",
+    ),
+    "matching: float": (
+        SEED_DOC,
+        _set_in(_matching, 1, 1, 5.0),
+        "host.matching entry must hold integers",
+    ),
+    "matching: string": (
+        SEED_DOC,
+        _set_in(_matching, 3, 1, "7"),
+        "host.matching entry must hold integers",
+    ),
+    "matching: 1 int": (SEED_DOC, _resize(_matching, 2, 1), "host.matching entries must be pairs"),
+    "matching: 3 ints": (SEED_DOC, _resize(_matching, 2, 3), "host.matching entries must be pairs"),
+    "matching: loop": (
+        SEED_DOC,
+        _set(_matching, 1, [2, 2]),
+        "host.matching entries must not be loops",
+    ),
+    "sun cycle: not a list": (DESIGN_DOC, _set(_sun, "cycle", 5), "sun cycle must be a list"),
+    "sun cycle: entry a list": (
+        DESIGN_DOC,
+        _set_in(_sun, "cycle", 1, [5]),
+        "sun cycle must hold integers",
+    ),
+    "sun cycle: bool": (DESIGN_DOC, _set_in(_sun, "cycle", 0, True), "sun cycle must hold integers"),
+    "sun cycle: float": (DESIGN_DOC, _set_in(_sun, "cycle", 2, 9.5), "sun cycle must hold integers"),
+    "sun cycle: string": (DESIGN_DOC, _set_in(_sun, "cycle", 1, "5"), "sun cycle must hold integers"),
+    "sun pendants: not a list": (
+        DESIGN_DOC,
+        _set(_sun, "pendants", None),
+        "sun pendants must be a list",
+    ),
+    "sun pendants: entry a list": (
+        DESIGN_DOC,
+        _set_in(_sun, "pendants", 0, []),
+        "sun pendants must hold integers",
+    ),
+    "sun pendants: bool": (
+        DESIGN_DOC,
+        _set_in(_sun, "pendants", 2, False),
+        "sun pendants must hold integers",
+    ),
+    "sun pendants: float": (
+        DESIGN_DOC,
+        _set_in(_sun, "pendants", 1, 3.0),
+        "sun pendants must hold integers",
+    ),
+    "sun pendants: string": (
+        DESIGN_DOC,
+        _set_in(_sun, "pendants", 0, "x"),
+        "sun pendants must hold integers",
+    ),
+    "cycles: field not a list": (
+        SEED_DOC,
+        lambda doc: doc["classes"][1].update(cycles="0,1,2,3"),
+        "cycle_factor.cycles must be a list",
+    ),
+    "cycles: entry not a list": (SEED_DOC, _set(_cycles, 1, 3), "cycle must be a list"),
+    "cycles: bool": (SEED_DOC, _set_in(_cycles, 1, 2, True), "cycle must hold integers"),
+    "cycles: float": (SEED_DOC, _set_in(_cycles, 0, 3, 0.5), "cycle must hold integers"),
+    "cycles: string": (SEED_DOC, _set_in(_cycles, 1, 0, "3"), "cycle must hold integers"),
+}
+
+
+def test_reader_bases_load():
+    assert verify(loads_document(DESIGN_DOC).payload, expected_h=3).passed
+    assert validate_cycle_factorization(loads_document(SEED_DOC).payload).passed
+
+
+@pytest.mark.parametrize("name", list(READER_MESSAGES))
+def test_reader_message(name):
+    base, edit, expected = READER_MESSAGES[name]
+    doc = json.loads(base)
+    edit(doc)
+    with pytest.raises(DocumentFormatError) as exc:
+        loads_document(json.dumps(doc))
+    assert str(exc.value) == expected
 
 
 def digest(texts) -> str:
