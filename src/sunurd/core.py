@@ -6,9 +6,14 @@ host exactly once.  Blocks are single edges (one-factor classes) or suns:
 an h-cycle with one pendant edge hanging off each cycle vertex.
 
 The certifiers ``verify`` and ``validate_cycle_factorization`` import no
-builder: they rebuild the host edges and check that the blocks use each
-exactly once and no other edge, so a design is certified without trusting
-the code that built it.  The canonical forms serialization writes live here.
+builder: they check that the blocks use each host edge exactly once and no
+other edge, so a design is certified without trusting the code that built
+it.  Both mark edges in a slot index of n*n bytes, n the host order: edge
+(u, w), u < w, is byte ``pos[u] * n + pos[w]``, where ``pos`` numbers the
+vertices in ``host_vertices`` order.  One bytearray holds the host's edges,
+one the edges the blocks use, and a design partitions the host when the two
+are equal and no edge was used twice or reaches outside the host.  The
+canonical forms serialization writes live here.
 """
 
 from __future__ import annotations
@@ -153,29 +158,14 @@ def host_vertices(host: HostGraph) -> list[int]:
 
 
 def host_edges(host: HostGraph) -> list[Edge]:
-    """The host edge set as a sorted list (the reference for partitioning).
+    """The host edge set as a sorted list.
 
     Raises ValueError on a malformed descriptor (imperfect matching,
     overlapping or unevenly sized groups, fewer than three groups).
     """
-    if host.kind == COMPLETE:
-        if host.order < 1:
-            raise ValueError("complete host needs a positive order")
+    if host.kind in (COMPLETE, COMPLETE_MINUS_F):
+        removed = set(_removed_matching(host))
         v = host.order
-        return [(u, w) for u in range(v) for w in range(u + 1, v)]
-    if host.kind == COMPLETE_MINUS_F:
-        v = host.order
-        if v < 2 or v % 2:
-            raise ValueError("complete-minus-F host needs a positive even order")
-        pairs = [edge(u, w) for u, w in host.matching]
-        touched = {x for e in pairs for x in e}
-        if (
-            len(pairs) != v // 2
-            or len(touched) != v
-            or any(x < 0 or x >= v for x in touched)
-        ):
-            raise ValueError("removed matching is not a perfect matching of the host")
-        removed = set(pairs)
         return [
             (u, w)
             for u in range(v)
@@ -200,6 +190,46 @@ def host_edges(host: HostGraph) -> list[Edge]:
                     out.append(edge(u, w))
         return sorted(out)
     raise ValueError(f"unknown host kind {host.kind!r}")
+
+
+def _removed_matching(host: HostGraph) -> list[Edge]:
+    """The removed pairs of a complete or complete-minus-F host (none for
+    K_v), after checking the order and that the matching is perfect."""
+    v = host.order
+    if host.kind == COMPLETE:
+        if v < 1:
+            raise ValueError("complete host needs a positive order")
+        return []
+    if v < 2 or v % 2:
+        raise ValueError("complete-minus-F host needs a positive even order")
+    pairs = [edge(u, w) for u, w in host.matching]
+    touched = {x for e in pairs for x in e}
+    if len(pairs) != v // 2 or len(touched) != v or any(x < 0 or x >= v for x in touched):
+        raise ValueError("removed matching is not a perfect matching of the host")
+    return pairs
+
+
+def _host_slots(host: HostGraph, pos: dict) -> bytearray:
+    """The host's edges in the slot index of ``_certify``: byte
+    ``pos[u] * n + pos[w]`` is 1 for each host edge (u, w), u < w.
+
+    Complete hosts are filled by row slices, then the removed matching is
+    cleared; a blown cycle (only the small fill designs) is filled from
+    ``host_edges``.  Raises like ``host_edges`` on a malformed descriptor.
+    """
+    n = len(pos)
+    slots = bytearray(n * n)
+    if host.kind in (COMPLETE, COMPLETE_MINUS_F):
+        removed = _removed_matching(host)
+        ones = memoryview(b"\x01" * n)
+        for u in range(n):
+            slots[u * n + u + 1 : u * n + n] = ones[u + 1 :]
+        for u, w in removed:
+            slots[pos[u] * n + pos[w]] = 0
+    else:
+        for u, w in host_edges(host):
+            slots[pos[u] * n + pos[w]] = 1
+    return slots
 
 
 @dataclass(frozen=True)
@@ -307,43 +337,99 @@ def _certify(
     """Certification shared by verify() and validate_cycle_factorization().
 
     ``classes`` yields, per class, the vertices its blocks touch and the
-    edges of its well-formed blocks, appending block-shape findings to
-    ``findings`` as it goes; it is consumed only after the host edge set is
-    rebuilt.  One pass over the classes counts block edges and checks each
-    class's vertex coverage; one pass over the host edges then settles each
-    edge's count, and any count left over is an edge outside the host.
+    normalized edges of its well-formed blocks, appending block-shape
+    findings to ``findings`` as it goes; it is consumed only after the host
+    is checked.  One pass over the classes checks each class's vertex
+    coverage and records each block edge (u, w) in a slot index: with the
+    host vertices at positions ``pos``, byte ``pos[u] * n + pos[w]`` of an
+    n*n bytearray is set on first use.  A repeat use (keyed by its slot) and
+    any use of a pair with an endpoint outside the host (keyed by the pair)
+    go to a small Counter.  A design that partitions the host then costs one
+    comparison with the host's own slots and an empty counter; only a
+    failing one walks the rows that differ to name missing and foreign
+    edges, and the counter to name duplicated ones.
     """
     try:
-        target_edges = host_edges(host)
+        vertices_at = host_vertices(host)
+        pos = {x: i for i, x in enumerate(vertices_at)}
+        host_slots = _host_slots(host, pos)
     except ValueError as exc:
-        return VerificationReport(False, 0, 0, (Finding(-1, "malformed-host", str(exc)),))
+        return _malformed_host(str(exc))
+    except TypeError:
+        return _malformed_host("host vertices must be hashable and mutually comparable")
 
-    vset = set(host_vertices(host))
-    used: Counter[Edge] = Counter()
+    n = len(pos)
+    used = bytearray(n * n)
+    extra: Counter = Counter()
     for ci, (vertices, edges) in enumerate(classes):
-        used.update(edges)
-        seen = set(vertices)
-        for x in vset - seen:
+        for u, w in edges:
+            try:
+                i = pos[u] * n + pos[w]
+            except (KeyError, TypeError):
+                try:
+                    extra[u, w] += 1
+                except TypeError:
+                    detail = f"edge {(u, w)} has endpoints that cannot be hashed"
+                    findings.append(Finding(ci, "malformed-edge", detail))
+                continue
+            if used[i]:
+                extra[i] += 1
+            else:
+                used[i] = 1
+        try:
+            seen = set(vertices)
+        except TypeError:
+            # Only blocks already reported as malformed carry such vertices.
+            for x in vertices:
+                if not _hashable(x):
+                    findings.append(Finding(ci, "foreign-vertex", f"vertex {x} outside host"))
+            vertices = list(filter(_hashable, vertices))
+            seen = set(vertices)
+        for x in pos.keys() - seen:
             findings.append(Finding(ci, "vertex-missed", f"vertex {x} not covered"))
-        for x in seen - vset:
+        for x in seen - pos.keys():
             findings.append(Finding(ci, "foreign-vertex", f"vertex {x} outside host"))
         if len(seen) == len(vertices):
             continue
         for x, k in Counter(vertices).items():
-            if k > 1 and x in vset:
+            if k > 1 and x in pos:
                 findings.append(Finding(ci, "vertex-repeated", f"vertex {x} covered {k} times"))
 
-    for e in target_edges:
-        g = used.pop(e, 0)
-        if g == 0:
-            findings.append(Finding(-1, "missing-edge", f"edge {e} never covered"))
-        elif g > 1:
-            findings.append(Finding(-1, "duplicated-edge", f"edge {e} covered {g} times"))
-    for e, g in used.items():
-        findings.append(Finding(-1, "foreign-edge", f"edge {e} not in host (used {g}x)"))
+    if used != host_slots:
+        for a in range(n):
+            lo = a * n
+            if used[lo : lo + n] == host_slots[lo : lo + n]:
+                continue
+            for i in range(lo, lo + n):
+                if used[i] == host_slots[i]:
+                    continue
+                e = edge(vertices_at[a], vertices_at[i - lo])
+                if used[i]:
+                    g = 1 + extra.pop(i, 0)
+                    findings.append(Finding(-1, "foreign-edge", f"edge {e} not in host (used {g}x)"))
+                else:
+                    findings.append(Finding(-1, "missing-edge", f"edge {e} never covered"))
+    for key, g in extra.items():
+        if type(key) is int:
+            e = edge(vertices_at[key // n], vertices_at[key % n])
+            findings.append(Finding(-1, "duplicated-edge", f"edge {e} covered {g + 1} times"))
+        else:
+            findings.append(Finding(-1, "foreign-edge", f"edge {key} not in host (used {g}x)"))
 
     findings.sort()
     return VerificationReport(not findings, r, s, tuple(findings))
+
+
+def _malformed_host(detail: str) -> VerificationReport:
+    return VerificationReport(False, 0, 0, (Finding(-1, "malformed-host", detail),))
+
+
+def _hashable(x) -> bool:
+    try:
+        hash(x)
+    except TypeError:
+        return False
+    return True
 
 
 def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationReport:
@@ -369,17 +455,20 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                         Finding(ci, "non-uniform-class", "one-factor class carries sun blocks")
                     )
                 for e in cls.edges:
-                    vertices.extend(e)
-                    if len(e) != 2:
+                    try:
+                        vertices += e
+                        u, w = e
+                    except (TypeError, ValueError):
                         findings.append(Finding(ci, "malformed-edge", f"edge {e} is not a pair"))
-                    elif e[0] == e[1]:
-                        findings.append(Finding(ci, "malformed-edge", f"loop at vertex {e[0]}"))
-                    else:
-                        try:
-                            edges.append(edge(*e))
-                        except TypeError:
-                            detail = f"edge {e} has endpoints that cannot be ordered"
-                            findings.append(Finding(ci, "malformed-edge", detail))
+                        continue
+                    if u == w:
+                        findings.append(Finding(ci, "malformed-edge", f"loop at vertex {u}"))
+                        continue
+                    try:
+                        edges.append((u, w) if u < w else (w, u))
+                    except TypeError:
+                        detail = f"edge {e} has endpoints that cannot be ordered"
+                        findings.append(Finding(ci, "malformed-edge", detail))
             elif cls.kind == SUN_FACTOR:
                 if cls.edges:
                     findings.append(
@@ -388,7 +477,10 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                 for sun in cls.suns:
                     vertices += sun.cycle
                     vertices += sun.pendants
-                    problem = _sun_problem(sun.cycle, sun.pendants)
+                    try:
+                        problem = _sun_problem(sun.cycle, sun.pendants)
+                    except TypeError:
+                        problem = "vertices cannot be hashed"
                     if problem is None:
                         try:
                             sun_edge_list = _sun_edge_list(sun)
@@ -421,9 +513,7 @@ def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
     """Certify a claimed cycle factorization; defects become findings."""
     host = cf.host
     if host.kind not in (COMPLETE, COMPLETE_MINUS_F):
-        return VerificationReport(
-            False, 0, 0, (Finding(-1, "malformed-host", f"unsupported host kind {host.kind!r}"),)
-        )
+        return _malformed_host(f"unsupported host kind {host.kind!r}")
 
     n = host.order
     h = cf.h
@@ -448,19 +538,24 @@ def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
             for cyc in cycles:
                 vertices.extend(cyc)
                 if len(cyc) != h:
-                    findings.append(
-                        Finding(ci, "malformed-cycle", f"cycle {cyc} has length {len(cyc)}")
-                    )
-                elif len(set(cyc)) != h:
-                    findings.append(
-                        Finding(ci, "malformed-cycle", f"repeated vertex in cycle {cyc}")
-                    )
-                else:
-                    try:
-                        edges += [edge(cyc[i - 1], cyc[i]) for i in range(h)]
-                    except TypeError:
-                        detail = f"cycle {cyc} has vertices that cannot be ordered"
-                        findings.append(Finding(ci, "malformed-cycle", detail))
+                    detail = f"cycle {cyc} has length {len(cyc)}"
+                    findings.append(Finding(ci, "malformed-cycle", detail))
+                    continue
+                try:
+                    repeated = len(set(cyc)) != h
+                except TypeError:
+                    detail = f"cycle {cyc} has vertices that cannot be hashed"
+                    findings.append(Finding(ci, "malformed-cycle", detail))
+                    continue
+                if repeated:
+                    detail = f"repeated vertex in cycle {cyc}"
+                    findings.append(Finding(ci, "malformed-cycle", detail))
+                    continue
+                try:
+                    edges += [edge(cyc[i - 1], cyc[i]) for i in range(h)]
+                except TypeError:
+                    detail = f"cycle {cyc} has vertices that cannot be ordered"
+                    findings.append(Finding(ci, "malformed-cycle", detail))
             yield vertices, edges
 
     return _certify(host, blocks(), findings)

@@ -7,12 +7,18 @@ canonical: blocks are sorted within classes, suns and cycles are written in
 canonical form, field order is fixed, so equal inputs give identical bytes.
 ``dumps_document`` writes the format-"1" text itself; ``to_document`` is
 that text parsed back into dicts, so the layout has one home.
+
+The reader checks the types of whole lists at once with C-level calls,
+``set(map(type, values)) <= {int}``: an integer is a value whose type is
+exactly ``int``, so JSON ``true`` (a ``bool``), ``1.0`` and ``"1"`` are all
+rejected.  A document with one fault gets the message of that fault.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     BLOWN_CYCLE,
@@ -159,23 +165,21 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int
 
 
-def _int_list(value, what: str) -> list[int]:
-    _require(isinstance(value, list), f"{what} must be a list")
-    _require(all(_is_int(x) for x in value), f"{what} must hold integers")
-    return value
+def _int_rows(rows: list, what: str) -> tuple[tuple[int, ...], ...]:
+    """``rows`` (a list) as tuples, each checked to be a list of ints."""
+    _require(set(map(type, rows)) <= {list}, f"{what} must be a list")
+    _require(set(map(type, chain.from_iterable(rows))) <= {int}, f"{what} must hold integers")
+    return tuple(map(tuple, rows))
 
 
-def _pair_list(value, what: str) -> list[tuple[int, int]]:
+def _pair_list(value, what: str) -> tuple[tuple[int, int], ...]:
     _require(isinstance(value, list), f"{what} must be a list of pairs")
-    out = []
-    for item in value:
-        pair = _int_list(item, f"{what} entry")
-        _require(len(pair) == 2, f"{what} entries must be pairs")
-        out.append((pair[0], pair[1]))
-    return out
+    pairs = _int_rows(value, f"{what} entry")
+    _require(set(map(len, pairs)) <= {2}, f"{what} entries must be pairs")
+    return pairs
 
 
 def _host_from_doc(doc) -> HostGraph:
@@ -192,7 +196,7 @@ def _host_from_doc(doc) -> HostGraph:
     if kind == "blown_cycle":
         groups = doc.get("groups")
         _require(isinstance(groups, list) and groups, "host.groups must be a nonempty list")
-        return HostGraph.blown_cycle(_int_list(g, "host group") for g in groups)
+        return HostGraph.blown_cycle(_int_rows(groups, "host group"))
     raise DocumentFormatError(f"unknown host kind {kind!r}")
 
 
@@ -221,9 +225,7 @@ def from_document(doc) -> Document:
         for c in raw_classes:
             cycles = c.get("cycles")
             _require(isinstance(cycles, list), "cycle_factor.cycles must be a list")
-            classes.append(
-                tuple(tuple(_int_list(cyc, "cycle")) for cyc in cycles)
-            )
+            classes.append(_int_rows(cycles, "cycle"))
         payload = CycleFactorization(
             host, h, tuple(classes), source=source or "document"
         )
@@ -233,20 +235,14 @@ def from_document(doc) -> Document:
     for c in raw_classes:
         ctype = c.get("type")
         if ctype == "one_factor":
-            classes.append(ParallelClass.one_factor(_pair_list(c.get("edges"), "edges")))
+            classes.append(ParallelClass(ONE_FACTOR, edges=_pair_list(c.get("edges"), "edges")))
         elif ctype == "sun_factor":
             suns_doc = c.get("suns")
             _require(isinstance(suns_doc, list), "suns must be a list")
-            suns = []
-            for s in suns_doc:
-                _require(isinstance(s, dict), "each sun must be an object")
-                suns.append(
-                    Sun(
-                        tuple(_int_list(s.get("cycle"), "sun cycle")),
-                        tuple(_int_list(s.get("pendants"), "sun pendants")),
-                    )
-                )
-            classes.append(ParallelClass.sun_factor(suns))
+            _require(set(map(type, suns_doc)) <= {dict}, "each sun must be an object")
+            cycles = _int_rows([s.get("cycle") for s in suns_doc], "sun cycle")
+            pendants = _int_rows([s.get("pendants") for s in suns_doc], "sun pendants")
+            classes.append(ParallelClass(SUN_FACTOR, suns=tuple(map(Sun, cycles, pendants))))
         else:
             raise DocumentFormatError(f"unknown class type {ctype!r}")
     return Document(h=h, payload=Decomposition(host, tuple(classes)), source=source)

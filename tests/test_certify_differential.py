@@ -1,9 +1,11 @@
-"""Differential check of the verifier's coverage and partition findings.
+"""Differential check of the certifiers' coverage and partition findings.
 
-Built designs are mutated as raw JSON documents.  The six coverage and
-partition finding kinds reported by ``verify`` must equal those computed
-by a short reference that reads the document with plain Counters and uses
-nothing from sunurd.
+Built designs and seed records are mutated as raw JSON documents.  The six
+coverage and partition finding kinds reported by ``verify`` and
+``validate_cycle_factorization`` must equal those computed by a short
+reference that reads the document with plain Counters and uses nothing from
+sunurd.  Complete hosts, K_n - F records and blown-cycle fills are covered;
+only the last two have pairs of host vertices that are not host edges.
 """
 
 from __future__ import annotations
@@ -15,7 +17,18 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sunurd import ParamTuple, admissible_pairs, build, from_document, to_document, verify
+from sunurd import (
+    ParamTuple,
+    UrgddKind,
+    admissible_pairs,
+    build,
+    cycle_factorization_minus_f,
+    from_document,
+    to_document,
+    urgdd_ch2,
+    validate_cycle_factorization,
+    verify,
+)
 
 PARTITION_KINDS = (
     "missing-edge",
@@ -37,15 +50,36 @@ def _built(v: int, h: int) -> dict:
 DESIGNS = {vh: _built(*vh) for vh in ((12, 3), (16, 4), (18, 3), (20, 5))}
 
 
+RECORDS = {(n, h): to_document(cycle_factorization_minus_f(n, h)) for n, h in ((8, 4), (12, 4))}
+FILLS = {(h, k.name): to_document(urgdd_ch2(h, k), h=h) for h in (3, 4, 5) for k in UrgddKind}
+
+
+def reference_host(host: dict) -> tuple[list[int], set[tuple[int, int]]]:
+    """The vertices and edges of a host descriptor."""
+    if host["kind"] == "blown_cycle":
+        groups = host["groups"]
+        vertices = [x for g in groups for x in g]
+        edges = {
+            (min(u, w), max(u, w))
+            for i, g in enumerate(groups)
+            for u in g
+            for w in groups[(i + 1) % len(groups)]
+        }
+        return vertices, edges
+    v = host["v"]
+    removed = {(min(u, w), max(u, w)) for u, w in host.get("matching", [])}
+    return list(range(v)), {(u, w) for u in range(v) for w in range(u + 1, v)} - removed
+
+
 def reference_findings(doc: dict) -> list[str]:
-    """The six coverage/partition findings of a complete-host design document.
+    """The six coverage/partition findings of a design or seed document.
 
     Every block's vertices count towards its class's coverage; only the
     edges of well-formed blocks (a pair without a loop, a sun whose 2h
-    vertices are distinct) count towards the partition.
+    vertices are distinct, a cycle of h distinct vertices) count towards
+    the partition.
     """
-    v = doc["host"]["v"]
-    host = {(u, w) for u in range(v) for w in range(u + 1, v)}
+    vertices, host = reference_host(doc["host"])
     out: list[str] = []
     used: Counter = Counter()
     for ci, cls in enumerate(doc["classes"]):
@@ -61,13 +95,18 @@ def reference_findings(doc: dict) -> list[str]:
                 k = len(cyc)
                 for a, b in [(cyc[i], cyc[(i + 1) % k]) for i in range(k)] + list(zip(cyc, pen)):
                     used[(min(a, b), max(a, b))] += 1
-        for x in range(v):
+        for cyc in cls.get("cycles", []):
+            hits.update(cyc)
+            if len(set(cyc)) == len(cyc) == doc["h"]:
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    used[(min(a, b), max(a, b))] += 1
+        for x in vertices:
             if hits[x] == 0:
                 out.append(f"class {ci}: vertex-missed: vertex {x} not covered")
             elif hits[x] > 1:
                 out.append(f"class {ci}: vertex-repeated: vertex {x} covered {hits[x]} times")
         for x in hits:
-            if not 0 <= x < v:
+            if x not in vertices:
                 out.append(f"class {ci}: foreign-vertex: vertex {x} outside host")
     for e in host | set(used):
         g = used[e]
@@ -82,6 +121,34 @@ def reference_findings(doc: dict) -> list[str]:
 
 def _blocks(cls: dict) -> list:
     return cls["edges"] if cls["type"] == "one_factor" else cls["suns"]
+
+
+def _rows(cls: dict) -> list[list[int]]:
+    """The vertex lists of a class: its edges, sun cycles and pendants, or cycles."""
+    if cls["type"] == "sun_factor":
+        return [part for sun in cls["suns"] for part in (sun["cycle"], sun["pendants"])]
+    return cls["edges" if cls["type"] == "one_factor" else "cycles"]
+
+
+def _neighbour(cls: dict, x: int) -> int:
+    """A vertex that shares a block edge with x in this class."""
+    if cls["type"] == "sun_factor":
+        sun = next(s for s in cls["suns"] if x in s["cycle"] + s["pendants"])
+        if x in sun["pendants"]:
+            return sun["cycle"][sun["pendants"].index(x)]
+        return sun["pendants"][sun["cycle"].index(x)]
+    row = next(r for r in _rows(cls) if x in r)
+    return row[(row.index(x) + 1) % len(row)]
+
+
+def use_pair(doc: dict, x: int, y: int, ci: int) -> None:
+    """Make class ci use the pair {x, y}: y trades places with a block
+    neighbour of x, so the class still covers each vertex once."""
+    cls = doc["classes"][ci]
+    z = _neighbour(cls, x)
+    swap = {y: z, z: y}
+    for row in _rows(cls):
+        row[:] = [swap.get(t, t) for t in row]
 
 
 def mutate(doc: dict, op: str, a: int, b: int, c: int) -> None:
@@ -149,3 +216,50 @@ def test_findings_match_reference(vh, mutations):
     for op, a, b, c in mutations:
         mutate(doc, op, a, b, c)
     assert verify_findings(doc) == reference_findings(doc)
+
+
+def verify_record_findings(doc: dict) -> list[str]:
+    report = validate_cycle_factorization(from_document(doc).payload)
+    return sorted(str(f) for f in report.violations if f.kind in PARTITION_KINDS)
+
+
+@pytest.mark.parametrize("nh", sorted(RECORDS))
+def test_reference_accepts_record(nh):
+    assert reference_findings(RECORDS[nh]) == verify_record_findings(RECORDS[nh]) == []
+
+
+@pytest.mark.parametrize("key", sorted(FILLS))
+def test_reference_accepts_fill(key):
+    assert reference_findings(FILLS[key]) == verify_findings(FILLS[key]) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(RECORDS)),
+    st.integers(0, 99),
+    st.integers(0, 99),
+    st.sampled_from((1, 2)),
+)
+def test_removed_matching_edge_matches_reference(nh, p, c, times):
+    # A pair of the removed matching is a slot of the index but no host edge;
+    # it is used in one class or in two.
+    doc = copy.deepcopy(RECORDS[nh])
+    x, y = doc["host"]["matching"][p % len(doc["host"]["matching"])]
+    for ci in range(c, c + times):
+        use_pair(doc, x, y, ci % len(doc["classes"]))
+    found = verify_record_findings(doc)
+    assert f"decomposition: foreign-edge: edge {(x, y)} not in host (used {times}x)" in found
+    assert found == reference_findings(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FILLS)), st.integers(0, 99), st.integers(0, 99))
+def test_edge_inside_group_matches_reference(key, g, c):
+    # Two vertices of one group are a slot of the index but no host edge.
+    doc = copy.deepcopy(FILLS[key])
+    groups = doc["host"]["groups"]
+    x, y = groups[g % len(groups)]
+    use_pair(doc, x, y, c % len(doc["classes"]))
+    found = verify_findings(doc)
+    assert any(f.startswith("decomposition: foreign-edge: ") for f in found)
+    assert found == reference_findings(doc)

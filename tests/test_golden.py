@@ -233,6 +233,47 @@ class TestFindingText:
             "class 0: vertex-missed: vertex 2 not covered",
         ]
 
+    def test_unhashable_and_unpaired_inputs(self):
+        # Inputs that cannot be hashed, ordered or unpacked are reported,
+        # not raised as TypeError.
+        mixed = HostGraph.blown_cycle([(0, "a"), (1, 2), (3, 4)])
+        assert findings(verify(Decomposition(mixed, ()))) == [
+            "decomposition: malformed-host: host vertices must be hashable and mutually comparable"
+        ]
+        not_pair = ParallelClass(ONE_FACTOR, edges=(5,))
+        assert findings(verify(Decomposition(HostGraph.complete(2), (not_pair,)))) == [
+            "decomposition: missing-edge: edge (0, 1) never covered",
+            "class 0: malformed-edge: edge 5 is not a pair",
+            "class 0: vertex-missed: vertex 0 not covered",
+            "class 0: vertex-missed: vertex 1 not covered",
+        ]
+        unhashable = ParallelClass(ONE_FACTOR, edges=(([0], [1]),))
+        assert findings(verify(Decomposition(HostGraph.complete(2), (unhashable,)))) == [
+            "decomposition: missing-edge: edge (0, 1) never covered",
+            "class 0: foreign-vertex: vertex [0] outside host",
+            "class 0: foreign-vertex: vertex [1] outside host",
+            "class 0: malformed-edge: edge ([0], [1]) has endpoints that cannot be hashed",
+            "class 0: vertex-missed: vertex 0 not covered",
+            "class 0: vertex-missed: vertex 1 not covered",
+        ]
+        sun = ParallelClass.sun_factor([Sun((0, 1, [2]), (3, 4, 5))])
+        report = findings(verify(Decomposition(HostGraph.complete(6), (sun,))))
+        assert report[15:] == [
+            "class 0: foreign-vertex: vertex [2] outside host",
+            "class 0: malformed-sun: sun (0,1,[2]; 3,4,5): vertices cannot be hashed",
+            "class 0: vertex-missed: vertex 2 not covered",
+        ]
+        assert all(f.startswith("decomposition: missing-edge: ") for f in report[:15])
+        cf = CycleFactorization(HostGraph.complete(3), 3, ((([0], 1, 2),),))
+        assert findings(validate_cycle_factorization(cf)) == [
+            "decomposition: missing-edge: edge (0, 1) never covered",
+            "decomposition: missing-edge: edge (0, 2) never covered",
+            "decomposition: missing-edge: edge (1, 2) never covered",
+            "class 0: foreign-vertex: vertex [0] outside host",
+            "class 0: malformed-cycle: cycle ([0], 1, 2) has vertices that cannot be hashed",
+            "class 0: vertex-missed: vertex 0 not covered",
+        ]
+
     def test_malformed_host_design(self):
         report = verify(Decomposition(HostGraph.complete(0), ()))
         assert findings(report) == [
