@@ -3,27 +3,22 @@
 Exit codes are a stable contract: 0 success/pass, 1 verification failure,
 2 usage or parse error, 3 inadmissible tuple, 4 ingredient unavailable,
 5 I/O failure.
+
+Each subcommand imports only the package modules it runs, inside its
+``cmd_*`` function: ``spectrum`` loads ``spectrum``, ``verify`` loads
+``core`` and ``serialization``, and ``build`` loads the rest.  A process
+that does not build never loads, or compiles, the builder and the searches.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .builder import InadmissibleTuple, build
-from .core import ONE_FACTOR, Decomposition, verify
-from .factorizations import (
-    CycleFactorization,
-    IngredientSource,
-    IngredientUnavailable,
-    SeedCatalogError,
-    load_seed_catalog,
-    validate_cycle_factorization,
-)
-from .serialization import DocumentFormatError, dumps_document, loads_document
-from .spectrum import ParamTuple, admissible_pairs, inadmissibility_reason
+if TYPE_CHECKING:
+    from .core import Decomposition
 
 SEED_DIR_ENV = "SUNURD_SEED_DIR"
 
@@ -80,11 +75,15 @@ def main(argv=None) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .spectrum import admissible_pairs, inadmissibility_reason
+
     if args.v <= 0 or args.h < 3:
         print("spectrum needs a positive --v and --h of at least 3", file=sys.stderr)
         return EXIT_USAGE
     pairs = admissible_pairs(args.v, args.h)
     if args.format == "json":
+        import json
+
         payload = {"v": args.v, "h": args.h, "pairs": [[p.r, p.s] for p in pairs]}
         if not pairs:
             payload["reason"] = inadmissibility_reason(args.v, args.h)
@@ -99,6 +98,8 @@ def cmd_spectrum(args) -> int:
 def _load_catalog(args):
     import os
 
+    from .factorizations import load_seed_catalog
+
     seed_dir = getattr(args, "seed_dir", None) or os.environ.get(SEED_DIR_ENV)
     if not seed_dir:
         return None
@@ -106,6 +107,8 @@ def _load_catalog(args):
 
 
 def _render_text(dec: Decomposition) -> str:
+    from .core import ONE_FACTOR
+
     lines = []
     for i, cls in enumerate(dec.classes):
         if cls.kind == ONE_FACTOR:
@@ -117,6 +120,11 @@ def _render_text(dec: Decomposition) -> str:
 
 
 def cmd_build(args) -> int:
+    from .builder import InadmissibleTuple, build
+    from .factorizations import IngredientSource, IngredientUnavailable, SeedCatalogError
+    from .serialization import dumps_document
+    from .spectrum import ParamTuple
+
     t = ParamTuple(args.v, args.h, args.r, args.s)
     try:
         catalog = _load_catalog(args)
@@ -148,6 +156,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .core import CycleFactorization, validate_cycle_factorization, verify
+    from .serialization import DocumentFormatError, loads_document
+
     try:
         data = Path(args.path).read_bytes()
     except OSError as exc:

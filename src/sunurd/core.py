@@ -331,8 +331,6 @@ def _certify(
     host: HostGraph,
     classes: Iterable[tuple[list[int], list[Edge]]],
     findings: list[Finding],
-    r: int = 0,
-    s: int = 0,
 ) -> VerificationReport:
     """Certification shared by verify() and validate_cycle_factorization().
 
@@ -417,7 +415,7 @@ def _certify(
             findings.append(Finding(-1, "foreign-edge", f"edge {key} not in host (used {g}x)"))
 
     findings.sort()
-    return VerificationReport(not findings, r, s, tuple(findings))
+    return VerificationReport(not findings, 0, 0, tuple(findings))
 
 
 def _malformed_host(detail: str) -> VerificationReport:
@@ -443,13 +441,23 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
     deterministic list of findings (class index, then lexicographic).
     """
     findings: list[Finding] = []
+    r = s = 0
 
     def blocks() -> Iterator[tuple[list[int], list[Edge]]]:
+        nonlocal r, s
         sun_h = expected_h
         for ci, cls in enumerate(dec.classes):
             vertices: list[int] = []
             edges: list[Edge] = []
-            if cls.kind == ONE_FACTOR:
+            try:
+                kind = cls.kind
+            except AttributeError:
+                detail = f"{cls!r} is not a parallel class"
+                findings.append(Finding(ci, "non-uniform-class", detail))
+                yield vertices, edges
+                continue
+            if kind == ONE_FACTOR:
+                r += 1
                 if cls.suns:
                     findings.append(
                         Finding(ci, "non-uniform-class", "one-factor class carries sun blocks")
@@ -469,14 +477,20 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                     except TypeError:
                         detail = f"edge {e} has endpoints that cannot be ordered"
                         findings.append(Finding(ci, "malformed-edge", detail))
-            elif cls.kind == SUN_FACTOR:
+            elif kind == SUN_FACTOR:
+                s += 1
                 if cls.edges:
                     findings.append(
                         Finding(ci, "non-uniform-class", "sun-factor class carries edge blocks")
                     )
                 for sun in cls.suns:
-                    vertices += sun.cycle
-                    vertices += sun.pendants
+                    try:
+                        vertices += sun.cycle
+                        vertices += sun.pendants
+                    except (AttributeError, TypeError):
+                        detail = f"sun {sun!r}: cycle and pendants must be vertex sequences"
+                        findings.append(Finding(ci, "malformed-sun", detail))
+                        continue
                     try:
                         problem = _sun_problem(sun.cycle, sun.pendants)
                     except TypeError:
@@ -502,11 +516,14 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                     edges.extend(sun_edge_list)
             else:
                 findings.append(
-                    Finding(ci, "non-uniform-class", f"unknown class kind {cls.kind!r}")
+                    Finding(ci, "non-uniform-class", f"unknown class kind {kind!r}")
                 )
             yield vertices, edges
 
-    return _certify(dec.host, blocks(), findings, dec.r, dec.s)
+    # r and s are counted as the classes are read, since a class without a
+    # kind makes dec.r and dec.s raise.
+    report = _certify(dec.host, blocks(), findings)
+    return replace(report, r=r, s=s)
 
 
 def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
@@ -536,7 +553,12 @@ def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
             vertices: list[int] = []
             edges: list[Edge] = []
             for cyc in cycles:
-                vertices.extend(cyc)
+                try:
+                    vertices.extend(cyc)
+                except TypeError:
+                    detail = f"cycle {cyc} is not a sequence of vertices"
+                    findings.append(Finding(ci, "malformed-cycle", detail))
+                    continue
                 if len(cyc) != h:
                     detail = f"cycle {cyc} has length {len(cyc)}"
                     findings.append(Finding(ci, "malformed-cycle", detail))

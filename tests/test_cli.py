@@ -7,7 +7,7 @@ import json
 import subprocess
 import sys
 
-from sunurd import IngredientSource, cli, cycle_factorization_odd, dumps_document, urd6_h3
+from sunurd import IngredientSource, cycle_factorization_odd, dumps_document, urd6_h3
 from sunurd.cli import main
 
 
@@ -71,7 +71,7 @@ class TestBuild:
 
     def test_ingredient_unavailable_exit_4_counts_search_nodes(self, capsys, monkeypatch):
         small_budget = functools.partial(IngredientSource, budget=10)
-        monkeypatch.setattr(cli, "IngredientSource", small_budget)
+        monkeypatch.setattr("sunurd.factorizations.IngredientSource", small_budget)
         code = main(["build", "--v", "36", "--h", "3", "--r", "7", "--s", "14"])
         assert code == 4
         err = capsys.readouterr().err

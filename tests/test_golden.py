@@ -274,6 +274,38 @@ class TestFindingText:
             "class 0: vertex-missed: vertex 0 not covered",
         ]
 
+    def test_non_sequence_blocks_and_classes(self):
+        # Blocks whose fields are not sequences, and classes that are not
+        # parallel classes, are reported, not raised as TypeError or
+        # AttributeError.
+        k6 = HostGraph.complete(6)
+        report = verify(Decomposition(k6, (ParallelClass.sun_factor([Sun(5, (1, 2, 3))]),)))
+        assert all(f.startswith("decomposition: missing-edge: ") for f in findings(report)[:15])
+        assert findings(report)[15:] == [
+            "class 0: malformed-sun: sun Sun(cycle=5, pendants=(1, 2, 3)): "
+            "cycle and pendants must be vertex sequences",
+            *(f"class 0: vertex-missed: vertex {x} not covered" for x in range(6)),
+        ]
+        assert (report.r, report.s) == (0, 1)
+        classes = ("x", ParallelClass.one_factor([(0, 1)]))
+        report = verify(Decomposition(HostGraph.complete(2), classes))
+        assert findings(report) == [
+            "class 0: non-uniform-class: 'x' is not a parallel class",
+            "class 0: vertex-missed: vertex 0 not covered",
+            "class 0: vertex-missed: vertex 1 not covered",
+        ]
+        assert (report.r, report.s) == (1, 0)
+        cf = CycleFactorization(HostGraph.complete(3), 3, ((5,),))
+        assert findings(validate_cycle_factorization(cf)) == [
+            "decomposition: missing-edge: edge (0, 1) never covered",
+            "decomposition: missing-edge: edge (0, 2) never covered",
+            "decomposition: missing-edge: edge (1, 2) never covered",
+            "class 0: malformed-cycle: cycle 5 is not a sequence of vertices",
+            "class 0: vertex-missed: vertex 0 not covered",
+            "class 0: vertex-missed: vertex 1 not covered",
+            "class 0: vertex-missed: vertex 2 not covered",
+        ]
+
     def test_malformed_host_design(self):
         report = verify(Decomposition(HostGraph.complete(0), ()))
         assert findings(report) == [
