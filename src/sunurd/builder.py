@@ -15,7 +15,7 @@ doubled pairs (odd orders).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .base_designs import UrgddKind, one_factorization, urd6_h3, urd12_h3, urgdd_ch2
 from .core import (
@@ -51,8 +51,7 @@ class Route(enum.Enum):
     INFLATION_2H_ODD = "inflation-2h-odd"
 
 
-@dataclass(frozen=True)
-class BuildPlan:
+class BuildPlan(NamedTuple):
     """How a tuple will be realized.
 
     For inflation routes, ``l`` is the number of base cycle classes and ``x``
@@ -161,9 +160,9 @@ def _assemble_inflation(t: ParamTuple, p: BuildPlan, cf: CycleFactorization) -> 
         else:
             for cls in templates[UrgddKind.ZERO_TWO]:
                 suns = [
-                    canonicalize_sun([lab[y] for y in sun.cycle], [lab[y] for y in sun.pendants])
+                    canonicalize_sun([lab[y] for y in cycle], [lab[y] for y in pendants])
                     for lab in labels
-                    for sun in cls.suns
+                    for cycle, pendants in cls.suns
                 ]
                 sun_classes.append(ParallelClass.sun_factor(sorted(suns)))
 
@@ -211,15 +210,15 @@ def build_with_plan(
 
     if p.route is Route.PURE_MATCHINGS:
         dec = Decomposition(HostGraph.complete(v), tuple(one_factorization(range(v))))
-        p = replace(p, provenance="construction:round-robin")
+        p = p._replace(provenance="construction:round-robin")
     elif p.route is Route.SMALL_CASE:
         dec = urd6_h3((r, s)) if v == 6 else urd12_h3((r, s))
-        p = replace(p, provenance="construction:fixed-design")
+        p = p._replace(provenance="construction:fixed-design")
     else:
         n, _, kind = p.ingredient
         cf = src.minus_f(n, h) if kind == COMPLETE_MINUS_F else src.odd(n, h)
         dec = _assemble_inflation(t, p, cf)
-        p = replace(p, provenance=cf.source)
+        p = p._replace(provenance=cf.source)
 
     if certify:
         report = verify(dec, expected_h=h if s > 0 else None)

@@ -1,5 +1,8 @@
 """Core types, both certifiers and the canonical forms.
 
+The types are ``typing.NamedTuple`` records, like every public record of the
+package: immutable tuples of their fields, copied with changes by ``_replace``.
+
 A decomposition assigns every edge of a host graph to exactly one block and
 groups the blocks into parallel classes, each covering every vertex of the
 host exactly once.  Blocks are single edges (one-factor classes) or suns:
@@ -19,8 +22,7 @@ canonical forms serialization writes live here.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 Edge = tuple[int, int]
 
@@ -66,8 +68,7 @@ def canonical_cycle(vertices: Iterable[int]) -> tuple[int, ...]:
     return _canonical_order(seq, ())[0]
 
 
-@dataclass(frozen=True, order=True)
-class Sun:
+class Sun(NamedTuple):
     """An h-cycle plus one pendant vertex per cycle position.
 
     ``pendants[i]`` hangs off ``cycle[i]``; the edge set is the h cycle edges
@@ -103,14 +104,14 @@ def canonicalize_sun(raw_cycle: Iterable[int], raw_pendants: Iterable[int]) -> S
 
 
 def sun_edges(sun: Sun) -> set[Edge]:
-    """The 2h normalized edges of a sun."""
-    return set(_sun_edge_list(sun))
+    """The 2h normalized edges of a valid sun."""
+    return set(_sun_edge_list(*sun))
 
 
-def _sun_edge_list(sun: Sun) -> list[Edge]:
-    h = len(sun.cycle)
-    out = [edge(sun.cycle[i], sun.cycle[(i + 1) % h]) for i in range(h)]
-    out.extend(edge(sun.cycle[i], sun.pendants[i]) for i in range(h))
+def _sun_edge_list(cycle: tuple[int, ...], pendants: tuple[int, ...]) -> list[Edge]:
+    # The 2h vertices are distinct (``_sun_problem``), so no edge is a loop.
+    out = [(u, w) if u < w else (w, u) for u, w in zip(cycle, (*cycle[1:], cycle[0]))]
+    out += [(u, w) if u < w else (w, u) for u, w in zip(cycle, pendants)]
     return out
 
 
@@ -125,8 +126,7 @@ def _sun_problem(cycle: tuple[int, ...], pendants: tuple[int, ...]) -> str | Non
     return None
 
 
-@dataclass(frozen=True)
-class HostGraph:
+class HostGraph(NamedTuple):
     """Host graph descriptor: K_v, K_v minus a perfect matching, or a blown
     cycle (m groups of n vertices, consecutive groups completely joined)."""
 
@@ -232,8 +232,7 @@ def _host_slots(host: HostGraph, pos: dict) -> bytearray:
     return slots
 
 
-@dataclass(frozen=True)
-class ParallelClass:
+class ParallelClass(NamedTuple):
     """A uniform parallel class: either a perfect matching or a sun factor."""
 
     kind: str
@@ -249,8 +248,7 @@ class ParallelClass:
         return ParallelClass(SUN_FACTOR, suns=tuple(suns))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A host graph plus an ordered list of parallel classes."""
 
     host: HostGraph
@@ -265,8 +263,7 @@ class Decomposition:
         return sum(1 for c in self.classes if c.kind == SUN_FACTOR)
 
 
-@dataclass(frozen=True)
-class CycleFactorization:
+class CycleFactorization(NamedTuple):
     """Parallel classes of h-cycles covering the host edges exactly once.
 
     For a complete host of odd order n there are (n-1)/2 classes; for a
@@ -298,8 +295,7 @@ def factorization_shape_problems(kind: str, n: int, h: int) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True, order=True)
-class Finding:
+class Finding(NamedTuple):
     """One structured verification violation.
 
     ``class_index`` is -1 for decomposition-level findings (edge partition
@@ -315,8 +311,7 @@ class Finding:
         return f"{where}: {self.kind}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     passed: bool
     r: int
     s: int
@@ -422,6 +417,15 @@ def _malformed_host(detail: str) -> VerificationReport:
     return VerificationReport(False, 0, 0, (Finding(-1, "malformed-host", detail),))
 
 
+def _items(container, ci: int, kind: str, what: str, findings: list[Finding]) -> tuple:
+    """``container`` as a tuple, or no items and a finding if it is not iterable."""
+    try:
+        return tuple(container)
+    except TypeError:
+        findings.append(Finding(ci, kind, f"{what} {container!r} is not a sequence"))
+        return ()
+
+
 def _hashable(x) -> bool:
     try:
         hash(x)
@@ -446,7 +450,7 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
     def blocks() -> Iterator[tuple[list[int], list[Edge]]]:
         nonlocal r, s
         sun_h = expected_h
-        for ci, cls in enumerate(dec.classes):
+        for ci, cls in enumerate(_items(dec.classes, -1, "non-uniform-class", "classes", findings)):
             vertices: list[int] = []
             edges: list[Edge] = []
             try:
@@ -462,7 +466,7 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                     findings.append(
                         Finding(ci, "non-uniform-class", "one-factor class carries sun blocks")
                     )
-                for e in cls.edges:
+                for e in _items(cls.edges, ci, "malformed-edge", "edges", findings):
                     try:
                         vertices += e
                         u, w = e
@@ -483,37 +487,34 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                     findings.append(
                         Finding(ci, "non-uniform-class", "sun-factor class carries edge blocks")
                     )
-                for sun in cls.suns:
+                for sun in _items(cls.suns, ci, "malformed-sun", "suns", findings):
                     try:
-                        vertices += sun.cycle
-                        vertices += sun.pendants
+                        cycle, pendants = sun.cycle, sun.pendants
+                        vertices += cycle
+                        vertices += pendants
                     except (AttributeError, TypeError):
                         detail = f"sun {sun!r}: cycle and pendants must be vertex sequences"
                         findings.append(Finding(ci, "malformed-sun", detail))
                         continue
                     try:
-                        problem = _sun_problem(sun.cycle, sun.pendants)
+                        problem = _sun_problem(cycle, pendants)
                     except TypeError:
                         problem = "vertices cannot be hashed"
                     if problem is None:
                         try:
-                            sun_edge_list = _sun_edge_list(sun)
+                            sun_edge_list = _sun_edge_list(cycle, pendants)
                         except TypeError:
                             problem = "vertices cannot be ordered"
                     if problem is not None:
                         findings.append(Finding(ci, "malformed-sun", f"sun {sun}: {problem}"))
                         continue
+                    h = len(cycle)
                     if sun_h is None:
-                        sun_h = sun.h
-                    elif sun.h != sun_h:
-                        findings.append(
-                            Finding(
-                                ci,
-                                "non-uniform-class",
-                                f"sun {sun} has cycle length {sun.h}, expected {sun_h}",
-                            )
-                        )
-                    edges.extend(sun_edge_list)
+                        sun_h = h
+                    elif h != sun_h:
+                        detail = f"sun {sun} has cycle length {h}, expected {sun_h}"
+                        findings.append(Finding(ci, "non-uniform-class", detail))
+                    edges += sun_edge_list
             else:
                 findings.append(
                     Finding(ci, "non-uniform-class", f"unknown class kind {kind!r}")
@@ -523,7 +524,7 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
     # r and s are counted as the classes are read, since a class without a
     # kind makes dec.r and dec.s raise.
     report = _certify(dec.host, blocks(), findings)
-    return replace(report, r=r, s=s)
+    return report._replace(r=r, s=s)
 
 
 def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
@@ -538,21 +539,17 @@ def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
         Finding(-1, "bad-parameters", problem)
         for problem in factorization_shape_problems(host.kind, n, h)
     ]
+    classes = _items(cf.classes, -1, "wrong-class-count", "classes", findings)
     expected = (n - 1) // 2
-    if len(cf.classes) != expected:
-        findings.append(
-            Finding(
-                -1,
-                "wrong-class-count",
-                f"{len(cf.classes)} classes, expected {expected}",
-            )
-        )
+    if len(classes) != expected:
+        detail = f"{len(classes)} classes, expected {expected}"
+        findings.append(Finding(-1, "wrong-class-count", detail))
 
     def blocks() -> Iterator[tuple[list[int], list[Edge]]]:
-        for ci, cycles in enumerate(cf.classes):
+        for ci, cycles in enumerate(classes):
             vertices: list[int] = []
             edges: list[Edge] = []
-            for cyc in cycles:
+            for cyc in _items(cycles, ci, "malformed-cycle", "class", findings):
                 try:
                     vertices.extend(cyc)
                 except TypeError:
@@ -626,7 +623,7 @@ def canonical_decomposition(dec: Decomposition) -> Decomposition:
 
 def _canonical_sun(sun: Sun) -> Sun:
     # A sun already in canonical form is kept as it is, not rebuilt.
-    cycle, pendants = sun.cycle, sun.pendants
+    cycle, pendants = sun
     if (
         type(cycle) is tuple
         and type(pendants) is tuple
@@ -641,7 +638,7 @@ def _canonical_sun(sun: Sun) -> Sun:
 def canonical_factorization(cf: CycleFactorization) -> CycleFactorization:
     """Canonical form: cycles canonicalized and sorted within each class."""
     classes = tuple(tuple(sorted(canonical_cycle(c) for c in cls)) for cls in cf.classes)
-    return replace(cf, host=_canonical_host(cf.host), classes=classes)
+    return cf._replace(host=_canonical_host(cf.host), classes=classes)
 
 
 def _canonical_host(host: HostGraph) -> HostGraph:

@@ -11,9 +11,8 @@ the type, its canonical form and the shape rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .base_designs import one_factorization
 from .core import (
@@ -70,8 +69,7 @@ class SeedCatalogError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     status: str  # found | nonexistent | budget-exhausted
     factorization: CycleFactorization | None
     nodes: int
@@ -653,7 +651,6 @@ def cycle_factorization_minus_f(
     return _resolve(COMPLETE_MINUS_F, n, h, catalog, budget)
 
 
-@dataclass
 class IngredientSource:
     """Resolves and caches cycle-factorization ingredients for the builder.
 
@@ -662,9 +659,13 @@ class IngredientSource:
     ingredient is searched for at most once.
     """
 
-    catalog: Mapping | None = None
-    budget: int | None = DEFAULT_SEARCH_BUDGET
-    _cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, catalog: Mapping | None = None, budget: int | None = DEFAULT_SEARCH_BUDGET):
+        self.catalog = catalog
+        self.budget = budget
+        self._cache: dict = {}
+
+    def __repr__(self) -> str:
+        return f"IngredientSource(catalog={self.catalog!r}, budget={self.budget!r})"
 
     def odd(self, n: int, h: int) -> CycleFactorization:
         return self._get(COMPLETE, n, h)
@@ -712,5 +713,5 @@ def load_seed_catalog(path) -> dict[tuple[int, int, str], CycleFactorization]:
         key = (payload.host.order, payload.h, payload.host.kind)
         if key in catalog:
             raise SeedCatalogError(f"{file.name}: duplicate record for {key}")
-        catalog[key] = replace(payload, source=f"catalog:{file.name}")
+        catalog[key] = payload._replace(source=f"catalog:{file.name}")
     return catalog

@@ -17,8 +17,8 @@ rejected.  A document with one fault gets the message of that fault.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .core import (
     BLOWN_CYCLE,
@@ -42,8 +42,7 @@ class DocumentFormatError(ValueError):
     """The document cannot be interpreted (bad JSON, schema, or version)."""
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """A parsed interchange document: payload plus its declared h."""
 
     h: int

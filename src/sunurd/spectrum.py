@@ -10,7 +10,6 @@ independent brute-force oracle over all candidate pairs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -35,8 +34,7 @@ class Reason(enum.Enum):
     RESIDUE_OF_R = "residue-of-r"
 
 
-@dataclass(frozen=True)
-class Admissibility:
+class Admissibility(NamedTuple):
     ok: bool
     reason: Reason | None = None
     detail: str = ""

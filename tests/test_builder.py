@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,6 +227,6 @@ def test_template_relabelling_matches_per_cycle_fills(vh, data):
         cycle = cycle[k:] + cycle[:k]
         return cycle[::-1] if rng.random() < 0.5 else cycle
 
-    cf = replace(cf, classes=tuple(tuple(map(reorient, cls)) for cls in cf.classes))
+    cf = cf._replace(classes=tuple(tuple(map(reorient, cls)) for cls in cf.classes))
     fills = per_cycle_fill_classes(p, cf)
     assert _assemble_inflation(t, p, cf).classes[: len(fills)] == fills

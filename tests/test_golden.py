@@ -35,7 +35,7 @@ from sunurd import (
     validate_cycle_factorization,
     verify,
 )
-from sunurd.core import ONE_FACTOR
+from sunurd.core import ONE_FACTOR, SUN_FACTOR
 
 
 def corrupted_design() -> Decomposition:
@@ -304,6 +304,45 @@ class TestFindingText:
             "class 0: vertex-missed: vertex 0 not covered",
             "class 0: vertex-missed: vertex 1 not covered",
             "class 0: vertex-missed: vertex 2 not covered",
+        ]
+
+    def test_containers_that_cannot_be_iterated(self):
+        # A class's blocks, a decomposition's classes or a factorization's
+        # cycles that cannot be iterated get one finding each, not TypeError.
+        k2 = HostGraph.complete(2)
+        missed = [f"class 0: vertex-missed: vertex {x} not covered" for x in range(2)]
+        uncovered = "decomposition: missing-edge: edge (0, 1) never covered"
+        report = verify(Decomposition(k2, (ParallelClass(SUN_FACTOR, suns=5),)))
+        assert findings(report) == [
+            uncovered,
+            "class 0: malformed-sun: suns 5 is not a sequence",
+            *missed,
+        ]
+        assert (report.r, report.s) == (0, 1)
+        report = verify(Decomposition(k2, (ParallelClass(ONE_FACTOR, edges=5),)))
+        assert findings(report) == [
+            uncovered,
+            "class 0: malformed-edge: edges 5 is not a sequence",
+            *missed,
+        ]
+        assert (report.r, report.s) == (1, 0)
+        assert findings(verify(Decomposition(k2, 5))) == [
+            uncovered,
+            "decomposition: non-uniform-class: classes 5 is not a sequence",
+        ]
+        k3 = HostGraph.complete(3)
+        missing = [
+            f"decomposition: missing-edge: edge {e} never covered" for e in [(0, 1), (0, 2), (1, 2)]
+        ]
+        assert findings(validate_cycle_factorization(CycleFactorization(k3, 3, (5,)))) == [
+            *missing,
+            "class 0: malformed-cycle: class 5 is not a sequence",
+            *(f"class 0: vertex-missed: vertex {x} not covered" for x in range(3)),
+        ]
+        assert findings(validate_cycle_factorization(CycleFactorization(k3, 3, 5))) == [
+            *missing,
+            "decomposition: wrong-class-count: 0 classes, expected 1",
+            "decomposition: wrong-class-count: classes 5 is not a sequence",
         ]
 
     def test_malformed_host_design(self):

@@ -1,6 +1,7 @@
 """How the package's modules depend on each other: the verifier stays
 independent of the builders, each CLI subcommand loads only the modules it
-runs, and the package exports its public names from their home modules."""
+runs (and neither ``dataclasses`` nor ``inspect``), and the package exports
+its public names from their home modules."""
 
 from __future__ import annotations
 
@@ -90,20 +91,25 @@ class TestPackageSurface:
 SRC = Path(sunurd.__file__).resolve().parent.parent
 
 # Runs cli.main on argv in a fresh interpreter, then prints its exit code and
-# the package modules loaded, as JSON.
+# every module loaded, as JSON.  BARE prints what the interpreter, its site
+# and json load without sunurd.
 LOADED_AFTER = """
 import json, sys
 from sunurd import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "sunurd")]))
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+BARE = """
+import json, sys
+print(json.dumps([0, sorted(sys.modules)]))
 """
 
 
-def loaded_after(*argv: str) -> tuple[int, set[str]]:
+def modules_after(script: str, *argv: str) -> tuple[int, set[str]]:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_AFTER, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -111,6 +117,12 @@ def loaded_after(*argv: str) -> tuple[int, set[str]]:
     )
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     return code, set(modules)
+
+
+def loaded_after(*argv: str) -> tuple[int, set[str]]:
+    """The exit code of ``sunurd argv`` and the package modules it loaded."""
+    code, modules = modules_after(LOADED_AFTER, *argv)
+    return code, {m for m in modules if m.partition(".")[0] == "sunurd"}
 
 
 class TestSubcommandImports:
@@ -133,3 +145,17 @@ class TestSubcommandImports:
         assert code == 0
         assert modules & self.SEARCH_AND_BUILD == set()
         assert modules == {"sunurd", "sunurd.cli", "sunurd.core", "sunurd.serialization"}
+
+    def test_no_subcommand_loads_dataclasses_or_inspect(self, tmp_path):
+        # Only modules the bare interpreter does not load count: what site
+        # imports differs between machines.
+        _, bare = modules_after(BARE)
+        path = tmp_path / "design.json"
+        for argv in (
+            ("spectrum", "--v", "12", "--h", "3"),
+            ("build", "--v", "12", "--h", "3", "--r", "3", "--s", "4", "--out", str(path)),
+            ("verify", str(path)),
+        ):
+            code, modules = modules_after(LOADED_AFTER, *argv)
+            assert code == 0
+            assert (modules - bare) & {"dataclasses", "inspect"} == set(), argv
