@@ -21,6 +21,7 @@ from .base_designs import UrgddKind, one_factorization, urd6_h3, urd12_h3, urgdd
 from .core import (
     COMPLETE,
     COMPLETE_MINUS_F,
+    MAX_ORDER,
     Decomposition,
     HostGraph,
     ParallelClass,
@@ -188,10 +189,10 @@ def build(
     """Construct a decomposition of K_v with exactly r matchings and s sun
     classes, certified by the verifier before it is returned.
 
-    Raises InadmissibleTuple when the necessary conditions fail and
-    IngredientUnavailable when an inflation route needs a cycle
-    factorization that is neither constructed, cataloged, nor found within
-    the search budget.
+    Raises InadmissibleTuple when the necessary conditions fail, ValueError
+    when v is above ``core.MAX_ORDER`` and IngredientUnavailable when an
+    inflation route needs a cycle factorization that is neither constructed,
+    cataloged, nor found within the search budget.
     """
     dec, _ = build_with_plan(t, source=source, certify=certify)
     return dec
@@ -205,6 +206,8 @@ def build_with_plan(
 ) -> tuple[Decomposition, BuildPlan]:
     t = ParamTuple(*t)
     p = plan(t)
+    if t.v > MAX_ORDER:
+        raise ValueError(f"v={t.v} is above MAX_ORDER={MAX_ORDER}, the verifier's cap")
     src = source if source is not None else _default_source
     v, h, r, s = t
 

@@ -29,6 +29,9 @@ EXIT_INADMISSIBLE = 3
 EXIT_INGREDIENT = 4
 EXIT_IO = 5
 
+# The largest --v of spectrum, whose memory grows as O(v): 130 MB RSS at 10**6.
+SPECTRUM_MAX_V = 10**6
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -77,8 +80,8 @@ def main(argv=None) -> int:
 def cmd_spectrum(args) -> int:
     from .spectrum import admissible_pairs, inadmissibility_reason
 
-    if args.v <= 0 or args.h < 3:
-        print("spectrum needs a positive --v and --h of at least 3", file=sys.stderr)
+    if not 0 < args.v <= SPECTRUM_MAX_V or args.h < 3:
+        print(f"spectrum needs 0 < --v <= {SPECTRUM_MAX_V} and --h of at least 3", file=sys.stderr)
         return EXIT_USAGE
     pairs = admissible_pairs(args.v, args.h)
     if args.format == "json":
@@ -121,10 +124,14 @@ def _render_text(dec: Decomposition) -> str:
 
 def cmd_build(args) -> int:
     from .builder import InadmissibleTuple, build
+    from .core import MAX_ORDER
     from .factorizations import IngredientSource, IngredientUnavailable, SeedCatalogError
     from .serialization import dumps_document
     from .spectrum import ParamTuple
 
+    if args.v > MAX_ORDER:
+        print(f"build --v must be at most {MAX_ORDER}, the verifier's cap", file=sys.stderr)
+        return EXIT_USAGE
     t = ParamTuple(args.v, args.h, args.r, args.s)
     try:
         catalog = _load_catalog(args)

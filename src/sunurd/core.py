@@ -22,6 +22,7 @@ canonical forms serialization writes live here.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, compress
 from typing import Iterable, Iterator, NamedTuple
 
 Edge = tuple[int, int]
@@ -32,6 +33,18 @@ BLOWN_CYCLE = "blown_cycle"
 
 ONE_FACTOR = "one_factor"
 SUN_FACTOR = "sun_factor"
+
+# The largest host order the certifiers accept: at 2048, building and verifying
+# the pure-matching design peaks at 610 MB RSS (measurements in the README).
+MAX_ORDER = 2048
+
+_SEQ = {tuple, list}
+
+
+def only_ints(values: Iterable) -> bool:
+    """Whether every value is a vertex: a value whose type is exactly ``int``,
+    so ``bool``, ``float`` and ``str`` are not.  Documents hold only ints."""
+    return set(map(type, values)) <= {int}
 
 
 def edge(u: int, v: int) -> Edge:
@@ -163,73 +176,61 @@ def host_edges(host: HostGraph) -> list[Edge]:
     Raises ValueError on a malformed descriptor (imperfect matching,
     overlapping or unevenly sized groups, fewer than three groups).
     """
-    if host.kind in (COMPLETE, COMPLETE_MINUS_F):
-        removed = set(_removed_matching(host))
-        v = host.order
-        return [
-            (u, w)
-            for u in range(v)
-            for w in range(u + 1, v)
-            if (u, w) not in removed
-        ]
-    if host.kind == BLOWN_CYCLE:
-        groups = host.groups
-        m = len(groups)
-        if m < 3:
-            raise ValueError("blown cycle needs at least three groups")
-        n = len(groups[0])
-        if n < 1 or any(len(g) != n for g in groups):
-            raise ValueError("blown cycle groups must share one positive size")
-        flat = [x for g in groups for x in g]
-        if len(set(flat)) != len(flat):
-            raise ValueError("blown cycle groups must be disjoint")
-        out: list[Edge] = []
-        for i in range(m):
-            for u in groups[i]:
-                for w in groups[(i + 1) % m]:
-                    out.append(edge(u, w))
-        return sorted(out)
-    raise ValueError(f"unknown host kind {host.kind!r}")
+    vertices_at, pos, slots = _host_index(host)
+    n = len(pos)
+    return sorted((vertices_at[i // n], vertices_at[i % n]) for i in compress(range(n * n), slots))
 
 
-def _removed_matching(host: HostGraph) -> list[Edge]:
-    """The removed pairs of a complete or complete-minus-F host (none for
-    K_v), after checking the order and that the matching is perfect."""
-    v = host.order
-    if host.kind == COMPLETE:
-        if v < 1:
-            raise ValueError("complete host needs a positive order")
-        return []
-    if v < 2 or v % 2:
-        raise ValueError("complete-minus-F host needs a positive even order")
-    pairs = [edge(u, w) for u, w in host.matching]
-    touched = {x for e in pairs for x in e}
-    if len(pairs) != v // 2 or len(touched) != v or any(x < 0 or x >= v for x in touched):
-        raise ValueError("removed matching is not a perfect matching of the host")
-    return pairs
-
-
-def _host_slots(host: HostGraph, pos: dict) -> bytearray:
-    """The host's edges in the slot index of ``_certify``: byte
+def _host_index(host: HostGraph) -> tuple[list[int], dict[int, int], bytearray]:
+    """The host's vertices, their positions ``pos`` and its slots: byte
     ``pos[u] * n + pos[w]`` is 1 for each host edge (u, w), u < w.
 
-    Complete hosts are filled by row slices, then the removed matching is
-    cleared; a blown cycle (only the small fill designs) is filled from
-    ``host_edges``.  Raises like ``host_edges`` on a malformed descriptor.
-    """
-    n = len(pos)
+    The type gate for hosts: raises ValueError naming the fault unless
+    ``host`` is a well-formed HostGraph of ints with at most MAX_ORDER
+    vertices, before anything of size n*n is made."""
+    if type(host) is not HostGraph:
+        raise ValueError(f"host {host!r} is not a HostGraph")
+    kind, n, matching, groups = host
+    if kind == BLOWN_CYCLE:
+        if _int_rows(groups) is None:
+            raise ValueError("blown cycle groups must be sequences of ints")
+        if len(groups) < 3:
+            raise ValueError("blown cycle needs at least three groups")
+        if len(groups[0]) < 1 or len(set(map(len, groups))) > 1:
+            raise ValueError("blown cycle groups must share one positive size")
+        n = len(groups) * len(groups[0])
+    elif kind not in (COMPLETE, COMPLETE_MINUS_F):
+        raise ValueError(f"unknown host kind {kind!r}")
+    elif not only_ints([n]):
+        raise ValueError(f"host order {n!r} is not an int")
+    elif kind == COMPLETE and n < 1:
+        raise ValueError("complete host needs a positive order")
+    elif kind == COMPLETE_MINUS_F and (n < 2 or n % 2):
+        raise ValueError("complete-minus-F host needs a positive even order")
+    if n > MAX_ORDER:
+        raise ValueError(f"host order {n} is above the cap of {MAX_ORDER} vertices")
+    vertices_at = host_vertices(host)
+    pos = {x: i for i, x in enumerate(vertices_at)}
+    if len(pos) != n:
+        raise ValueError("blown cycle groups must be disjoint")
     slots = bytearray(n * n)
-    if host.kind in (COMPLETE, COMPLETE_MINUS_F):
-        removed = _removed_matching(host)
-        ones = memoryview(b"\x01" * n)
-        for u in range(n):
-            slots[u * n + u + 1 : u * n + n] = ones[u + 1 :]
-        for u, w in removed:
-            slots[pos[u] * n + pos[w]] = 0
-    else:
-        for u, w in host_edges(host):
-            slots[pos[u] * n + pos[w]] = 1
-    return slots
+    if kind == BLOWN_CYCLE:
+        for g, nxt in zip(groups, (*groups[1:], groups[0])):
+            for u in g:
+                for w in nxt:
+                    slots[pos[min(u, w)] * n + pos[max(u, w)]] = 1
+        return vertices_at, pos, slots
+    # Complete hosts are filled by row slices; a removed matching is cleared.
+    ones = memoryview(b"\x01" * n)
+    for u in range(n):
+        slots[u * n + u + 1 : u * n + n] = ones[u + 1 :]
+    if kind == COMPLETE_MINUS_F:
+        flat = _int_rows(matching)
+        if flat is None or set(map(len, matching)) != {2} or sorted(flat) != list(range(n)):
+            raise ValueError("removed matching is not a perfect matching of the host")
+        for u, w in matching:
+            slots[min(u, w) * n + max(u, w)] = 0
+    return vertices_at, pos, slots
 
 
 class ParallelClass(NamedTuple):
@@ -322,6 +323,49 @@ class VerificationReport(NamedTuple):
         return "; ".join(str(f) for f in self.violations[:3])
 
 
+def _int_rows(rows) -> list[int] | None:
+    """The ints in ``rows``, in order, when ``rows`` is a tuple or list of
+    tuples or lists of ints; else None."""
+    if type(rows) in _SEQ and set(map(type, rows)) <= _SEQ:
+        flat = list(chain.from_iterable(rows))
+        if only_ints(flat):
+            return flat
+    return None
+
+
+def _sun_vertices(suns) -> list[int] | None:
+    # A Sun is the tuple of its two rows: the cycle and the pendants.
+    if set(map(type, suns)) <= {Sun}:
+        return _int_rows(list(chain.from_iterable(suns)))
+    return None
+
+
+# Per block finding kind: the name of a class's list of such blocks, the
+# ``vertices_of`` of ``_gate`` and the text for a block of the wrong type.
+_BLOCKS = {
+    "malformed-edge": ("edges", _int_rows, "edge {!r} is not a pair of ints"),
+    "malformed-sun": ("suns", _sun_vertices, "sun {!r} is not a Sun of int sequences"),
+    "malformed-cycle": ("class", _int_rows, "cycle {!r} is not a sequence of ints"),
+}
+
+
+def _gate(blocks, kind: str, ci: int, findings: list[Finding]) -> tuple:
+    """The type gate for the blocks of class ``ci``: (blocks kept, their
+    vertices).  Blocks are checked one by one only when the whole list
+    fails, and one of the wrong type is dropped with a ``kind`` finding."""
+    what, vertices_of, problem = _BLOCKS[kind]
+    if type(blocks) not in _SEQ:
+        findings.append(Finding(ci, kind, f"{what} {blocks!r} is not a sequence"))
+        return (), []
+    vertices = vertices_of(blocks)
+    if vertices is None:
+        ok = [vertices_of([b]) is not None for b in blocks]
+        findings.extend(Finding(ci, kind, problem.format(b)) for b, k in zip(blocks, ok) if not k)
+        blocks = list(compress(blocks, ok))
+        vertices = vertices_of(blocks)
+    return blocks, vertices
+
+
 def _certify(
     host: HostGraph,
     classes: Iterable[tuple[list[int], list[Edge]]],
@@ -329,59 +373,46 @@ def _certify(
 ) -> VerificationReport:
     """Certification shared by verify() and validate_cycle_factorization().
 
-    ``classes`` yields, per class, the vertices its blocks touch and the
-    normalized edges of its well-formed blocks, appending block-shape
-    findings to ``findings`` as it goes; it is consumed only after the host
-    is checked.  One pass over the classes checks each class's vertex
-    coverage and records each block edge (u, w) in a slot index: with the
-    host vertices at positions ``pos``, byte ``pos[u] * n + pos[w]`` of an
-    n*n bytearray is set on first use.  A repeat use (keyed by its slot) and
-    any use of a pair with an endpoint outside the host (keyed by the pair)
-    go to a small Counter.  A design that partitions the host then costs one
+    ``classes`` yields, per class, the int vertices its blocks touch and the
+    normalized edges, among those vertices, of its well-formed blocks,
+    appending block findings to ``findings``; it is consumed only after the
+    host passes its gate.  One pass over the classes checks each class's
+    vertex coverage and records each block edge (u, w) in a slot index: byte
+    ``pos[u] * n + pos[w]`` of an n*n bytearray (pos[u] = u on a complete
+    host) is set on first use.  A repeat use (keyed by its slot) and any use
+    of a pair with an endpoint outside the host (keyed by the pair) go to a
+    small Counter.  A design that partitions the host then costs one
     comparison with the host's own slots and an empty counter; only a
     failing one walks the rows that differ to name missing and foreign
     edges, and the counter to name duplicated ones.
     """
     try:
-        vertices_at = host_vertices(host)
-        pos = {x: i for i, x in enumerate(vertices_at)}
-        host_slots = _host_slots(host, pos)
+        vertices_at, pos, host_slots = _host_index(host)
     except ValueError as exc:
-        return _malformed_host(str(exc))
-    except TypeError:
-        return _malformed_host("host vertices must be hashable and mutually comparable")
+        return _rejected("malformed-host", str(exc))
 
     n = len(pos)
     used = bytearray(n * n)
     extra: Counter = Counter()
     for ci, (vertices, edges) in enumerate(classes):
-        for u, w in edges:
-            try:
-                i = pos[u] * n + pos[w]
-            except (KeyError, TypeError):
-                try:
-                    extra[u, w] += 1
-                except TypeError:
-                    detail = f"edge {(u, w)} has endpoints that cannot be hashed"
-                    findings.append(Finding(ci, "malformed-edge", detail))
-                continue
+        seen = set(vertices)
+        if seen != pos.keys():
+            for x in pos.keys() - seen:
+                findings.append(Finding(ci, "vertex-missed", f"vertex {x} not covered"))
+            foreign = seen - pos.keys()
+            for x in foreign:
+                findings.append(Finding(ci, "foreign-vertex", f"vertex {x} outside host"))
+            if foreign:
+                extra.update((u, w) for u, w in edges if u in foreign or w in foreign)
+                edges = [(u, w) for u, w in edges if u in pos and w in pos]
+        if host.kind == BLOWN_CYCLE:
+            edges = [(pos[u], pos[w]) for u, w in edges]
+        for a, b in edges:
+            i = a * n + b
             if used[i]:
                 extra[i] += 1
             else:
                 used[i] = 1
-        try:
-            seen = set(vertices)
-        except TypeError:
-            # Only blocks already reported as malformed carry such vertices.
-            for x in vertices:
-                if not _hashable(x):
-                    findings.append(Finding(ci, "foreign-vertex", f"vertex {x} outside host"))
-            vertices = list(filter(_hashable, vertices))
-            seen = set(vertices)
-        for x in pos.keys() - seen:
-            findings.append(Finding(ci, "vertex-missed", f"vertex {x} not covered"))
-        for x in seen - pos.keys():
-            findings.append(Finding(ci, "foreign-vertex", f"vertex {x} outside host"))
         if len(seen) == len(vertices):
             continue
         for x, k in Counter(vertices).items():
@@ -413,25 +444,8 @@ def _certify(
     return VerificationReport(not findings, 0, 0, tuple(findings))
 
 
-def _malformed_host(detail: str) -> VerificationReport:
-    return VerificationReport(False, 0, 0, (Finding(-1, "malformed-host", detail),))
-
-
-def _items(container, ci: int, kind: str, what: str, findings: list[Finding]) -> tuple:
-    """``container`` as a tuple, or no items and a finding if it is not iterable."""
-    try:
-        return tuple(container)
-    except TypeError:
-        findings.append(Finding(ci, kind, f"{what} {container!r} is not a sequence"))
-        return ()
-
-
-def _hashable(x) -> bool:
-    try:
-        hash(x)
-    except TypeError:
-        return False
-    return True
+def _rejected(kind: str, detail: str) -> VerificationReport:
+    return VerificationReport(False, 0, 0, (Finding(-1, kind, detail),))
 
 
 def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationReport:
@@ -442,69 +456,55 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
     is uniform, and (iv) all sun blocks are valid suns of one common cycle
     length (``expected_h`` when given, otherwise inferred from the first sun).
     The report carries the counts of one-factor and sun-factor classes and a
-    deterministic list of findings (class index, then lexicographic).
+    deterministic list of findings (class index, then lexicographic).  A
+    block of the wrong type is reported and covers nothing.
     """
+    if type(dec) is not Decomposition:
+        return _rejected("malformed-host", f"{dec!r} is not a Decomposition")
     findings: list[Finding] = []
     r = s = 0
 
     def blocks() -> Iterator[tuple[list[int], list[Edge]]]:
         nonlocal r, s
         sun_h = expected_h
-        for ci, cls in enumerate(_items(dec.classes, -1, "non-uniform-class", "classes", findings)):
-            vertices: list[int] = []
-            edges: list[Edge] = []
-            try:
-                kind = cls.kind
-            except AttributeError:
-                detail = f"{cls!r} is not a parallel class"
-                findings.append(Finding(ci, "non-uniform-class", detail))
-                yield vertices, edges
-                continue
+        classes = dec.classes
+        if type(classes) not in _SEQ:
+            detail = f"classes {classes!r} is not a sequence"
+            findings.append(Finding(-1, "non-uniform-class", detail))
+            classes = ()
+        for ci, cls in enumerate(classes):
+            kind, edges, suns = cls if type(cls) is ParallelClass else (None, (), ())
             if kind == ONE_FACTOR:
                 r += 1
-                if cls.suns:
-                    findings.append(
-                        Finding(ci, "non-uniform-class", "one-factor class carries sun blocks")
+                if type(suns) not in _SEQ or suns:
+                    detail = "one-factor class carries sun blocks"
+                    findings.append(Finding(ci, "non-uniform-class", detail))
+                edges, vertices = _gate(edges, "malformed-edge", ci, findings)
+                if not set(map(len, edges)) <= {2}:
+                    findings.extend(
+                        Finding(ci, "malformed-edge", f"edge {e} is not a pair")
+                        for e in edges
+                        if len(e) != 2
                     )
-                for e in _items(cls.edges, ci, "malformed-edge", "edges", findings):
-                    try:
-                        vertices += e
-                        u, w = e
-                    except (TypeError, ValueError):
-                        findings.append(Finding(ci, "malformed-edge", f"edge {e} is not a pair"))
-                        continue
-                    if u == w:
-                        findings.append(Finding(ci, "malformed-edge", f"loop at vertex {u}"))
-                        continue
-                    try:
-                        edges.append((u, w) if u < w else (w, u))
-                    except TypeError:
-                        detail = f"edge {e} has endpoints that cannot be ordered"
-                        findings.append(Finding(ci, "malformed-edge", detail))
+                    edges = [e for e in edges if len(e) == 2]
+                pairs = [(u, w) if u < w else (w, u) for u, w in edges if u != w]
+                if len(pairs) < len(edges):
+                    findings.extend(
+                        Finding(ci, "malformed-edge", f"loop at vertex {u}")
+                        for u, w in edges
+                        if u == w
+                    )
+                yield vertices, pairs
             elif kind == SUN_FACTOR:
                 s += 1
-                if cls.edges:
-                    findings.append(
-                        Finding(ci, "non-uniform-class", "sun-factor class carries edge blocks")
-                    )
-                for sun in _items(cls.suns, ci, "malformed-sun", "suns", findings):
-                    try:
-                        cycle, pendants = sun.cycle, sun.pendants
-                        vertices += cycle
-                        vertices += pendants
-                    except (AttributeError, TypeError):
-                        detail = f"sun {sun!r}: cycle and pendants must be vertex sequences"
-                        findings.append(Finding(ci, "malformed-sun", detail))
-                        continue
-                    try:
-                        problem = _sun_problem(cycle, pendants)
-                    except TypeError:
-                        problem = "vertices cannot be hashed"
-                    if problem is None:
-                        try:
-                            sun_edge_list = _sun_edge_list(cycle, pendants)
-                        except TypeError:
-                            problem = "vertices cannot be ordered"
+                if type(edges) not in _SEQ or edges:
+                    detail = "sun-factor class carries edge blocks"
+                    findings.append(Finding(ci, "non-uniform-class", detail))
+                suns, vertices = _gate(suns, "malformed-sun", ci, findings)
+                pairs = []
+                for sun in suns:
+                    cycle, pendants = sun
+                    problem = _sun_problem(cycle, pendants)
                     if problem is not None:
                         findings.append(Finding(ci, "malformed-sun", f"sun {sun}: {problem}"))
                         continue
@@ -514,12 +514,14 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                     elif h != sun_h:
                         detail = f"sun {sun} has cycle length {h}, expected {sun_h}"
                         findings.append(Finding(ci, "non-uniform-class", detail))
-                    edges += sun_edge_list
+                    pairs += _sun_edge_list(cycle, pendants)
+                yield vertices, pairs
             else:
-                findings.append(
-                    Finding(ci, "non-uniform-class", f"unknown class kind {kind!r}")
-                )
-            yield vertices, edges
+                detail = f"unknown class kind {kind!r}"
+                if type(cls) is not ParallelClass:
+                    detail = f"{cls!r} is not a parallel class"
+                findings.append(Finding(ci, "non-uniform-class", detail))
+                yield [], []
 
     # r and s are counted as the classes are read, since a class without a
     # kind makes dec.r and dec.s raise.
@@ -529,52 +531,42 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
 
 def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
     """Certify a claimed cycle factorization; defects become findings."""
-    host = cf.host
-    if host.kind not in (COMPLETE, COMPLETE_MINUS_F):
-        return _malformed_host(f"unsupported host kind {host.kind!r}")
-
-    n = host.order
-    h = cf.h
-    findings = [
-        Finding(-1, "bad-parameters", problem)
-        for problem in factorization_shape_problems(host.kind, n, h)
-    ]
-    classes = _items(cf.classes, -1, "wrong-class-count", "classes", findings)
-    expected = (n - 1) // 2
-    if len(classes) != expected:
-        detail = f"{len(classes)} classes, expected {expected}"
-        findings.append(Finding(-1, "wrong-class-count", detail))
+    if type(cf) is not CycleFactorization:
+        return _rejected("malformed-host", f"{cf!r} is not a CycleFactorization")
+    host, h, classes, _ = cf
+    if type(host) is HostGraph and host.kind not in (COMPLETE, COMPLETE_MINUS_F):
+        return _rejected("malformed-host", f"unsupported host kind {host.kind!r}")
+    if not only_ints([h]):
+        return _rejected("bad-parameters", f"cycle length {h!r} is not an int")
+    findings: list[Finding] = []
 
     def blocks() -> Iterator[tuple[list[int], list[Edge]]]:
-        for ci, cycles in enumerate(classes):
-            vertices: list[int] = []
+        # Read only once the host has passed the gate, so its order is an int.
+        n = host.order
+        findings.extend(
+            Finding(-1, "bad-parameters", problem)
+            for problem in factorization_shape_problems(host.kind, n, h)
+        )
+        seq = classes if type(classes) in _SEQ else ()
+        if seq is not classes:
+            detail = f"classes {classes!r} is not a sequence"
+            findings.append(Finding(-1, "wrong-class-count", detail))
+        expected = (n - 1) // 2
+        if len(seq) != expected:
+            detail = f"{len(seq)} classes, expected {expected}"
+            findings.append(Finding(-1, "wrong-class-count", detail))
+        for ci, cycles in enumerate(seq):
+            cycles, vertices = _gate(cycles, "malformed-cycle", ci, findings)
             edges: list[Edge] = []
-            for cyc in _items(cycles, ci, "malformed-cycle", "class", findings):
-                try:
-                    vertices.extend(cyc)
-                except TypeError:
-                    detail = f"cycle {cyc} is not a sequence of vertices"
-                    findings.append(Finding(ci, "malformed-cycle", detail))
-                    continue
+            for cyc in cycles:
                 if len(cyc) != h:
                     detail = f"cycle {cyc} has length {len(cyc)}"
                     findings.append(Finding(ci, "malformed-cycle", detail))
-                    continue
-                try:
-                    repeated = len(set(cyc)) != h
-                except TypeError:
-                    detail = f"cycle {cyc} has vertices that cannot be hashed"
-                    findings.append(Finding(ci, "malformed-cycle", detail))
-                    continue
-                if repeated:
+                elif len(set(cyc)) != h:
                     detail = f"repeated vertex in cycle {cyc}"
                     findings.append(Finding(ci, "malformed-cycle", detail))
-                    continue
-                try:
+                else:
                     edges += [edge(cyc[i - 1], cyc[i]) for i in range(h)]
-                except TypeError:
-                    detail = f"cycle {cyc} has vertices that cannot be ordered"
-                    findings.append(Finding(ci, "malformed-cycle", detail))
             yield vertices, edges
 
     return _certify(host, blocks(), findings)

@@ -8,9 +8,9 @@ canonical form, field order is fixed, so equal inputs give identical bytes.
 ``dumps_document`` writes the format-"1" text itself; ``to_document`` is
 that text parsed back into dicts, so the layout has one home.
 
-The reader checks the types of whole lists at once with C-level calls,
-``set(map(type, values)) <= {int}``: an integer is a value whose type is
-exactly ``int``, so JSON ``true`` (a ``bool``), ``1.0`` and ``"1"`` are all
+The reader checks the types of whole lists at once with ``core.only_ints``,
+the certifiers' vertex rule: an integer is a value whose type is exactly
+``int``, so JSON ``true`` (a ``bool``), ``1.0`` and ``"1"`` are all
 rejected.  A document with one fault gets the message of that fault.
 """
 
@@ -33,6 +33,7 @@ from .core import (
     Sun,
     canonical_decomposition,
     canonical_factorization,
+    only_ints,
 )
 
 FORMAT_VERSION = "1"
@@ -163,14 +164,10 @@ def _require(cond: bool, message: str) -> None:
         raise DocumentFormatError(message)
 
 
-def _is_int(value) -> bool:
-    return type(value) is int
-
-
 def _int_rows(rows: list, what: str) -> tuple[tuple[int, ...], ...]:
     """``rows`` (a list) as tuples, each checked to be a list of ints."""
     _require(set(map(type, rows)) <= {list}, f"{what} must be a list")
-    _require(set(map(type, chain.from_iterable(rows))) <= {int}, f"{what} must hold integers")
+    _require(only_ints(chain.from_iterable(rows)), f"{what} must hold integers")
     return tuple(map(tuple, rows))
 
 
@@ -186,7 +183,7 @@ def _host_from_doc(doc) -> HostGraph:
     kind = doc.get("kind")
     if kind in ("complete", "complete_minus_f"):
         v = doc.get("v")
-        _require(_is_int(v), "host.v must be an integer")
+        _require(only_ints([v]), "host.v must be an integer")
         if kind == "complete":
             return HostGraph.complete(v)
         matching = _pair_list(doc.get("matching"), "host.matching")
@@ -208,7 +205,7 @@ def from_document(doc) -> Document:
     )
     host = _host_from_doc(doc.get("host"))
     h = doc.get("h")
-    _require(_is_int(h), "h must be an integer")
+    _require(only_ints([h]), "h must be an integer")
     raw_classes = doc.get("classes")
     _require(isinstance(raw_classes, list), "classes must be a list")
     source = doc.get("source")

@@ -131,6 +131,10 @@ class TestBuild:
         with pytest.raises(InadmissibleTuple):
             build(ParamTuple(12, 3, 5, 3), source=source)
 
+    def test_order_above_cap_raises_before_building(self, source):
+        with pytest.raises(ValueError, match="MAX_ORDER=2048"):
+            build(ParamTuple(2050, 3, 2049, 0), source=source)
+
     def test_missing_ingredient_reported_with_triple(self, source):
         with pytest.raises(IngredientUnavailable) as exc_info:
             build(ParamTuple(24, 3, 3, 10), source=source)

@@ -36,6 +36,10 @@ class TestSpectrum:
         assert main(["spectrum", "--v", "12"]) == 2
         assert main(["spectrum", "--v", "12", "--h", "2"]) == 2
 
+    def test_order_above_cap_exit_2(self, capsys):
+        assert main(["spectrum", "--v", "600000000", "--h", "3"]) == 2
+        assert "--v <= 1000000" in capsys.readouterr().err
+
 
 class TestBuild:
     def test_build_writes_verified_document(self, tmp_path, capsys):
@@ -55,6 +59,10 @@ class TestBuild:
         assert main(["build", "--v", "6", "--h", "3", "--r", "1", "--s", "2", "--format", "text"]) == 0
         out = capsys.readouterr().out
         assert "(0,1,2; 5,4,3)" in out
+
+    def test_order_above_cap_exit_2(self, capsys):
+        assert main(["build", "--v", "20000", "--h", "3", "--r", "19999", "--s", "0"]) == 2
+        assert "at most 2048" in capsys.readouterr().err
 
     def test_inadmissible_exit_3_with_reason(self, capsys):
         code = main(["build", "--v", "12", "--h", "3", "--r", "4", "--s", "4"])
@@ -220,6 +228,18 @@ class TestVerify:
         path.write_text(text, encoding="utf-8")
         assert main(["verify", str(path)]) == 2
         assert "out of range" in capsys.readouterr().err
+
+    def test_declared_order_above_cap_exit_1(self, tmp_path, capsys):
+        # A valid document whose declared order the blocks cannot cover: one
+        # finding, before the n*n slot index is allocated.
+        doc = json.loads(dumps_document(urd6_h3((1, 2)), h=3))
+        doc["host"]["v"] = 3_000_000
+        path = tmp_path / "big_v.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "decomposition: malformed-host: host order 3000000 is above the cap of 2048 vertices\n"
+        )
 
     def test_missing_file_exit_5(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "absent.json")]) == 5

@@ -35,7 +35,7 @@ from sunurd import (
     validate_cycle_factorization,
     verify,
 )
-from sunurd.core import ONE_FACTOR, SUN_FACTOR
+from sunurd.core import COMPLETE, COMPLETE_MINUS_F, ONE_FACTOR, SUN_FACTOR
 
 
 def corrupted_design() -> Decomposition:
@@ -99,14 +99,14 @@ UNORDERABLE_FINDINGS = [
     "decomposition: missing-edge: edge (3, 4) never covered",
     "decomposition: missing-edge: edge (3, 5) never covered",
     "decomposition: missing-edge: edge (4, 5) never covered",
-    "class 0: foreign-vertex: vertex a outside host",
-    "class 0: malformed-edge: edge (0, 'a') has endpoints that cannot be ordered",
+    "class 0: malformed-edge: edge (0, 'a') is not a pair of ints",
+    "class 0: vertex-missed: vertex 0 not covered",
     "class 0: vertex-missed: vertex 3 not covered",
     "class 0: vertex-missed: vertex 4 not covered",
     "class 0: vertex-missed: vertex 5 not covered",
-    "class 1: foreign-vertex: vertex x outside host",
-    "class 1: malformed-sun: sun (0,1,x; 3,4,5): vertices cannot be ordered",
-    "class 1: vertex-missed: vertex 2 not covered",
+    "class 1: malformed-sun: sun Sun(cycle=(0, 1, 'x'), pendants=(3, 4, 5)) "
+    "is not a Sun of int sequences",
+    *(f"class 1: vertex-missed: vertex {x} not covered" for x in range(6)),
 ]
 
 
@@ -208,8 +208,8 @@ class TestFindingText:
         assert findings(validate_cycle_factorization(cf)) == expected
 
     def test_unorderable_vertices(self):
-        # A vertex that cannot be compared with the others is a malformed
-        # block, reported like any other, not a TypeError.
+        # A block with a vertex that is not an int fails the type gate: it is
+        # dropped with one finding and covers nothing.
         report = verify(
             Decomposition(
                 HostGraph.complete(6),
@@ -228,9 +228,8 @@ class TestFindingText:
             "decomposition: missing-edge: edge (0, 1) never covered",
             "decomposition: missing-edge: edge (0, 2) never covered",
             "decomposition: missing-edge: edge (1, 2) never covered",
-            "class 0: foreign-vertex: vertex z outside host",
-            "class 0: malformed-cycle: cycle (0, 1, 'z') has vertices that cannot be ordered",
-            "class 0: vertex-missed: vertex 2 not covered",
+            "class 0: malformed-cycle: cycle (0, 1, 'z') is not a sequence of ints",
+            *(f"class 0: vertex-missed: vertex {x} not covered" for x in range(3)),
         ]
 
     def test_unhashable_and_unpaired_inputs(self):
@@ -238,30 +237,28 @@ class TestFindingText:
         # not raised as TypeError.
         mixed = HostGraph.blown_cycle([(0, "a"), (1, 2), (3, 4)])
         assert findings(verify(Decomposition(mixed, ()))) == [
-            "decomposition: malformed-host: host vertices must be hashable and mutually comparable"
+            "decomposition: malformed-host: blown cycle groups must be sequences of ints"
         ]
         not_pair = ParallelClass(ONE_FACTOR, edges=(5,))
         assert findings(verify(Decomposition(HostGraph.complete(2), (not_pair,)))) == [
             "decomposition: missing-edge: edge (0, 1) never covered",
-            "class 0: malformed-edge: edge 5 is not a pair",
+            "class 0: malformed-edge: edge 5 is not a pair of ints",
             "class 0: vertex-missed: vertex 0 not covered",
             "class 0: vertex-missed: vertex 1 not covered",
         ]
         unhashable = ParallelClass(ONE_FACTOR, edges=(([0], [1]),))
         assert findings(verify(Decomposition(HostGraph.complete(2), (unhashable,)))) == [
             "decomposition: missing-edge: edge (0, 1) never covered",
-            "class 0: foreign-vertex: vertex [0] outside host",
-            "class 0: foreign-vertex: vertex [1] outside host",
-            "class 0: malformed-edge: edge ([0], [1]) has endpoints that cannot be hashed",
+            "class 0: malformed-edge: edge ([0], [1]) is not a pair of ints",
             "class 0: vertex-missed: vertex 0 not covered",
             "class 0: vertex-missed: vertex 1 not covered",
         ]
         sun = ParallelClass.sun_factor([Sun((0, 1, [2]), (3, 4, 5))])
         report = findings(verify(Decomposition(HostGraph.complete(6), (sun,))))
         assert report[15:] == [
-            "class 0: foreign-vertex: vertex [2] outside host",
-            "class 0: malformed-sun: sun (0,1,[2]; 3,4,5): vertices cannot be hashed",
-            "class 0: vertex-missed: vertex 2 not covered",
+            "class 0: malformed-sun: sun Sun(cycle=(0, 1, [2]), pendants=(3, 4, 5)) "
+            "is not a Sun of int sequences",
+            *(f"class 0: vertex-missed: vertex {x} not covered" for x in range(6)),
         ]
         assert all(f.startswith("decomposition: missing-edge: ") for f in report[:15])
         cf = CycleFactorization(HostGraph.complete(3), 3, ((([0], 1, 2),),))
@@ -269,9 +266,8 @@ class TestFindingText:
             "decomposition: missing-edge: edge (0, 1) never covered",
             "decomposition: missing-edge: edge (0, 2) never covered",
             "decomposition: missing-edge: edge (1, 2) never covered",
-            "class 0: foreign-vertex: vertex [0] outside host",
-            "class 0: malformed-cycle: cycle ([0], 1, 2) has vertices that cannot be hashed",
-            "class 0: vertex-missed: vertex 0 not covered",
+            "class 0: malformed-cycle: cycle ([0], 1, 2) is not a sequence of ints",
+            *(f"class 0: vertex-missed: vertex {x} not covered" for x in range(3)),
         ]
 
     def test_non_sequence_blocks_and_classes(self):
@@ -282,8 +278,8 @@ class TestFindingText:
         report = verify(Decomposition(k6, (ParallelClass.sun_factor([Sun(5, (1, 2, 3))]),)))
         assert all(f.startswith("decomposition: missing-edge: ") for f in findings(report)[:15])
         assert findings(report)[15:] == [
-            "class 0: malformed-sun: sun Sun(cycle=5, pendants=(1, 2, 3)): "
-            "cycle and pendants must be vertex sequences",
+            "class 0: malformed-sun: sun Sun(cycle=5, pendants=(1, 2, 3)) "
+            "is not a Sun of int sequences",
             *(f"class 0: vertex-missed: vertex {x} not covered" for x in range(6)),
         ]
         assert (report.r, report.s) == (0, 1)
@@ -300,7 +296,7 @@ class TestFindingText:
             "decomposition: missing-edge: edge (0, 1) never covered",
             "decomposition: missing-edge: edge (0, 2) never covered",
             "decomposition: missing-edge: edge (1, 2) never covered",
-            "class 0: malformed-cycle: cycle 5 is not a sequence of vertices",
+            "class 0: malformed-cycle: cycle 5 is not a sequence of ints",
             "class 0: vertex-missed: vertex 0 not covered",
             "class 0: vertex-missed: vertex 1 not covered",
             "class 0: vertex-missed: vertex 2 not covered",
@@ -350,6 +346,51 @@ class TestFindingText:
         assert findings(report) == [
             "decomposition: malformed-host: complete host needs a positive order"
         ]
+        assert (report.r, report.s) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "certify, payload, expected",
+        [
+            (verify, Decomposition(5, ()), "malformed-host: host 5 is not a HostGraph"),
+            (
+                validate_cycle_factorization,
+                CycleFactorization(5, 3, ()),
+                "malformed-host: host 5 is not a HostGraph",
+            ),
+            (
+                validate_cycle_factorization,
+                CycleFactorization(HostGraph.complete(3), "3", ()),
+                "bad-parameters: cycle length '3' is not an int",
+            ),
+            (
+                validate_cycle_factorization,
+                CycleFactorization(HostGraph(COMPLETE, "3"), 3, ()),
+                "malformed-host: host order '3' is not an int",
+            ),
+            (
+                verify,
+                Decomposition(HostGraph(COMPLETE, "3"), ()),
+                "malformed-host: host order '3' is not an int",
+            ),
+            (
+                verify,
+                Decomposition(HostGraph(COMPLETE, 10**7), ()),
+                "malformed-host: host order 10000000 is above the cap of 2048 vertices",
+            ),
+            (verify, 5, "malformed-host: 5 is not a Decomposition"),
+            (validate_cycle_factorization, None, "malformed-host: None is not a CycleFactorization"),
+            (
+                verify,
+                Decomposition(HostGraph(COMPLETE_MINUS_F, 4, matching=5), ()),
+                "malformed-host: removed matching is not a perfect matching of the host",
+            ),
+        ],
+    )
+    def test_inputs_that_raised(self, certify, payload, expected):
+        # Each of these raised AttributeError, TypeError or MemoryError
+        # before the type gate; now each gets one finding.
+        report = certify(payload)
+        assert findings(report) == [f"decomposition: {expected}"]
         assert (report.r, report.s) == (0, 0)
 
 
