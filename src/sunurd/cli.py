@@ -13,6 +13,7 @@ that does not build never loads, or compiles, the builder and the searches.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -69,12 +70,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # A call leaves no cyclic garbage but argparse's parser, so the cyclic
+    # collector would only rescan live records; the caller's setting returns.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = _parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    return args.func(args)
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def cmd_spectrum(args) -> int:

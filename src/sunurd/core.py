@@ -47,6 +47,16 @@ def only_ints(values: Iterable) -> bool:
     return set(map(type, values)) <= {int}
 
 
+def _shown(value, write=repr) -> str:
+    # write(value) for a finding, or a stand-in if value holds an int too long
+    # for str() (sys.get_int_max_str_digits); the document reader rejects one.
+    try:
+        return write(value)
+    except ValueError:
+        inner = "" if type(value) is int else " holding an int"
+        return f"<{type(value).__name__}{inner} too long to write>"
+
+
 def edge(u: int, v: int) -> Edge:
     """Normalized undirected edge: smaller endpoint first."""
     if u == v:
@@ -122,7 +132,7 @@ def sun_edges(sun: Sun) -> set[Edge]:
 
 
 def _sun_edge_list(cycle: tuple[int, ...], pendants: tuple[int, ...]) -> list[Edge]:
-    # The 2h vertices are distinct (``_sun_problem``), so no edge is a loop.
+    # The caller has shown the vertices distinct, so no edge is a loop.
     out = [(u, w) if u < w else (w, u) for u, w in zip(cycle, (*cycle[1:], cycle[0]))]
     out += [(u, w) if u < w else (w, u) for u, w in zip(cycle, pendants)]
     return out
@@ -189,7 +199,7 @@ def _host_index(host: HostGraph) -> tuple[list[int], dict[int, int], bytearray]:
     ``host`` is a well-formed HostGraph of ints with at most MAX_ORDER
     vertices, before anything of size n*n is made."""
     if type(host) is not HostGraph:
-        raise ValueError(f"host {host!r} is not a HostGraph")
+        raise ValueError(f"host {_shown(host)} is not a HostGraph")
     kind, n, matching, groups = host
     if kind == BLOWN_CYCLE:
         if _int_rows(groups) is None:
@@ -200,15 +210,15 @@ def _host_index(host: HostGraph) -> tuple[list[int], dict[int, int], bytearray]:
             raise ValueError("blown cycle groups must share one positive size")
         n = len(groups) * len(groups[0])
     elif kind not in (COMPLETE, COMPLETE_MINUS_F):
-        raise ValueError(f"unknown host kind {kind!r}")
+        raise ValueError(f"unknown host kind {_shown(kind)}")
     elif not only_ints([n]):
-        raise ValueError(f"host order {n!r} is not an int")
+        raise ValueError(f"host order {_shown(n)} is not an int")
     elif kind == COMPLETE and n < 1:
         raise ValueError("complete host needs a positive order")
     elif kind == COMPLETE_MINUS_F and (n < 2 or n % 2):
         raise ValueError("complete-minus-F host needs a positive even order")
     if n > MAX_ORDER:
-        raise ValueError(f"host order {n} is above the cap of {MAX_ORDER} vertices")
+        raise ValueError(f"host order {_shown(n)} is above the cap of {MAX_ORDER} vertices")
     vertices_at = host_vertices(host)
     pos = {x: i for i, x in enumerate(vertices_at)}
     if len(pos) != n:
@@ -288,7 +298,7 @@ def factorization_shape_problems(kind: str, n: int, h: int) -> list[str]:
     must divide n, n odd for K_n, even for K_n - F; then (n-1)//2 classes."""
     problems = []
     if h < 3 or n % h:
-        problems.append(f"cycle length {h} must be >= 3 and divide {n}")
+        problems.append(f"cycle length {_shown(h)} must be >= 3 and divide {n}")
     if kind == COMPLETE and n % 2 == 0:
         problems.append("complete host must have odd order")
     elif kind == COMPLETE_MINUS_F and n % 2:
@@ -343,9 +353,9 @@ def _sun_vertices(suns) -> list[int] | None:
 # Per block finding kind: the name of a class's list of such blocks, the
 # ``vertices_of`` of ``_gate`` and the text for a block of the wrong type.
 _BLOCKS = {
-    "malformed-edge": ("edges", _int_rows, "edge {!r} is not a pair of ints"),
-    "malformed-sun": ("suns", _sun_vertices, "sun {!r} is not a Sun of int sequences"),
-    "malformed-cycle": ("class", _int_rows, "cycle {!r} is not a sequence of ints"),
+    "malformed-edge": ("edges", _int_rows, "edge {} is not a pair of ints"),
+    "malformed-sun": ("suns", _sun_vertices, "sun {} is not a Sun of int sequences"),
+    "malformed-cycle": ("class", _int_rows, "cycle {} is not a sequence of ints"),
 }
 
 
@@ -355,12 +365,13 @@ def _gate(blocks, kind: str, ci: int, findings: list[Finding]) -> tuple:
     fails, and one of the wrong type is dropped with a ``kind`` finding."""
     what, vertices_of, problem = _BLOCKS[kind]
     if type(blocks) not in _SEQ:
-        findings.append(Finding(ci, kind, f"{what} {blocks!r} is not a sequence"))
+        findings.append(Finding(ci, kind, f"{what} {_shown(blocks)} is not a sequence"))
         return (), []
     vertices = vertices_of(blocks)
     if vertices is None:
         ok = [vertices_of([b]) is not None for b in blocks]
-        findings.extend(Finding(ci, kind, problem.format(b)) for b, k in zip(blocks, ok) if not k)
+        bad = [b for b, k in zip(blocks, ok) if not k]
+        findings.extend(Finding(ci, kind, problem.format(_shown(b))) for b in bad)
         blocks = list(compress(blocks, ok))
         vertices = vertices_of(blocks)
     return blocks, vertices
@@ -398,10 +409,10 @@ def _certify(
         seen = set(vertices)
         if seen != pos.keys():
             for x in pos.keys() - seen:
-                findings.append(Finding(ci, "vertex-missed", f"vertex {x} not covered"))
+                findings.append(Finding(ci, "vertex-missed", f"vertex {_shown(x)} not covered"))
             foreign = seen - pos.keys()
             for x in foreign:
-                findings.append(Finding(ci, "foreign-vertex", f"vertex {x} outside host"))
+                findings.append(Finding(ci, "foreign-vertex", f"vertex {_shown(x)} outside host"))
             if foreign:
                 extra.update((u, w) for u, w in edges if u in foreign or w in foreign)
                 edges = [(u, w) for u, w in edges if u in pos and w in pos]
@@ -417,7 +428,8 @@ def _certify(
             continue
         for x, k in Counter(vertices).items():
             if k > 1 and x in pos:
-                findings.append(Finding(ci, "vertex-repeated", f"vertex {x} covered {k} times"))
+                detail = f"vertex {_shown(x)} covered {k} times"
+                findings.append(Finding(ci, "vertex-repeated", detail))
 
     if used != host_slots:
         for a in range(n):
@@ -427,7 +439,7 @@ def _certify(
             for i in range(lo, lo + n):
                 if used[i] == host_slots[i]:
                     continue
-                e = edge(vertices_at[a], vertices_at[i - lo])
+                e = _shown(edge(vertices_at[a], vertices_at[i - lo]))
                 if used[i]:
                     g = 1 + extra.pop(i, 0)
                     findings.append(Finding(-1, "foreign-edge", f"edge {e} not in host (used {g}x)"))
@@ -435,10 +447,11 @@ def _certify(
                     findings.append(Finding(-1, "missing-edge", f"edge {e} never covered"))
     for key, g in extra.items():
         if type(key) is int:
-            e = edge(vertices_at[key // n], vertices_at[key % n])
+            e = _shown(edge(vertices_at[key // n], vertices_at[key % n]))
             findings.append(Finding(-1, "duplicated-edge", f"edge {e} covered {g + 1} times"))
         else:
-            findings.append(Finding(-1, "foreign-edge", f"edge {key} not in host (used {g}x)"))
+            e = _shown(key)
+            findings.append(Finding(-1, "foreign-edge", f"edge {e} not in host (used {g}x)"))
 
     findings.sort()
     return VerificationReport(not findings, 0, 0, tuple(findings))
@@ -460,7 +473,7 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
     block of the wrong type is reported and covers nothing.
     """
     if type(dec) is not Decomposition:
-        return _rejected("malformed-host", f"{dec!r} is not a Decomposition")
+        return _rejected("malformed-host", f"{_shown(dec)} is not a Decomposition")
     findings: list[Finding] = []
     r = s = 0
 
@@ -469,7 +482,7 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
         sun_h = expected_h
         classes = dec.classes
         if type(classes) not in _SEQ:
-            detail = f"classes {classes!r} is not a sequence"
+            detail = f"classes {_shown(classes)} is not a sequence"
             findings.append(Finding(-1, "non-uniform-class", detail))
             classes = ()
         for ci, cls in enumerate(classes):
@@ -482,7 +495,7 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                 edges, vertices = _gate(edges, "malformed-edge", ci, findings)
                 if not set(map(len, edges)) <= {2}:
                     findings.extend(
-                        Finding(ci, "malformed-edge", f"edge {e} is not a pair")
+                        Finding(ci, "malformed-edge", f"edge {_shown(e)} is not a pair")
                         for e in edges
                         if len(e) != 2
                     )
@@ -490,7 +503,7 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                 pairs = [(u, w) if u < w else (w, u) for u, w in edges if u != w]
                 if len(pairs) < len(edges):
                     findings.extend(
-                        Finding(ci, "malformed-edge", f"loop at vertex {u}")
+                        Finding(ci, "malformed-edge", f"loop at vertex {_shown(u)}")
                         for u, w in edges
                         if u == w
                     )
@@ -506,20 +519,22 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                     cycle, pendants = sun
                     problem = _sun_problem(cycle, pendants)
                     if problem is not None:
-                        findings.append(Finding(ci, "malformed-sun", f"sun {sun}: {problem}"))
+                        detail = f"sun {_shown(sun, str)}: {problem}"
+                        findings.append(Finding(ci, "malformed-sun", detail))
                         continue
                     h = len(cycle)
                     if sun_h is None:
                         sun_h = h
                     elif h != sun_h:
-                        detail = f"sun {sun} has cycle length {h}, expected {sun_h}"
+                        shown = _shown(sun, str)
+                        detail = f"sun {shown} has cycle length {h}, expected {_shown(sun_h, str)}"
                         findings.append(Finding(ci, "non-uniform-class", detail))
                     pairs += _sun_edge_list(cycle, pendants)
                 yield vertices, pairs
             else:
-                detail = f"unknown class kind {kind!r}"
+                detail = f"unknown class kind {_shown(kind)}"
                 if type(cls) is not ParallelClass:
-                    detail = f"{cls!r} is not a parallel class"
+                    detail = f"{_shown(cls)} is not a parallel class"
                 findings.append(Finding(ci, "non-uniform-class", detail))
                 yield [], []
 
@@ -532,12 +547,12 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
 def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
     """Certify a claimed cycle factorization; defects become findings."""
     if type(cf) is not CycleFactorization:
-        return _rejected("malformed-host", f"{cf!r} is not a CycleFactorization")
+        return _rejected("malformed-host", f"{_shown(cf)} is not a CycleFactorization")
     host, h, classes, _ = cf
     if type(host) is HostGraph and host.kind not in (COMPLETE, COMPLETE_MINUS_F):
-        return _rejected("malformed-host", f"unsupported host kind {host.kind!r}")
+        return _rejected("malformed-host", f"unsupported host kind {_shown(host.kind)}")
     if not only_ints([h]):
-        return _rejected("bad-parameters", f"cycle length {h!r} is not an int")
+        return _rejected("bad-parameters", f"cycle length {_shown(h)} is not an int")
     findings: list[Finding] = []
 
     def blocks() -> Iterator[tuple[list[int], list[Edge]]]:
@@ -549,7 +564,7 @@ def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
         )
         seq = classes if type(classes) in _SEQ else ()
         if seq is not classes:
-            detail = f"classes {classes!r} is not a sequence"
+            detail = f"classes {_shown(classes)} is not a sequence"
             findings.append(Finding(-1, "wrong-class-count", detail))
         expected = (n - 1) // 2
         if len(seq) != expected:
@@ -560,13 +575,13 @@ def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
             edges: list[Edge] = []
             for cyc in cycles:
                 if len(cyc) != h:
-                    detail = f"cycle {cyc} has length {len(cyc)}"
+                    detail = f"cycle {_shown(cyc)} has length {len(cyc)}"
                     findings.append(Finding(ci, "malformed-cycle", detail))
                 elif len(set(cyc)) != h:
-                    detail = f"repeated vertex in cycle {cyc}"
+                    detail = f"repeated vertex in cycle {_shown(cyc)}"
                     findings.append(Finding(ci, "malformed-cycle", detail))
                 else:
-                    edges += [edge(cyc[i - 1], cyc[i]) for i in range(h)]
+                    edges += _sun_edge_list(cyc, ())
             yield vertices, edges
 
     return _certify(host, blocks(), findings)

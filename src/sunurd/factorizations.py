@@ -14,7 +14,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple
 
-from .base_designs import one_factorization
 from .core import (
     COMPLETE,
     COMPLETE_MINUS_F,
@@ -522,52 +521,31 @@ def _quotient_search(kind: str, n: int, h: int, cap: int) -> tuple[CycleFactoriz
 def _zigzag_path(i: int, mod: int) -> list[int]:
     # i, i+1, i-1, i+2, i-2, ... over Z_mod; consecutive differences use
     # every magnitude exactly once, so rotated copies are edge-disjoint.
-    path = [i % mod]
-    for k in range(1, mod):
-        off = (k + 1) // 2 if k % 2 else -(k // 2)
-        path.append((i + off) % mod)
-    return path
+    return [(i + (k + 1) // 2 if k % 2 else i - k // 2) % mod for k in range(mod)]
 
 
 def _hamiltonian_odd(n: int) -> CycleFactorization:
     """K_n (n odd) as (n-1)/2 Hamiltonian cycles: rotational zigzag scheme."""
-    mod = n - 1
-    classes = []
-    for i in range(mod // 2):
-        cyc = canonical_cycle([n - 1] + _zigzag_path(i, mod))
-        classes.append((cyc,))
+    classes = tuple((canonical_cycle([n - 1] + _zigzag_path(i, n - 1)),) for i in range(n // 2))
     return CycleFactorization(
-        HostGraph.complete(n), n, tuple(classes), source="construction:zigzag-hamiltonian"
+        HostGraph.complete(n), n, classes, source="construction:zigzag-hamiltonian"
     )
 
 
 def _hamiltonian_minus_f(n: int) -> CycleFactorization:
-    """K_n - F (n even) as (n-2)/2 Hamiltonian cycles.
+    """K_n - F (n even) as (n-2)/2 Hamiltonian cycles (Walecki).
 
-    The circle method gives n-1 perfect matchings; the union of two
-    consecutive rounds is always a single Hamiltonian cycle (the two-step
-    map is x -> x+2 on an odd modulus), and the unpaired last round is F.
+    On the circle method's rounds (round i pairs n-1 with i and i+j with
+    i-j, mod n-1), the union of rounds 2k and 2k+1 is the cycle n-1, 2k,
+    2k+2, 2k-2, 2k+4, ...: twice the zigzag path from k.  The unpaired last
+    round n-2 is F: {n-2, n-1} and each {a, n-3-a}.
     """
-    rounds = [cls.edges for cls in one_factorization(range(n))]
-    classes = []
-    for k in range((n - 2) // 2):
-        nbrs: dict[int, list[int]] = {}
-        for u, w in rounds[2 * k] + rounds[2 * k + 1]:
-            nbrs.setdefault(u, []).append(w)
-            nbrs.setdefault(w, []).append(u)
-        cyc = [n - 1]
-        prev = None
-        while True:
-            nxt = [x for x in sorted(nbrs[cyc[-1]]) if x != prev]
-            prev = cyc[-1]
-            if nxt[0] == n - 1:
-                break
-            cyc.append(nxt[0])
-        classes.append((canonical_cycle(cyc),))
-    host = HostGraph.complete_minus_f(n, rounds[n - 2])
-    return CycleFactorization(
-        host, n, tuple(classes), source="construction:paired-rounds-hamiltonian"
+    m = n - 1
+    classes = tuple(
+        (canonical_cycle([m] + [2 * x % m for x in _zigzag_path(k, m)]),) for k in range(m // 2)
     )
+    host = HostGraph.complete_minus_f(n, [(a, n - 3 - a) for a in range(m // 2)] + [(m - 1, m)])
+    return CycleFactorization(host, n, classes, source="construction:paired-rounds-hamiltonian")
 
 
 # ---------------------------------------------------------------------------

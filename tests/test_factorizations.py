@@ -20,13 +20,16 @@ from sunurd import (
     cycle_factorization_odd,
     dumps_document,
     load_seed_catalog,
+    one_factorization,
     plan,
     search_cycle_factorization,
     validate_cycle_factorization,
 )
+from sunurd.core import canonical_cycle
 from sunurd.factorizations import (
     NONEXISTENT_MINUS_F,
     QUOTIENT_NODES,
+    _hamiltonian_minus_f,
     canonical_perfect_matching,
 )
 
@@ -165,6 +168,35 @@ class TestConstructions:
 
     def test_deterministic_across_calls(self):
         assert cycle_factorization_odd(9, 3) == cycle_factorization_odd(9, 3)
+
+    @pytest.mark.parametrize("n", (*range(4, 65, 2), 200))
+    def test_hamiltonian_minus_f_matches_paired_rounds(self, n):
+        assert _hamiltonian_minus_f(n) == _paired_rounds_reference(n)
+
+
+def _paired_rounds_reference(n: int) -> CycleFactorization:
+    """K_n - F by walking the union of circle rounds 2k and 2k+1 from n-1,
+    always to the smaller unused neighbour; the unpaired last round is F."""
+    rounds = [cls.edges for cls in one_factorization(range(n))]
+    classes = []
+    for k in range((n - 2) // 2):
+        nbrs: dict[int, list[int]] = {}
+        for u, w in rounds[2 * k] + rounds[2 * k + 1]:
+            nbrs.setdefault(u, []).append(w)
+            nbrs.setdefault(w, []).append(u)
+        cyc = [n - 1]
+        prev = None
+        while True:
+            nxt = [x for x in sorted(nbrs[cyc[-1]]) if x != prev]
+            prev = cyc[-1]
+            if nxt[0] == n - 1:
+                break
+            cyc.append(nxt[0])
+        classes.append((canonical_cycle(cyc),))
+    host = HostGraph.complete_minus_f(n, rounds[n - 2])
+    return CycleFactorization(
+        host, n, tuple(classes), source="construction:paired-rounds-hamiltonian"
+    )
 
 
 def _raises_value_error(fn, *args, **kwargs) -> bool:

@@ -393,6 +393,38 @@ class TestFindingText:
         assert findings(report) == [f"decomposition: {expected}"]
         assert (report.r, report.s) == (0, 0)
 
+    def test_ints_too_long_to_write(self):
+        # str() refuses an int of more than 4,300 digits, so a finding names
+        # it by a stand-in; these raised ValueError while being formatted.
+        big = 10**5000
+        foreign = "decomposition: foreign-edge: edge <tuple holding an int too long to write> "
+        k2 = HostGraph.complete(2)
+        report = verify(Decomposition(k2, (ParallelClass.one_factor([(0, big)]),)))
+        assert findings(report) == [
+            foreign + "not in host (used 1x)",
+            "decomposition: missing-edge: edge (0, 1) never covered",
+            "class 0: foreign-vertex: vertex <int too long to write> outside host",
+            "class 0: vertex-missed: vertex 1 not covered",
+        ]
+        assert (report.r, report.s) == (1, 0)
+        k3 = HostGraph.complete(3)
+        report = validate_cycle_factorization(CycleFactorization(k3, 3, (((0, 1, big),),)))
+        assert findings(report) == [
+            *[foreign + "not in host (used 1x)"] * 2,
+            "decomposition: missing-edge: edge (0, 2) never covered",
+            "decomposition: missing-edge: edge (1, 2) never covered",
+            "class 0: foreign-vertex: vertex <int too long to write> outside host",
+            "class 0: vertex-missed: vertex 2 not covered",
+        ]
+        assert findings(verify(Decomposition(HostGraph.complete(big), ()))) == [
+            "decomposition: malformed-host: host order <int too long to write> is above the cap"
+            " of 2048 vertices"
+        ]
+        assert findings(verify([big])) == [
+            "decomposition: malformed-host: <list holding an int too long to write>"
+            " is not a Decomposition"
+        ]
+
 
 # Documents with one fault each, made from a design with both class types
 # and a K_8 - F seed record; each fault is one edit of the parsed document.
