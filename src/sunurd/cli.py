@@ -70,8 +70,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # A call leaves no cyclic garbage but argparse's parser, so the cyclic
-    # collector would only rescan live records; the caller's setting returns.
+    # No cyclic GC: the only cycle a call drops is argparse's parser.
     enabled = gc.isenabled()
     gc.disable()
     try:

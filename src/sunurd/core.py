@@ -132,7 +132,7 @@ def sun_edges(sun: Sun) -> set[Edge]:
 
 
 def _sun_edge_list(cycle: tuple[int, ...], pendants: tuple[int, ...]) -> list[Edge]:
-    # The caller has shown the vertices distinct, so no edge is a loop.
+    # The 2h vertices are distinct (``_sun_problem``), so no edge is a loop.
     out = [(u, w) if u < w else (w, u) for u, w in zip(cycle, (*cycle[1:], cycle[0]))]
     out += [(u, w) if u < w else (w, u) for u, w in zip(cycle, pendants)]
     return out
@@ -572,17 +572,18 @@ def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
             findings.append(Finding(-1, "wrong-class-count", detail))
         for ci, cycles in enumerate(seq):
             cycles, vertices = _gate(cycles, "malformed-cycle", ci, findings)
-            edges: list[Edge] = []
+            ok = []
             for cyc in cycles:
-                if len(cyc) != h:
-                    detail = f"cycle {_shown(cyc)} has length {len(cyc)}"
-                    findings.append(Finding(ci, "malformed-cycle", detail))
-                elif len(set(cyc)) != h:
+                if len(cyc) == h and len(set(cyc)) == h:
+                    ok.append(cyc)
+                    continue
+                detail = f"cycle {_shown(cyc)} has length {len(cyc)}"
+                if len(cyc) == h:
                     detail = f"repeated vertex in cycle {_shown(cyc)}"
-                    findings.append(Finding(ci, "malformed-cycle", detail))
-                else:
-                    edges += _sun_edge_list(cyc, ())
-            yield vertices, edges
+                findings.append(Finding(ci, "malformed-cycle", detail))
+            # Each vertex and the next on its cycle; they differ, so no loops.
+            ring = zip(chain.from_iterable(ok), chain.from_iterable(c[1:] + c[:1] for c in ok))
+            yield vertices, [(u, w) if u < w else (w, u) for u, w in ring]
 
     return _certify(host, blocks(), findings)
 
