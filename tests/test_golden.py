@@ -19,6 +19,7 @@ from sunurd import (
     DocumentFormatError,
     HostGraph,
     IngredientSource,
+    IngredientUnavailable,
     ParallelClass,
     ParamTuple,
     Sun,
@@ -36,6 +37,7 @@ from sunurd import (
     verify,
 )
 from sunurd.core import COMPLETE, COMPLETE_MINUS_F, ONE_FACTOR, SUN_FACTOR
+from sunurd.factorizations import NONEXISTENT_MINUS_F
 
 
 def corrupted_design() -> Decomposition:
@@ -577,6 +579,34 @@ def test_hamiltonian_minus_f_bytes():
     texts = (dumps_document(cycle_factorization_minus_f(n, n)) for n in range(4, 41, 2))
     assert digest(texts) == (
         "2891323a47ac9e098f8cdc5f9603c8161c19e4bed7a862a74aaf68da55e0fe7a"
+    )
+
+
+def resolution_texts(max_n: int, budget: int):
+    """What resolving every h-cycle ingredient on at most max_n points gives.
+
+    K_n for odd n, K_n - F for even n, every h with 3 <= h <= n dividing n,
+    except the pre-tabled nonexistent K_n - F cases.  A found factorization
+    gives its source and bytes, a missing one its outcome and nodes; with a
+    budget this small, the quotient stage's order of moves and of random
+    draws decides most of them.
+    """
+    for n in range(3, max_n + 1):
+        for h in range(3, n + 1):
+            if n % h or n % 2 == 0 and (n, h) in NONEXISTENT_MINUS_F:
+                continue
+            resolve = cycle_factorization_minus_f if n % 2 == 0 else cycle_factorization_odd
+            try:
+                cf = resolve(n, h, budget=budget)
+            except IngredientUnavailable as exc:
+                yield f"{n},{h}: {exc.outcome} {exc.nodes}\n"
+            else:
+                yield f"{n},{h}: {cf.source}\n" + dumps_document(cf)
+
+
+def test_resolution_grid_bytes():
+    assert digest(resolution_texts(40, 20_000)) == (
+        "81acb64a9d856c8549324b340bf394bc29dde335c39ed7903d49b4b05a028706"
     )
 
 
