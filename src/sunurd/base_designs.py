@@ -28,7 +28,7 @@ _K6_SUN_CLASSES = (
     (((0, 1, 2), (5, 4, 3)),),
     (((3, 5, 4), (0, 1, 2)),),
 )
-_K6_MATCHING = ((0, 4), (1, 3), (2, 5))
+_K6_MATCHINGS = (((0, 4), (1, 3), (2, 5)),)
 
 # K_12: four sun classes of two 3-suns each and seven matchings.  The
 # (3, 4) design uses all four sun classes with the first three matchings;
@@ -49,6 +49,13 @@ _K12_MATCHINGS = (
     ((0, 11), (1, 4), (2, 9), (3, 6), (5, 8), (7, 10)),
 )
 
+# The sun classes and matchings of each fixed design, keyed by (v, (r, s)).
+_FIXED_DESIGNS = {
+    (6, (1, 2)): (_K6_SUN_CLASSES, _K6_MATCHINGS),
+    (12, (3, 4)): (_K12_SUN_CLASSES, _K12_MATCHINGS[:3]),
+    (12, (7, 2)): (_K12_SUN_CLASSES[:2], _K12_MATCHINGS),
+}
+
 
 def _sun_class(suns) -> ParallelClass:
     return ParallelClass.sun_factor(
@@ -60,38 +67,25 @@ def _matching_class(pairs) -> ParallelClass:
     return ParallelClass.one_factor(sorted(edge(u, w) for u, w in pairs))
 
 
+def _fixed_design(v: int, pair: tuple[int, int]) -> Decomposition:
+    r, s = pair
+    if (r, s) == (v - 1, 0):
+        return Decomposition(HostGraph.complete(v), tuple(one_factorization(range(v))))
+    if (v, (r, s)) not in _FIXED_DESIGNS:
+        raise ValueError(f"(r,s)={pair!r} is not realizable on {v} vertices with 3-suns")
+    suns, matchings = _FIXED_DESIGNS[v, (r, s)]
+    classes = tuple(_sun_class(c) for c in suns) + tuple(_matching_class(m) for m in matchings)
+    return Decomposition(HostGraph.complete(v), classes)
+
+
 def urd6_h3(pair: tuple[int, int]) -> Decomposition:
     """The K_6 design with 3-suns for (r, s) in {(1, 2), (5, 0)}."""
-    r, s = pair
-    if (r, s) == (5, 0):
-        return Decomposition(
-            HostGraph.complete(6), tuple(one_factorization(range(6)))
-        )
-    if (r, s) != (1, 2):
-        raise ValueError(f"(r,s)={pair!r} is not realizable on 6 vertices with 3-suns")
-    classes = tuple(_sun_class(c) for c in _K6_SUN_CLASSES) + (
-        _matching_class(_K6_MATCHING),
-    )
-    return Decomposition(HostGraph.complete(6), classes)
+    return _fixed_design(6, pair)
 
 
 def urd12_h3(pair: tuple[int, int]) -> Decomposition:
     """The K_12 designs with 3-suns for (r, s) in {(3, 4), (7, 2), (11, 0)}."""
-    r, s = pair
-    if (r, s) == (11, 0):
-        return Decomposition(
-            HostGraph.complete(12), tuple(one_factorization(range(12)))
-        )
-    if (r, s) == (3, 4):
-        suns, matchings = _K12_SUN_CLASSES, _K12_MATCHINGS[:3]
-    elif (r, s) == (7, 2):
-        suns, matchings = _K12_SUN_CLASSES[:2], _K12_MATCHINGS
-    else:
-        raise ValueError(f"(r,s)={pair!r} is not realizable on 12 vertices with 3-suns")
-    classes = tuple(_sun_class(c) for c in suns) + tuple(
-        _matching_class(m) for m in matchings
-    )
-    return Decomposition(HostGraph.complete(12), classes)
+    return _fixed_design(12, pair)
 
 
 # ---------------------------------------------------------------------------

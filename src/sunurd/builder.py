@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .base_designs import UrgddKind, one_factorization, urd6_h3, urd12_h3, urgdd_ch2
+from .base_designs import UrgddKind, one_factorization, urd12_h3, urgdd_ch2
 from .core import (
     COMPLETE,
     COMPLETE_MINUS_F,
@@ -32,17 +32,6 @@ from .core import (
 from .factorizations import CycleFactorization, IngredientSource, IngredientUnavailable
 from .spectrum import Admissibility, ParamTuple, SpectrumPair, admissible_pairs, check_necessary
 
-__all__ = [
-    "Route",
-    "BuildPlan",
-    "InadmissibleTuple",
-    "plan",
-    "inflate_cycle",
-    "build",
-    "build_with_plan",
-    "build_all",
-]
-
 
 class Route(enum.Enum):
     PURE_MATCHINGS = "pure-matchings"
@@ -55,10 +44,10 @@ class Route(enum.Enum):
 class BuildPlan(NamedTuple):
     """How a tuple will be realized.
 
-    For inflation routes, ``l`` is the number of base cycle classes and ``x``
-    of them get the matching fill (r = 3 + 4x on even orders, 1 + 4x on odd);
-    ``ingredient`` names the required factorization as (order, h, host kind)
-    and ``provenance`` records where it actually came from once resolved.
+    For inflation routes, ``l`` is the number of base cycle classes and
+    ``x = r // 4`` of them get the matching fill; ``ingredient`` names the
+    required factorization as (order, h, host kind) and ``provenance``
+    records where it actually came from once resolved.
     """
 
     route: Route
@@ -79,13 +68,17 @@ class InadmissibleTuple(ValueError):
         super().__init__(f"{adm.reason.value}: {adm.detail}")
 
 
-_SMALL_CASES = {(6, 3), (12, 3)}
-
 _default_source = IngredientSource()
 
 
 def plan(t: ParamTuple) -> BuildPlan:
-    """Classify an admissible tuple into its construction route."""
+    """Classify an admissible tuple into its construction route.
+
+    A tuple with s > 0 inflates an h-cycle factorization on n = v/2 points,
+    of K_n for odd n and of K_n - F for even n, except (12, 3): its
+    ingredient, a triangle factorization of K_6 - F, does not exist, so it
+    has fixed designs.
+    """
     t = ParamTuple(*t)
     adm = check_necessary(t)
     if not adm.ok:
@@ -93,18 +86,15 @@ def plan(t: ParamTuple) -> BuildPlan:
     v, h, r, s = t
     if s == 0:
         return BuildPlan(Route.PURE_MATCHINGS, v, h, r, s)
-    if (v, h) in _SMALL_CASES:
+    if (v, h) == (12, 3):
         return BuildPlan(Route.SMALL_CASE, v, h, r, s)
     n = v // 2
-    if v % (4 * h) == 0:
-        route, l, x = Route.INFLATION_0_MOD_4H, (n - 2) // 2, (r - 3) // 4
-        kind = COMPLETE_MINUS_F
-    elif h % 2 == 0:
-        route, l, x = Route.INFLATION_2H_EVEN, (n - 2) // 2, (r - 3) // 4
-        kind = COMPLETE_MINUS_F
+    if n % 2:
+        route, kind = Route.INFLATION_2H_ODD, COMPLETE
     else:
-        route, l, x = Route.INFLATION_2H_ODD, (n - 1) // 2, (r - 1) // 4
-        kind = COMPLETE
+        route = Route.INFLATION_2H_EVEN if v % (4 * h) else Route.INFLATION_0_MOD_4H
+        kind = COMPLETE_MINUS_F
+    l, x = (n - 1) // 2, r // 4
     if not 0 <= x < l or s != 2 * (l - x):
         raise RuntimeError(f"internal error: inconsistent plan for {t}: x={x}, l={l}")
     return BuildPlan(route, v, h, r, s, x=x, l=l, ingredient=(n, h, kind))
@@ -215,7 +205,7 @@ def build_with_plan(
         dec = Decomposition(HostGraph.complete(v), tuple(one_factorization(range(v))))
         p = p._replace(provenance="construction:round-robin")
     elif p.route is Route.SMALL_CASE:
-        dec = urd6_h3((r, s)) if v == 6 else urd12_h3((r, s))
+        dec = urd12_h3((r, s))
         p = p._replace(provenance="construction:fixed-design")
     else:
         n, _, kind = p.ingredient

@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract: 0 success/pass, 1 verification failure,
 2 usage or parse error, 3 inadmissible tuple, 4 ingredient unavailable,
-5 I/O failure.
+5 I/O failure, a closed stdout included.
 
 Each subcommand imports only the package modules it runs, inside its
 ``cmd_*`` function: ``spectrum`` loads ``spectrum``, ``verify`` loads
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -79,6 +80,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed stdout.  What is still buffered goes to devnull,
+        # so the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     finally:
         (gc.enable if enabled else gc.disable)()
 

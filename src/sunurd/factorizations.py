@@ -252,15 +252,19 @@ _STRUCTURES = (
 )
 
 
-def _fit(name: str, kind: str, k: int, half_turn: bool, n: int, h: int) -> "_Quotient | None":
+def _translate(v: int, t: int, f: int, q: int) -> int:
+    # Point v under translation by t: fixed points stay, each copy rotates.
+    return v if v < f else v - (v - f) % q + ((v - f) % q + t) % q
+
+
+def _fit(name: str, kind: str, k: int, half_turn: bool, n: int, h: int) -> _Quotient | None:
     """A structure laid on n points for h-cycles, or None if it does not fit."""
     f = 1 if kind == COMPLETE else 2
     s = 2 if half_turn else 1
     q, r = divmod(n - f, k)
     if r or q < 2 or q % s:
         return None
-    shift = q // 2 if half_turn else 0
-    turn = list(range(f)) + [v - (v - f) % q + ((v - f) % q + shift) % q for v in range(f, n)]
+    turn = [_translate(v, q // 2 if half_turn else 0, f, q) for v in range(n)]
     if kind == COMPLETE:
         removed = set()
     elif q % 2 == 0:
@@ -303,10 +307,12 @@ def _fit(name: str, kind: str, k: int, half_turn: bool, n: int, h: int) -> "_Quo
                 return None
         elif f % 2:
             return None
-    return _Quotient(name, kind, n, q, f, s, turn, orbit, quota, matching)
+    # With the half-turn no walk steps onto a fixed point; it closes there.
+    rows = [[x for x in range(f if s == 2 else 0, n) if orbit[u][x] >= 0] for u in range(n)]
+    return _Quotient(name, kind, n, q, f, s, turn, orbit, quota, matching, rows)
 
 
-class _Quotient:
+class _Quotient(NamedTuple):
     """A structure laid on n points: edge orbits, their quotas and F.
 
     Fixed points are 0..f-1 and point x of copy i is f + i*q + x.  Edges are
@@ -314,15 +320,21 @@ class _Quotient:
     for an edge of F.  A base class that takes ``quota[o]`` edges from each
     orbit o, counting an edge and its half-turn image as two, develops into
     an exact cover of the host.  ``s`` is the order of the stabilizer: 2
-    with the half-turn, else 1.
+    with the half-turn, else 1.  ``rows[u]`` holds the points a walk may
+    step to from u.
     """
 
-    def __init__(self, name, kind, n, q, f, s, turn, orbit, quota, matching):
-        self.name, self.kind, self.n, self.q, self.f, self.s = name, kind, n, q, f, s
-        self.turn: list[int] = turn
-        self.orbit: list[list[int]] = orbit
-        self.quota: list[int] = quota
-        self.matching: list[Edge] = matching
+    name: str
+    kind: str
+    n: int
+    q: int
+    f: int
+    s: int
+    turn: list[int]
+    orbit: list[list[int]]
+    quota: list[int]
+    matching: list[Edge]
+    rows: list[list[int]]
 
     def base_class(self, h: int, rng, cap: int) -> tuple[list[list[int]] | None, int, bool]:
         """One seeded depth-first search for a base class.
@@ -336,9 +348,7 @@ class _Quotient:
         exhausted.
         """
         n, f, s, turn, orbit = self.n, self.f, self.s, self.turn, self.orbit
-        cand = [
-            [x for x in range(f if s == 2 else 0, n) if orbit[u][x] >= 0] for u in range(n)
-        ]
+        cand = [list(row) for row in self.rows]
         for row in cand:
             rng.shuffle(row)
         rem = list(self.quota)
@@ -387,47 +397,38 @@ class _Quotient:
                 ]
             return out
 
+        # A frame holds its options, the next one to try, the points covered
+        # on entry, and the orbit and amount the option tried last drew.
         nodes = 0
-        stack = [[moves(), 0]]
+        stack = [[moves(), 0, covered, 0, 0]]
         while stack:
             frame = stack[-1]
-            options, i = frame
+            options, i, covered, o, d = frame
             if i:
-                # Undo the option tried last in this frame.
-                m = options[i - 1]
-                if m >= 0:
-                    walk = walks[-1]
-                    walk.pop()
-                    covered &= ~(1 << m | 1 << turn[m])
-                    rem[orbit[walk[-1]][m]] += s
+                rem[o] += d
+                if options[i - 1] >= 0:
+                    walks[-1].pop()
                 else:
-                    start = walks.pop()[0]
-                    covered &= ~(1 << start | 1 << turn[start])
-                    x = ~m
+                    walks.pop()
                     ends.pop()
-                    walk = walks[-1]
-                    u = walk[-1]
-                    rem[orbit[u][x]] += 1 if x == turn[u] else s
-                    if x < f and x != walk[0]:
-                        covered &= ~(1 << x)
             if i == len(options):
                 stack.pop()
                 continue
             if nodes == cap:
                 return None, nodes, False
             nodes += 1
-            frame[1] = i + 1
             m = options[i]
+            walk = walks[-1]
+            x = m if m >= 0 else ~m
+            o = orbit[walk[-1]][x]
+            d = 1 if x == turn[walk[-1]] else s
+            rem[o] -= d
+            frame[1:] = i + 1, covered, o, d
+            covered |= 1 << x
             if m >= 0:
-                walk = walks[-1]
-                rem[orbit[walk[-1]][m]] -= s
-                walk.append(m)
-                covered |= 1 << m | 1 << turn[m]
+                walk.append(x)
+                covered |= 1 << turn[x]
             else:
-                x = ~m
-                u = walks[-1][-1]
-                rem[orbit[u][x]] -= 1 if x == turn[u] else s
-                covered |= 1 << x
                 ends.append(x)
                 if covered == full:
                     return self._walk_cycles(walks, ends), nodes, False
@@ -435,7 +436,7 @@ class _Quotient:
                 start = (free & -free).bit_length() - 1
                 walks.append([start])
                 covered |= 1 << start | 1 << turn[start]
-            stack.append([moves(), 0])
+            stack.append([moves(), 0, covered, 0, 0])
         return None, nodes, True
 
     def _walk_cycles(self, walks: list[list[int]], ends: list[int]) -> list[list[int]]:
@@ -465,12 +466,9 @@ class _Quotient:
     def develop(self, h: int, base: list[list[int]]) -> CycleFactorization:
         """The translates of the base class under Z_q, modulo the stabilizer."""
         f, q = self.f, self.q
-
-        def shift(v: int, t: int) -> int:
-            return v if v < f else v - (v - f) % q + ((v - f) % q + t) % q
-
         classes = tuple(
-            tuple(tuple(shift(v, t) for v in cyc) for cyc in base) for t in range(q // self.s)
+            tuple(tuple(_translate(v, t, f, q) for v in cyc) for cyc in base)
+            for t in range(q // self.s)
         )
         if self.kind == COMPLETE:
             host = HostGraph.complete(self.n)

@@ -47,24 +47,14 @@ def admissible_pairs(v: int, h: int) -> list[SpectrumPair]:
     """The spectrum J(v) for cycle length h, ordered by increasing r.
 
     Empty when v is not a positive multiple of 2h (see
-    inadmissibility_reason() for the diagnostic).  All arithmetic is
-    exact integer arithmetic on the residue of v mod 4h.
+    inadmissibility_reason() for the diagnostic).  Otherwise J(v) holds
+    every r = v - 1 (mod 4) with 0 <= r < v, and s = (v - 1 - r) / 2.
     """
     if h < 3:
         raise ValueError("h must be at least 3")
     if v <= 0 or v % (2 * h):
         return []
-    if v % (4 * h) == 0 or h % 2 == 0:
-        # v = 0 mod 4h, or v = 2h mod 4h with h even: r = 3 mod 4.
-        return [
-            SpectrumPair(3 + 4 * x, (v - 4) // 2 - 2 * x)
-            for x in range((v - 4) // 4 + 1)
-        ]
-    # v = 2h mod 4h with h odd: r = 1 mod 4.
-    return [
-        SpectrumPair(1 + 4 * x, (v - 2) // 2 - 2 * x)
-        for x in range((v - 2) // 4 + 1)
-    ]
+    return [SpectrumPair(r, (v - 1 - r) // 2) for r in range((v - 1) % 4, v, 4)]
 
 
 def inadmissibility_reason(v: int, h: int) -> str | None:

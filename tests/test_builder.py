@@ -22,7 +22,6 @@ from sunurd import (
     build_with_plan,
     inflate_cycle,
     plan,
-    urd6_h3,
     verify,
     vertex_profile,
 )
@@ -37,8 +36,22 @@ def source() -> IngredientSource:
 
 class TestPlan:
     def test_small_case(self):
+        # Only (12, 3) has fixed designs: its ingredient, triangles on
+        # K_6 - F, does not exist.  (6, 3) inflates the Hamiltonian K_3.
         assert plan(ParamTuple(12, 3, 7, 2)).route is Route.SMALL_CASE
-        assert plan(ParamTuple(6, 3, 1, 2)).route is Route.SMALL_CASE
+        assert plan(ParamTuple(12, 3, 3, 4)).route is Route.SMALL_CASE
+        p = plan(ParamTuple(6, 3, 1, 2))
+        assert p.route is Route.INFLATION_2H_ODD
+        assert (p.l, p.x) == (1, 0)
+        assert p.ingredient == (3, 3, "complete")
+        small = {
+            (v, h)
+            for v in range(6, 61, 2)
+            for h in range(3, v // 2 + 1)
+            for pair in admissible_pairs(v, h)
+            if plan(ParamTuple(v, h, *pair)).route is Route.SMALL_CASE
+        }
+        assert small == {(12, 3)}
 
     def test_s_zero_takes_pure_matchings(self):
         # even where a small-case or inflation route could also apply
@@ -94,8 +107,11 @@ class TestInflateCycle:
 
 
 class TestBuild:
-    def test_6_3_1_2_is_the_fixed_design(self, source):
-        assert build(ParamTuple(6, 3, 1, 2), source=source) == urd6_h3((1, 2))
+    def test_6_3_1_2_inflates_the_hamiltonian_k3(self, source):
+        dec, p = build_with_plan(ParamTuple(6, 3, 1, 2), source=source)
+        report = verify(dec, expected_h=3)
+        assert report.passed and (report.r, report.s) == (1, 2)
+        assert p.provenance == "construction:zigzag-hamiltonian"
 
     def test_10_5_1_4(self, source):
         dec = build(ParamTuple(10, 5, 1, 4), source=source)

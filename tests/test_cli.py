@@ -7,6 +7,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from sunurd import IngredientSource, cycle_factorization_odd, dumps_document, urd6_h3
 from sunurd.cli import main
 
@@ -58,7 +60,7 @@ class TestBuild:
     def test_text_format(self, capsys):
         assert main(["build", "--v", "6", "--h", "3", "--r", "1", "--s", "2", "--format", "text"]) == 0
         out = capsys.readouterr().out
-        assert "(0,1,2; 5,4,3)" in out
+        assert "(0,2,4; 3,5,1)" in out
 
     def test_order_above_cap_exit_2(self, capsys):
         assert main(["build", "--v", "20000", "--h", "3", "--r", "19999", "--s", "0"]) == 2
@@ -259,3 +261,26 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(3,4) (7,2) (11,0)"
+
+
+@pytest.mark.parametrize("subcommand", ["spectrum", "verify"])
+def test_closed_stdout_exit_5_without_traceback(tmp_path, subcommand):
+    # Each prints megabytes, far more than a pipe buffers, so the write after
+    # the reader has gone fails.
+    if subcommand == "spectrum":
+        args = ["spectrum", "--v", "1000000", "--h", "4", "--format", "json"]
+    else:
+        doc = json.loads(dumps_document(urd6_h3((1, 2)), h=3))
+        doc["host"]["v"] = 600
+        path = tmp_path / "v600.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        args = ["verify", str(path)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sunurd", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 5
+    assert b"Traceback" not in err
