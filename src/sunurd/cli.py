@@ -111,11 +111,9 @@ def cmd_spectrum(args) -> int:
 
 
 def _load_catalog(args):
-    import os
-
     from .factorizations import load_seed_catalog
 
-    seed_dir = getattr(args, "seed_dir", None) or os.environ.get(SEED_DIR_ENV)
+    seed_dir = args.seed_dir or os.environ.get(SEED_DIR_ENV)
     if not seed_dir:
         return None
     return load_seed_catalog(seed_dir)

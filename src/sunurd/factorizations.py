@@ -12,7 +12,7 @@ the type, its canonical form and the shape rule.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .core import (
     COMPLETE,
@@ -24,6 +24,7 @@ from .core import (
     canonical_factorization,
     factorization_shape_problems,
     host_edges,
+    only_ints,
     validate_cycle_factorization,
 )
 from .serialization import DocumentFormatError, loads_document
@@ -45,8 +46,8 @@ class IngredientUnavailable(Exception):
 
     ``outcome`` distinguishes a proven-empty search space ("nonexistent")
     from a search stopped by its node budget ("budget-exhausted").
-    ``nodes`` is the number of search nodes spent by the quotient stage and
-    the plain search together, 0 when no search ran.
+    ``nodes`` is the number of path extensions spent by the quotient stage
+    and the plain search together, 0 when no search ran.
     """
 
     def __init__(self, n: int, h: int, host_kind: str, outcome: str, nodes: int = 0):
@@ -74,48 +75,9 @@ class SearchResult(NamedTuple):
     nodes: int
 
 
-def _iter_cycles(
-    anchor: int, avail: list[int], free: int, h: int, first: int
-) -> Iterator[tuple[int, ...]]:
-    """Canonical h-cycles through ``anchor`` in lexicographic order.
-
-    Vertices are drawn from the ``free`` bitmask and consecutive pairs must
-    be available edges; the second vertex is drawn from the ``first``
-    bitmask.  Rotations are excluded by anchoring at the smallest vertex of
-    the cycle, reflections by requiring the second vertex to be smaller than
-    the last.  The path is grown with an explicit stack: ``todo[i]`` holds
-    the candidates still to try after ``path[i]``, ``rests[i]`` the free
-    vertices before ``path[i + 1]`` was taken.
-    """
-    path = [anchor]
-    rest = free & ~(1 << anchor)
-    rests: list[int] = []
-    todo = [first & rest]
-    while todo:
-        m = todo[-1]
-        if len(path) == h - 1:
-            # Last vertex: must close back to the anchor and beat path[1].
-            m &= avail[anchor] & (-1 << (path[1] + 1))
-            while m:
-                bit = m & -m
-                m ^= bit
-                path.append(bit.bit_length() - 1)
-                yield tuple(path)
-                path.pop()
-            m = 0
-        if not m:
-            todo.pop()
-            if rests:
-                path.pop()
-                rest = rests.pop()
-            continue
-        bit = m & -m
-        todo[-1] = m ^ bit
-        x = bit.bit_length() - 1
-        rests.append(rest)
-        rest ^= bit
-        path.append(x)
-        todo.append(avail[x] & rest)
+def _check_budget(budget) -> None:
+    if budget is not None and not (only_ints([budget]) and budget >= 0):
+        raise ValueError(f"budget must be None or an int >= 0, not {budget!r}")
 
 
 def search_cycle_factorization(
@@ -123,10 +85,10 @@ def search_cycle_factorization(
 ) -> SearchResult:
     """Exact class-by-class backtracking search for a cycle factorization.
 
-    Each parallel class is grown by repeatedly extending the smallest
-    uncovered vertex with a canonical h-cycle (exact-cover style).  Classes
-    are kept in increasing order of their cycle through vertex 0, which
-    breaks the class-permutation symmetry.  In that order the smallest
+    Each parallel class is grown by repeatedly closing a canonical h-cycle
+    through its most constrained uncovered vertex (exact-cover style).
+    Classes are kept in increasing order of their cycle through vertex 0,
+    which breaks the class-permutation symmetry.  In that order the smallest
     neighbour m of 0 still available when a class starts is the second
     vertex of this class's cycle through 0: m is the second vertex of the
     cycle through 0 of this or a later class (were it the last, that cycle's
@@ -136,12 +98,14 @@ def search_cycle_factorization(
     the rest is visited in the same order, so the search returns the same
     factorization and status as one over every first cycle, in fewer nodes
     for the same budget; an exhausted search certifies nonexistence.
-    ``budget`` caps the number of cycle placements (None = unbounded); a
-    search stopped by it reports exactly ``budget`` nodes.  The placed
-    cycles live on an explicit stack, so the depth of a search is not bound
+    ``budget`` caps the path extensions, one per vertex added after a
+    cycle's anchor, the closing one included (None = unbounded, else an
+    int >= 0); a search stopped by it reports exactly ``budget`` nodes.  The
+    path lives on an explicit stack, so the depth of a search is not bound
     by the interpreter's recursion limit.  Identical inputs and budget
     always produce the identical result.
     """
+    _check_budget(budget)
     if host.kind not in (COMPLETE, COMPLETE_MINUS_F):
         raise ValueError(f"unsupported search host kind {host.kind!r}")
     n = host.order
@@ -156,28 +120,7 @@ def search_cycle_factorization(
         avail[w] |= 1 << u
     full = (1 << n) - 1
 
-    def cycles_for(unplaced: int) -> Iterator[tuple[int, ...]]:
-        if unplaced == full:
-            # A class starts at vertex 0, through its smallest free neighbour.
-            return _iter_cycles(0, avail, unplaced, h, avail[0] & -avail[0])
-        # Most-constrained vertex; any unplaced vertex needs two available
-        # unplaced neighbours to sit on a cycle of this class.
-        anchor = -1
-        best = n + 1
-        m = unplaced
-        while m:
-            bit = m & -m
-            m ^= bit
-            x = bit.bit_length() - 1
-            d = (avail[x] & unplaced).bit_count()
-            if d < 2:
-                return iter(())
-            if d < best:
-                best = d
-                anchor = x
-        return _iter_cycles(anchor, avail, unplaced, h, avail[anchor])
-
-    def flip(cyc: tuple[int, ...]) -> int:
+    def flip(cyc: list[int]) -> int:
         mask = 0
         u = cyc[-1]
         for w in cyc:
@@ -187,37 +130,82 @@ def search_cycle_factorization(
             u = w
         return mask
 
-    # One frame per placed cycle, plus one for the next: the cycles still to
-    # try there and the vertices the current class has not yet covered.
+    # ``path`` holds the closed cycles, h vertices each, then the open one;
+    # ``closed`` the unplaced set each closed cycle was drawn from.  One
+    # frame per vertex after an anchor: the candidates still to try there,
+    # lowest first, and the free vertices before one is taken.
+    path: list[int] = []
+    closed: list[int] = []
+    stack: list[list[int]] = []
+
+    def open_cycle(unplaced: int) -> None:
+        if unplaced == full:
+            # A class starts at vertex 0, through its smallest free neighbour.
+            anchor, first = 0, avail[0] & -avail[0]
+        else:
+            # Most-constrained vertex; any unplaced vertex needs two available
+            # unplaced neighbours to sit on a cycle of this class.
+            anchor, best = -1, n + 1
+            m = unplaced
+            while m and best >= 2:
+                bit = m & -m
+                m ^= bit
+                x = bit.bit_length() - 1
+                d = (avail[x] & unplaced).bit_count()
+                if d < best:
+                    anchor, best = x, d
+            first = avail[anchor] if best >= 2 else 0
+        rest = unplaced & ~(1 << anchor)
+        path.append(anchor)
+        stack.append([first & rest, rest])
+
     nodes = 0
     status = NONEXISTENT
-    placed: list[tuple[int, ...]] = []
-    stack = [(cycles_for(full), full)]
+    unplaced = full
+    open_cycle(full)
     while stack:
-        cycles, unplaced = stack[-1]
-        cyc = next(cycles, None)
-        if cyc is None:
+        frame = stack[-1]
+        m, rest = frame
+        if not m:
             stack.pop()
-            if placed:
-                flip(placed.pop())
+            path.pop()
+            if closed and len(path) == h * len(closed):
+                # The open cycle is gone: reopen the last closed one.
+                unplaced = closed.pop()
+                flip(path[-h:])
+                path.pop()
             continue
         if nodes == budget:
             status = BUDGET_EXHAUSTED
             break
         nodes += 1
-        placed.append(cyc)
-        unplaced &= ~flip(cyc)
-        if unplaced == 0:
-            if len(placed) == needed:
+        bit = m & -m
+        frame[0] = m ^ bit
+        path.append(bit.bit_length() - 1)
+        k = len(path) - h * len(closed)
+        if k < h:
+            rest ^= bit
+            m = avail[path[-1]] & rest
+            if k == h - 1:
+                # Last vertex: closes back to the anchor and beats path[1],
+                # so each cycle is drawn in one direction only.
+                m &= avail[path[-k]] & (-1 << (path[1 - k] + 1))
+            stack.append([m, rest])
+            continue
+        closed.append(unplaced)
+        unplaced &= ~flip(path[-h:])
+        if not unplaced:
+            if len(closed) == needed:
                 status = FOUND
                 break
             unplaced = full
-        stack.append((cycles_for(unplaced), unplaced))
+        open_cycle(unplaced)
 
     if status == FOUND:
-        per_class = n // h
+        # Each class covers n consecutive vertices of the path.
         classes = tuple(
-            tuple(placed[i : i + per_class]) for i in range(0, needed, per_class)
+            tuple(tuple(path[j : j + h]) for j in range(i, i + n, h))
+            for i in range(0, len(path), n)
         )
         cf = canonical_factorization(CycleFactorization(host, h, classes, source="search"))
         return SearchResult(FOUND, cf, nodes)
@@ -569,10 +557,11 @@ def _resolve(
     """Shape checks, construction (h = n), seed catalog, the quotient
     structures, then the plain search.
 
-    ``budget`` bounds the nodes of both searches together: the quotient
-    stage spends at most QUOTIENT_NODES of it and the plain search the rest.
-    Only the plain search can prove an ingredient nonexistent.
+    ``budget`` bounds the path extensions of both searches together: the
+    quotient stage spends at most QUOTIENT_NODES of it and the plain search
+    the rest.  Only the plain search can prove an ingredient nonexistent.
     """
+    _check_budget(budget)
     problems = factorization_shape_problems(kind, n, h)
     if problems:
         raise ValueError(problems[0])

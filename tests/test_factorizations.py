@@ -99,10 +99,10 @@ class TestSearch:
 
     def test_k6_minus_f_triangles_proven_within_small_budget(self):
         # Only the first cycles through vertex 0's smallest free neighbour are
-        # tried, so the proof of nonexistence fits in 5 nodes.
-        result = search_cycle_factorization(minus_f_host(6), 3, budget=5)
+        # tried, so the proof of nonexistence fits in 11 path extensions.
+        result = search_cycle_factorization(minus_f_host(6), 3, budget=11)
         assert result.status == "nonexistent"
-        assert result.nodes <= 5
+        assert result.nodes <= 11
 
     def test_budget_exhaustion_reported(self):
         result = search_cycle_factorization(minus_f_host(10), 5, budget=3)
@@ -124,6 +124,12 @@ class TestSearch:
         finally:
             sys.setrecursionlimit(limit)
         assert (result.status, result.nodes) == ("budget-exhausted", 2_000)
+
+    def test_budget_bounds_path_extensions(self):
+        # Every vertex added to a path counts, so the search stops at the
+        # budget even while its long paths fail to close into cycles.
+        result = search_cycle_factorization(minus_f_host(30), 15, budget=1_000)
+        assert (result.status, result.nodes) == ("budget-exhausted", 1_000)
 
 
 class TestConstructions:
@@ -225,6 +231,14 @@ def test_shape_rule_agrees_across_entry_points(kind):
             )
             valid = h >= 3 and n % h == 0 and n % 2 == (kind == "complete")
             assert verdicts == (not valid,) * 3, (kind, n, h, verdicts)
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, True])
+def test_bad_budget_rejected_before_any_search(budget):
+    with pytest.raises(ValueError, match="budget"):
+        search_cycle_factorization(minus_f_host(12), 3, budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        cycle_factorization_minus_f(18, 3, budget=budget)
 
 
 class TestIngredientSource:

@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from sunurd import (
     CycleFactorization,
@@ -61,6 +61,10 @@ def _records(children):
     )
 
 
+# Every phase but explain, which runs only after a failure to annotate the
+# report; on an example holding an int too long to write it can run for
+# minutes, and a failure must end the run promptly.
+PHASES = tuple(p for p in Phase if p is not Phase.explain)
 TREES = st.recursive(LEAVES, _records, max_leaves=24)
 HOSTS = st.builds(HostGraph, NAMES, ORDERS | LONG_INTS, TREES, TREES) | TREES
 
@@ -70,7 +74,7 @@ def _reported(report) -> bool:
     return type(report) is VerificationReport and all(map(str, report.violations))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=PHASES)
 @given(TREES, HOSTS, TREES, TREES)
 def test_certifiers_report_any_object(tree, host, classes, h):
     assert _reported(verify(tree))
@@ -106,7 +110,7 @@ def _mutate(doc, data) -> None:
             return
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=PHASES)
 @given(st.sampled_from(range(len(DOCUMENTS))), st.data())
 def test_verify_exit_code_on_mutated_documents(which, data):
     doc = json.loads(json.dumps(DOCUMENTS[which]))
@@ -128,7 +132,7 @@ FLAG_ORDERS = st.integers(-1, 12) | st.sampled_from(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=PHASES)
 @given(st.data())
 def test_flag_combinations_exit_code(data):
     v = data.draw(FLAG_ORDERS)

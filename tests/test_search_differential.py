@@ -5,6 +5,7 @@ cycle was restricted to vertex 0's smallest free neighbour: it enumerates
 every first cycle and skips those not above the previous class's first
 cycle.  The restriction only cuts subtrees without a factorization, so both
 must agree on status and factorization, the new search in no more nodes.
+Both count a node for every path extension, the closing vertex included.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ def _host(kind: str, n: int) -> HostGraph:
     return HostGraph.complete_minus_f(n, canonical_perfect_matching(n))
 
 
+class _OverBudget(Exception):
+    pass
+
+
 def reference_search(host: HostGraph, h: int, budget: int | None):
     """(status, factorization, nodes) of the floor-based search."""
     n = host.order
@@ -34,8 +39,13 @@ def reference_search(host: HostGraph, h: int, budget: int | None):
         avail[w] |= 1 << u
     full = (1 << n) - 1
     nodes = 0
-    over_budget = False
     classes = []
+
+    def extend_path():
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise _OverBudget
 
     def cycles_through(anchor, free):
         path = [anchor]
@@ -47,6 +57,7 @@ def reference_search(host: HostGraph, h: int, budget: int | None):
                 while m:
                     bit = m & -m
                     m ^= bit
+                    extend_path()
                     path.append(bit.bit_length() - 1)
                     yield tuple(path)
                     path.pop()
@@ -55,6 +66,7 @@ def reference_search(host: HostGraph, h: int, budget: int | None):
             while m:
                 bit = m & -m
                 m ^= bit
+                extend_path()
                 path.append(bit.bit_length() - 1)
                 yield from rec(mask ^ bit)
                 path.pop()
@@ -72,7 +84,6 @@ def reference_search(host: HostGraph, h: int, budget: int | None):
                 avail[w] |= 1 << u
 
     def extend(cycles, unplaced, floor):
-        nonlocal nodes, over_budget
         if unplaced == 0:
             classes.append(tuple(cycles))
             if len(classes) == target or extend([], full, cycles[0]):
@@ -99,10 +110,6 @@ def reference_search(host: HostGraph, h: int, budget: int | None):
         for cyc in cycles_through(anchor, unplaced):
             if first_of_class and floor is not None and cyc <= floor:
                 continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                over_budget = True
-                return False
             toggle(cyc, True)
             cycles.append(cyc)
             mask = 0
@@ -113,14 +120,16 @@ def reference_search(host: HostGraph, h: int, budget: int | None):
             toggle(cyc, False)
             if done:
                 return True
-            if over_budget:
-                return False
         return False
 
-    if extend([], full, None):
+    try:
+        found = extend([], full, None)
+    except _OverBudget:
+        return "budget-exhausted", None, nodes
+    if found:
         cf = canonical_factorization(CycleFactorization(host, h, tuple(classes), source="search"))
         return "found", cf, nodes
-    return ("budget-exhausted" if over_budget else "nonexistent"), None, nodes
+    return "nonexistent", None, nodes
 
 
 # K_14 - F with 7-cycles exhausts this budget in both searches and is left
@@ -145,8 +154,8 @@ def test_same_result_in_no_more_nodes(kind, n, h):
 
 
 @pytest.mark.parametrize("kind,n,h,nodes,reference_nodes", [
-    ("complete_minus_f", 10, 5, 479, 929),
-    ("complete_minus_f", 16, 4, 6966, 21705),
+    ("complete_minus_f", 10, 5, 3364, 8148),
+    ("complete_minus_f", 16, 4, 39979, 153313),
 ])
 def test_pinned_node_counts(kind, n, h, nodes, reference_nodes):
     host = _host(kind, n)
