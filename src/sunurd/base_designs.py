@@ -138,19 +138,10 @@ def urgdd_ch2(
     host = HostGraph.blown_cycle((a(i), b(i)) for i in range(1, h + 1))
 
     if kind is UrgddKind.ZERO_TWO:
-        sun_a = canonicalize_sun(
-            [a(i) for i in range(1, h + 1)], [b(i + 1) for i in range(1, h + 1)]
-        )
-        sun_b = canonicalize_sun(
-            [b(i) for i in range(1, h + 1)], [a(i + 1) for i in range(1, h + 1)]
-        )
-        return Decomposition(
-            host,
-            (
-                ParallelClass.sun_factor((sun_a,)),
-                ParallelClass.sun_factor((sun_b,)),
-            ),
-        )
+        # One sun on each side, its pendants one step on along the other.
+        ring = range(1, h + 1)
+        suns = [([x(i) for i in ring], [y(i + 1) for i in ring]) for x, y in ((a, b), (b, a))]
+        return Decomposition(host, tuple(_sun_class([sun]) for sun in suns))
 
     if kind is not UrgddKind.FOUR_ZERO:
         raise ValueError(f"unknown fill kind {kind!r}")
@@ -195,10 +186,9 @@ def one_factorization(vertices: Iterable[int]) -> list[ParallelClass]:
     if n < 2 or n % 2:
         raise ValueError("a 1-factorization needs an even number (>= 2) of vertices")
     mod = n - 1
-    classes = []
-    for i in range(mod):
-        pairs = [edge(vs[mod], vs[i])]
-        for j in range(1, n // 2):
-            pairs.append(edge(vs[(i + j) % mod], vs[(i - j) % mod]))
-        classes.append(ParallelClass.one_factor(sorted(pairs)))
-    return classes
+    return [
+        _matching_class(
+            [(vs[mod], vs[i])] + [(vs[(i + j) % mod], vs[(i - j) % mod]) for j in range(1, n // 2)]
+        )
+        for i in range(mod)
+    ]

@@ -7,9 +7,9 @@ with one of the two uniform fill designs: the sun fill contributes two
 global sun classes per base class, the matching fill four global matchings.
 Each fill comes from one template per kind, built once on the labels
 0..2h-1 and relabelled onto every base cycle.
-The leftover edges inside and across the doubled pairs are swept up by K_4
-overlays on the removed matching (even orders) or by the single matching of
-doubled pairs (odd orders).
+The leftover edges are covered by matchings relabelled the same way: the
+doubled pairs {2p, 2p+1}, and on K_n - F the two matchings across each
+doubled edge of F.
 """
 
 from __future__ import annotations
@@ -113,61 +113,54 @@ def inflate_cycle(cycle: tuple[int, ...], kind: UrgddKind) -> Decomposition:
     return urgdd_ch2(len(cyc), kind, a, b)
 
 
-def _k4_overlay_round(pair, k: int) -> list:
-    # The three matchings of K_4 on a doubled base edge {p, q}, indexed so
-    # round 0 is the two inside-pair edges.
-    p, q = pair
-    w, x, y, z = 2 * p, 2 * p + 1, 2 * q, 2 * q + 1
-    rounds = (
-        ((w, x), (y, z)),
-        ((w, y), (x, z)),
-        ((w, z), (x, y)),
-    )
-    return [edge(u, t) for u, t in rounds[k]]
+def _doubled(bases) -> list[list[int]]:
+    # The template labels of each base on the doubled points: template
+    # vertex 2i + k becomes 2*base[i] + k.
+    return [[2 * q + k for q in base for k in (0, 1)] for base in bases]
+
+
+def _matchings(templates, bases) -> list[ParallelClass]:
+    # Each template matching relabelled onto every base; the bases are
+    # vertex-disjoint, so the copies of one template form one matching.
+    labels = _doubled(bases)
+    return [
+        ParallelClass.one_factor(sorted(edge(lab[u], lab[w]) for lab in labels for u, w in t))
+        for t in templates
+    ]
 
 
 def _assemble_inflation(t: ParamTuple, p: BuildPlan, cf: CycleFactorization) -> Decomposition:
-    """Inflate every base cycle and add the overlay matchings.
+    """Inflate every base cycle and add the leftover matchings.
 
     Each fill kind is built once, as ``urgdd_ch2`` on the template labels
     a_i = 2i, b_i = 2i+1, and relabelled onto each base cycle: template
     vertex 2i + k becomes 2*cycle[i] + k, which is ``inflate_cycle(cycle,
     kind)`` without rebuilding the fill per cycle.  Relabelled suns are
     canonicalized again, since a base cycle need not be in canonical form.
+    The leftover edges are the doubled pairs {2p, 2p+1} and, on K_n - F,
+    the two matchings across each doubled edge of F.
     """
     v, h, r, s = t
-    x = p.x
-    templates = {kind: urgdd_ch2(h, kind).classes for kind in UrgddKind}
+    fill = [cls.edges for cls in urgdd_ch2(h, UrgddKind.FOUR_ZERO).classes]
+    sun_fill = urgdd_ch2(h, UrgddKind.ZERO_TWO).classes
     sun_classes: list[ParallelClass] = []
     matchings: list[ParallelClass] = []
     for j, base_class in enumerate(cf.classes):
-        labels = [[2 * q + k for q in cycle for k in (0, 1)] for cycle in base_class]
-        if j < x:
-            # Fill matchings with the same generator index unite into one
-            # global matching; distinct cycles of a class are vertex-disjoint.
-            for cls in templates[UrgddKind.FOUR_ZERO]:
-                es = [edge(lab[u], lab[w]) for lab in labels for u, w in cls.edges]
-                matchings.append(ParallelClass.one_factor(sorted(es)))
-        else:
-            for cls in templates[UrgddKind.ZERO_TWO]:
-                suns = [
-                    canonicalize_sun([lab[y] for y in cycle], [lab[y] for y in pendants])
-                    for lab in labels
-                    for cycle, pendants in cls.suns
-                ]
-                sun_classes.append(ParallelClass.sun_factor(sorted(suns)))
-
-    extras: list[ParallelClass] = []
-    if cf.host.kind == COMPLETE_MINUS_F:
-        for k in range(3):
-            es = [e for pair in cf.removed_matching for e in _k4_overlay_round(pair, k)]
-            extras.append(ParallelClass.one_factor(sorted(es)))
-    else:
-        pairs = [edge(2 * q, 2 * q + 1) for q in range(v // 2)]
-        extras.append(ParallelClass.one_factor(pairs))
-
-    classes = tuple(sun_classes) + tuple(matchings) + tuple(extras)
-    return Decomposition(HostGraph.complete(v), classes)
+        if j < p.x:
+            matchings += _matchings(fill, base_class)
+            continue
+        labels = _doubled(base_class)
+        for cls in sun_fill:
+            suns = [
+                canonicalize_sun([lab[y] for y in cycle], [lab[y] for y in pendants])
+                for lab in labels
+                for cycle, pendants in cls.suns
+            ]
+            sun_classes.append(ParallelClass.sun_factor(sorted(suns)))
+    matchings += _matchings([((0, 1),)], [(q,) for q in range(v // 2)])
+    if cf.removed_matching:
+        matchings += _matchings([((0, 2), (1, 3)), ((0, 3), (1, 2))], cf.removed_matching)
+    return Decomposition(HostGraph.complete(v), tuple(sun_classes) + tuple(matchings))
 
 
 def build(

@@ -294,8 +294,13 @@ class CycleFactorization(NamedTuple):
 
 
 def factorization_shape_problems(kind: str, n: int, h: int) -> list[str]:
-    """Reasons a ``kind`` host on n vertices has no h-cycle factorization: h >= 3
-    must divide n, n odd for K_n, even for K_n - F; then (n-1)//2 classes."""
+    """Reasons a ``kind`` host on n vertices has no h-cycle factorization: n and
+    h are ints, n at most MAX_ORDER, h >= 3 must divide n, n odd for K_n,
+    even for K_n - F; then (n-1)//2 classes."""
+    if not only_ints([n, h]):
+        return [f"order {_shown(n)} and cycle length {_shown(h)} must be ints"]
+    if n > MAX_ORDER:
+        return [f"order {n} is above the cap of {MAX_ORDER} vertices"]
     problems = []
     if h < 3 or n % h:
         problems.append(f"cycle length {_shown(h)} must be >= 3 and divide {n}")

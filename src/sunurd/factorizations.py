@@ -647,7 +647,9 @@ class IngredientSource:
                 self._cache[key] = exc
         value = self._cache[key]
         if isinstance(value, IngredientUnavailable):
-            raise value
+            # A fresh traceback each time: re-raising the cached object would
+            # append this call's frames to the ones it already holds.
+            raise value.with_traceback(None)
         return value
 
 

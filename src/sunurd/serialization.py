@@ -115,7 +115,7 @@ def dumps_document(payload, h: int | None = None, source: str | None = None) -> 
     here: two-space indent, one scalar per line, ``[]`` for an empty
     list, ASCII-escaped strings, fixed key order and a trailing newline.
     ``h`` is required for decompositions without sun classes (it cannot be
-    inferred from pure matchings).
+    inferred from pure matchings), and must be an int: ValueError otherwise.
     """
     if isinstance(payload, CycleFactorization):
         canon = canonical_factorization(payload)
@@ -145,6 +145,8 @@ def dumps_document(payload, h: int | None = None, source: str | None = None) -> 
         tail = "" if source is None else f',\n  "source": {json.dumps(source)}'
     else:
         raise TypeError(f"cannot serialize {type(payload).__name__}")
+    if not only_ints([h]):
+        raise ValueError(f"h must be an int, not {h!r}")
     return (
         f'{{\n  "format_version": {json.dumps(FORMAT_VERSION)},\n'
         f'  "host": {_host_text(canon.host)},\n'

@@ -120,6 +120,16 @@ class TestBuild:
         )
         assert code == 2
 
+    def test_design_document_in_seed_dir_exit_2(self, tmp_path, capsys):
+        (tmp_path / "x.json").write_text(dumps_document(urd6_h3((1, 2))), encoding="utf-8")
+        code = main(
+            ["build", "--v", "18", "--h", "3", "--r", "1", "--s", "8",
+             "--seed-dir", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "bad seed catalog: x.json: not a cycle-factorization record\n"
+
     def test_undecodable_seed_record_exit_2(self, tmp_path, capsys):
         (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")
         code = main(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import json
 import sys
+import traceback
 
 import pytest
 
@@ -16,6 +17,7 @@ from sunurd import (
     ParamTuple,
     SeedCatalogError,
     admissible_pairs,
+    build,
     cycle_factorization_minus_f,
     cycle_factorization_odd,
     dumps_document,
@@ -241,6 +243,31 @@ def test_bad_budget_rejected_before_any_search(budget):
         cycle_factorization_minus_f(18, 3, budget=budget)
 
 
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: cycle_factorization_odd(9, 3.0), "order 9 and cycle length 3.0 must be ints"),
+        (lambda: cycle_factorization_odd(9.0, 3), "order 9.0 and cycle length 3 must be ints"),
+        (lambda: cycle_factorization_odd(9, True), "order 9 and cycle length True must be ints"),
+        (lambda: cycle_factorization_minus_f(4, True), "order 4 and cycle length True must be ints"),
+        (lambda: IngredientSource().odd(9, 3.0), "order 9 and cycle length 3.0 must be ints"),
+        (
+            lambda: search_cycle_factorization(HostGraph.complete(9), 3.0),
+            "order 9 and cycle length 3.0 must be ints",
+        ),
+        (lambda: cycle_factorization_odd(2049, 2049), "order 2049 is above the cap of 2048 vertices"),
+    ],
+    ids=["float h", "float n", "bool h", "bool h on K_n - F", "source", "search", "above cap"],
+)
+def test_bad_shape_inputs_rejected_before_any_work(call, expected):
+    # A float h reached the certifier after the quotient stage, a float n and
+    # a float h in the search raised TypeError, and an order above the cap
+    # was built before the certifier refused it.
+    with pytest.raises(ValueError) as exc_info:
+        call()
+    assert str(exc_info.value) == expected
+
+
 class TestIngredientSource:
     def test_caches_results(self):
         source = IngredientSource()
@@ -260,6 +287,19 @@ class TestIngredientSource:
             source.minus_f(12, 3)
         with pytest.raises(IngredientUnavailable):
             source.minus_f(12, 3)
+
+    def test_cached_failure_raised_with_a_fresh_traceback(self):
+        # Re-raising the cached exception grew its traceback by this call's
+        # frames every time, and the shared default source kept them all.
+        source = IngredientSource()
+        depths = []
+        for _ in range(100):
+            try:
+                source.minus_f(6, 3)
+            except IngredientUnavailable as exc:
+                depths.append(len(traceback.extract_tb(exc.__traceback__)))
+        assert len(depths) == 100
+        assert depths[-1] == depths[0]
 
 
 class TestSeedCatalog:
@@ -298,6 +338,14 @@ class TestSeedCatalog:
         with pytest.raises(SeedCatalogError) as exc_info:
             load_seed_catalog(tmp_path)
         assert "loop.json" in str(exc_info.value)
+
+    def test_design_document_rejected(self, tmp_path):
+        (tmp_path / "x.json").write_text(
+            dumps_document(build(ParamTuple(12, 3, 3, 4))), encoding="utf-8"
+        )
+        with pytest.raises(SeedCatalogError) as exc_info:
+            load_seed_catalog(tmp_path)
+        assert str(exc_info.value) == "x.json: not a cycle-factorization record"
 
     def test_malformed_json_rejected(self, tmp_path):
         (tmp_path / "junk.json").write_text("{not json", encoding="utf-8")

@@ -26,11 +26,14 @@ from sunurd import (
     UrgddKind,
     admissible_pairs,
     build,
+    canonical_cycle,
     cycle_factorization_minus_f,
     cycle_factorization_odd,
     dumps_document,
+    edge,
     loads_document,
     one_factorization,
+    search_cycle_factorization,
     urd6_h3,
     urgdd_ch2,
     validate_cycle_factorization,
@@ -386,6 +389,17 @@ class TestFindingText:
                 Decomposition(HostGraph(COMPLETE_MINUS_F, 4, matching=5), ()),
                 "malformed-host: removed matching is not a perfect matching of the host",
             ),
+            # Blown-cycle hosts that the gate rejects by their groups.
+            (
+                verify,
+                Decomposition(HostGraph.blown_cycle(((0, 1), (2,), (3, 4))), ()),
+                "malformed-host: blown cycle groups must share one positive size",
+            ),
+            (
+                verify,
+                Decomposition(HostGraph.blown_cycle(((0, 1), (1, 2), (3, 4))), ()),
+                "malformed-host: blown cycle groups must be disjoint",
+            ),
         ],
     )
     def test_inputs_that_raised(self, certify, payload, expected):
@@ -394,6 +408,15 @@ class TestFindingText:
         report = certify(payload)
         assert findings(report) == [f"decomposition: {expected}"]
         assert (report.r, report.s) == (0, 0)
+
+    def test_sun_class_with_edge_blocks(self):
+        sun_class = urd6_h3((1, 2)).classes[0]
+        mixed = sun_class._replace(edges=((0, 1),))
+        report = verify(Decomposition(HostGraph.complete(6), (mixed,)))
+        assert [f for f in findings(report) if f.startswith("class")] == [
+            "class 0: non-uniform-class: sun-factor class carries edge blocks"
+        ]
+        assert (report.r, report.s) == (0, 1)
 
     def test_ints_too_long_to_write(self):
         # str() refuses an int of more than 4,300 digits, so a finding names
@@ -568,6 +591,39 @@ def test_reader_message(name):
     assert str(exc.value) == expected
 
 
+# A call that raises ValueError -> the text of that error.
+RAISED_MESSAGES = {
+    "edge: loop": (lambda: edge(1, 1), "loop edge at vertex 1"),
+    "canonical_cycle: short": (
+        lambda: canonical_cycle((0, 1)),
+        "a cycle needs at least three vertices",
+    ),
+    "canonical_cycle: repeated vertex": (
+        lambda: canonical_cycle((0, 1, 0)),
+        "repeated vertex in cycle (0, 1, 0)",
+    ),
+    "urgdd_ch2: labels on one side": (
+        lambda: urgdd_ch2(3, UrgddKind.ZERO_TWO, (0, 1, 2), None),
+        "need exactly h labels for each of a and b",
+    ),
+    "urgdd_ch2: unknown kind": (lambda: urgdd_ch2(3, "x"), "unknown fill kind 'x'"),
+    "search: blown cycle host": (
+        lambda: search_cycle_factorization(
+            HostGraph.blown_cycle(((0, 1), (2, 3), (4, 5))), 3
+        ),
+        "unsupported search host kind 'blown_cycle'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RAISED_MESSAGES))
+def test_raised_message(name):
+    call, expected = RAISED_MESSAGES[name]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == expected
+
+
 def digest(texts) -> str:
     h = hashlib.sha256()
     for text in texts:
@@ -714,6 +770,21 @@ DOCUMENT_DIGESTS = {
     "inflation-odd-h": (
         lambda: inflation_texts(30, 3) + inflation_texts(30, 5),
         "e08b780bd4a41defa3401ef3de79cb62a992c59abcf1b674255764b527542b70",
+    ),
+    # The search-desk benchmark designs: inflations with no matching fill
+    # (r = 1 or 3), on K_15 and on K_16 - F and K_18 - F from the quotient
+    # stage.  Each digest is the sha256 of the document `sunurd build` writes.
+    "search-desk-30-3": (
+        lambda: [dumps_document(build(ParamTuple(30, 3, 1, 14)), h=3)],
+        "e40707143deaf3f36420886f944081532888c09bbd59990ca5bba2fe4bfb8a51",
+    ),
+    "search-desk-32-4": (
+        lambda: [dumps_document(build(ParamTuple(32, 4, 3, 14)), h=4)],
+        "aa8084146ee04fd4fe7ce4e15d62fbc0bd721991df79dacae55f7484f1b833b2",
+    ),
+    "search-desk-36-6": (
+        lambda: [dumps_document(build(ParamTuple(36, 6, 3, 16)), h=6)],
+        "6dec64972834404e579dfd8a5b4877d65ad87df486a8b787052a6b91fca0d9f6",
     ),
 }
 

@@ -90,6 +90,13 @@ class TestDocumentShape:
             to_document(dec)
         assert to_document(dec, h=3)["h"] == 3
 
+    @pytest.mark.parametrize("h", ["x", True, "3", 3.5])
+    def test_h_that_is_not_an_int_rejected(self, h):
+        # "x" and True were written as text that is not JSON, "3" as the int
+        # 3, and 3.5 as a document the reader rejects.
+        with pytest.raises(ValueError, match="h must be an int"):
+            dumps_document(build(ParamTuple(12, 3, 3, 4)), h=h)
+
 
 class TestRejection:
     def test_bad_json(self):
