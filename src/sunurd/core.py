@@ -128,14 +128,17 @@ def canonicalize_sun(raw_cycle: Iterable[int], raw_pendants: Iterable[int]) -> S
 
 def sun_edges(sun: Sun) -> set[Edge]:
     """The 2h normalized edges of a valid sun."""
-    return set(_sun_edge_list(*sun))
+    return set(_cycle_edges([sun.cycle], [sun.pendants]))
 
 
-def _sun_edge_list(cycle: tuple[int, ...], pendants: tuple[int, ...]) -> list[Edge]:
-    # The 2h vertices are distinct (``_sun_problem``), so no edge is a loop.
-    out = [(u, w) if u < w else (w, u) for u, w in zip(cycle, (*cycle[1:], cycle[0]))]
-    out += [(u, w) if u < w else (w, u) for u, w in zip(cycle, pendants)]
-    return out
+def _cycle_edges(cycles: list, pendants: list = ()) -> list[Edge]:
+    # The normalized edges of cycles of distinct vertices, so no edge is a
+    # loop: each cycle vertex with the next on its cycle, then, when
+    # ``pendants`` holds the pendant rows of suns, with its pendant.  Without
+    # pendants the zip stops after the cycle edges.
+    flat = list(chain.from_iterable(cycles))
+    ends = chain(chain.from_iterable(c[1:] + c[:1] for c in cycles), chain.from_iterable(pendants))
+    return [(u, w) if u < w else (w, u) for u, w in zip(chain(flat, flat), ends)]
 
 
 def _sun_problem(cycle: tuple[int, ...], pendants: tuple[int, ...]) -> str | None:
@@ -480,10 +483,9 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
     if type(dec) is not Decomposition:
         return _rejected("malformed-host", f"{_shown(dec)} is not a Decomposition")
     findings: list[Finding] = []
-    r = s = 0
+    kinds = []
 
     def blocks() -> Iterator[tuple[list[int], list[Edge]]]:
-        nonlocal r, s
         sun_h = expected_h
         classes = dec.classes
         if type(classes) not in _SEQ:
@@ -492,11 +494,22 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
             classes = ()
         for ci, cls in enumerate(classes):
             kind, edges, suns = cls if type(cls) is ParallelClass else (None, (), ())
-            if kind == ONE_FACTOR:
-                r += 1
-                if type(suns) not in _SEQ or suns:
-                    detail = "one-factor class carries sun blocks"
-                    findings.append(Finding(ci, "non-uniform-class", detail))
+            kinds.append(kind)
+            if kind not in (ONE_FACTOR, SUN_FACTOR):
+                detail = f"unknown class kind {_shown(kind)}"
+                if type(cls) is not ParallelClass:
+                    detail = f"{_shown(cls)} is not a parallel class"
+                findings.append(Finding(ci, "non-uniform-class", detail))
+                yield [], []
+                continue
+            one = kind == ONE_FACTOR
+            other = suns if one else edges
+            if type(other) not in _SEQ or other:
+                detail = "one-factor class carries sun blocks"
+                if not one:
+                    detail = "sun-factor class carries edge blocks"
+                findings.append(Finding(ci, "non-uniform-class", detail))
+            if one:
                 edges, vertices = _gate(edges, "malformed-edge", ci, findings)
                 if not set(map(len, edges)) <= {2}:
                     findings.extend(
@@ -513,40 +526,30 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                         if u == w
                     )
                 yield vertices, pairs
-            elif kind == SUN_FACTOR:
-                s += 1
-                if type(edges) not in _SEQ or edges:
-                    detail = "sun-factor class carries edge blocks"
+                continue
+            suns, vertices = _gate(suns, "malformed-sun", ci, findings)
+            kept = []
+            for sun in suns:
+                cycle, pendants = sun
+                problem = _sun_problem(cycle, pendants)
+                if problem is not None:
+                    detail = f"sun {_shown(sun, str)}: {problem}"
+                    findings.append(Finding(ci, "malformed-sun", detail))
+                    continue
+                h = len(cycle)
+                if sun_h is None:
+                    sun_h = h
+                elif h != sun_h:
+                    shown = _shown(sun, str)
+                    detail = f"sun {shown} has cycle length {h}, expected {_shown(sun_h, str)}"
                     findings.append(Finding(ci, "non-uniform-class", detail))
-                suns, vertices = _gate(suns, "malformed-sun", ci, findings)
-                pairs = []
-                for sun in suns:
-                    cycle, pendants = sun
-                    problem = _sun_problem(cycle, pendants)
-                    if problem is not None:
-                        detail = f"sun {_shown(sun, str)}: {problem}"
-                        findings.append(Finding(ci, "malformed-sun", detail))
-                        continue
-                    h = len(cycle)
-                    if sun_h is None:
-                        sun_h = h
-                    elif h != sun_h:
-                        shown = _shown(sun, str)
-                        detail = f"sun {shown} has cycle length {h}, expected {_shown(sun_h, str)}"
-                        findings.append(Finding(ci, "non-uniform-class", detail))
-                    pairs += _sun_edge_list(cycle, pendants)
-                yield vertices, pairs
-            else:
-                detail = f"unknown class kind {_shown(kind)}"
-                if type(cls) is not ParallelClass:
-                    detail = f"{_shown(cls)} is not a parallel class"
-                findings.append(Finding(ci, "non-uniform-class", detail))
-                yield [], []
+                kept.append(sun)
+            yield vertices, _cycle_edges([c for c, _ in kept], [p for _, p in kept])
 
-    # r and s are counted as the classes are read, since a class without a
-    # kind makes dec.r and dec.s raise.
+    # The kinds are recorded as the classes are read, since a class without
+    # a kind makes dec.r and dec.s raise.
     report = _certify(dec.host, blocks(), findings)
-    return report._replace(r=r, s=s)
+    return report._replace(r=kinds.count(ONE_FACTOR), s=kinds.count(SUN_FACTOR))
 
 
 def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
@@ -586,9 +589,7 @@ def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
                 if len(cyc) == h:
                     detail = f"repeated vertex in cycle {_shown(cyc)}"
                 findings.append(Finding(ci, "malformed-cycle", detail))
-            # Each vertex and the next on its cycle; they differ, so no loops.
-            ring = zip(chain.from_iterable(ok), chain.from_iterable(c[1:] + c[:1] for c in ok))
-            yield vertices, [(u, w) if u < w else (w, u) for u, w in ring]
+            yield vertices, _cycle_edges(ok)
 
     return _certify(host, blocks(), findings)
 

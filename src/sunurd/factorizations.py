@@ -342,7 +342,6 @@ class _Quotient(NamedTuple):
         rem = list(self.quota)
         full = (1 << n) - 1
         walks = [[0]]
-        ends: list[int] = []
         covered = 1 | 1 << turn[0]
 
         def fits(x: int, y: int, need: int) -> bool:
@@ -394,11 +393,9 @@ class _Quotient(NamedTuple):
             options, i, covered, o, d = frame
             if i:
                 rem[o] += d
-                if options[i - 1] >= 0:
-                    walks[-1].pop()
-                else:
+                if options[i - 1] < 0:
                     walks.pop()
-                    ends.pop()
+                walks[-1].pop()
             if i == len(options):
                 stack.pop()
                 continue
@@ -413,13 +410,13 @@ class _Quotient(NamedTuple):
             rem[o] -= d
             frame[1:] = i + 1, covered, o, d
             covered |= 1 << x
+            # A closure stays on its walk as its complement: the walk's end.
+            walk.append(m)
             if m >= 0:
-                walk.append(x)
                 covered |= 1 << turn[x]
+            elif covered == full:
+                return self._walk_cycles(walks), nodes, False
             else:
-                ends.append(x)
-                if covered == full:
-                    return self._walk_cycles(walks, ends), nodes, False
                 free = full & ~covered
                 start = (free & -free).bit_length() - 1
                 walks.append([start])
@@ -427,9 +424,11 @@ class _Quotient(NamedTuple):
             stack.append([moves(), 0, covered, 0, 0])
         return None, nodes, True
 
-    def _walk_cycles(self, walks: list[list[int]], ends: list[int]) -> list[list[int]]:
+    def _walk_cycles(self, walks: list[list[int]]) -> list[list[int]]:
         """The base cycles the closed walks stand for.
 
+        A walk's last entry is the complement ``~x`` of the point x at which
+        its closing move ends it; the points before it are the walk.
         Without the half-turn a walk is its cycle.  With it, a walk from a
         fixed point runs to the opposite point of its cycle (the image of its
         last vertex, or a second fixed point) and the cycle returns along
@@ -439,7 +438,8 @@ class _Quotient(NamedTuple):
         """
         turn, f = self.turn, self.f
         cycles = []
-        for walk, x in zip(walks, ends):
+        for *walk, end in walks:
+            x = ~end
             image = [turn[y] for y in walk]
             if self.s == 1:
                 cycles.append(walk)
@@ -458,10 +458,7 @@ class _Quotient(NamedTuple):
             tuple(tuple(_translate(v, t, f, q) for v in cyc) for cyc in base)
             for t in range(q // self.s)
         )
-        if self.kind == COMPLETE:
-            host = HostGraph.complete(self.n)
-        else:
-            host = HostGraph.complete_minus_f(self.n, self.matching)
+        host = _host(self.kind, self.n, self.matching)
         return canonical_factorization(
             CycleFactorization(host, h, classes, source=f"quotient:{self.name}")
         )
@@ -544,6 +541,11 @@ def canonical_perfect_matching(n: int) -> tuple[Edge, ...]:
     return tuple((2 * i, 2 * i + 1) for i in range(n // 2))
 
 
+def _host(kind: str, n: int, matching: list[Edge]) -> HostGraph:
+    # The host of a kind: K_n, or K_n - F with F = ``matching``.
+    return HostGraph.complete(n) if kind == COMPLETE else HostGraph.complete_minus_f(n, matching)
+
+
 def _certified(cf: CycleFactorization) -> CycleFactorization:
     report = validate_cycle_factorization(cf)
     if not report.passed:
@@ -560,6 +562,8 @@ def _resolve(
     ``budget`` bounds the path extensions of both searches together: the
     quotient stage spends at most QUOTIENT_NODES of it and the plain search
     the rest.  Only the plain search can prove an ingredient nonexistent.
+    A catalog entry that is not an h-cycle factorization of the host its
+    key names raises ValueError before it is certified.
     """
     _check_budget(budget)
     problems = factorization_shape_problems(kind, n, h)
@@ -570,14 +574,16 @@ def _resolve(
     if h == n:
         return _certified(_hamiltonian_odd(n) if kind == COMPLETE else _hamiltonian_minus_f(n))
     cf = catalog.get((n, h, kind)) if catalog else None
+    cf_host = cf.host if type(cf) is CycleFactorization else None
+    key = (cf_host.kind, cf_host.order, cf.h) if type(cf_host) is HostGraph else None
+    if cf is not None and not (key == (kind, n, h) and only_ints(key[1:])):
+        what = f"K_{n}" if kind == COMPLETE else f"K_{n} - F"
+        raise ValueError(f"catalog entry {(n, h, kind)} does not factor {what} into {h}-cycles")
     if cf is None:
         cap = QUOTIENT_NODES if budget is None else min(QUOTIENT_NODES, budget)
         cf, nodes = _quotient_search(kind, n, h, cap)
     if cf is None:
-        if kind == COMPLETE:
-            host = HostGraph.complete(n)
-        else:
-            host = HostGraph.complete_minus_f(n, canonical_perfect_matching(n))
+        host = _host(kind, n, canonical_perfect_matching(n))
         result = search_cycle_factorization(host, h, None if budget is None else budget - nodes)
         nodes += result.nodes
         if result.status != FOUND:

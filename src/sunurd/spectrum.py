@@ -101,15 +101,11 @@ def check_necessary(t: ParamTuple) -> Admissibility:
     v, h, r, s = t
     if h < 3:
         return Admissibility(False, Reason.DIVISIBILITY, "h must be at least 3")
-    if s == 0:
-        if v <= 0 or v % 2:
-            return Admissibility(
-                False, Reason.DIVISIBILITY, "v must be even for a 1-factorization"
-            )
-        if r != v - 1:
-            return Admissibility(False, Reason.EDGE_COUNT, "r+2s must equal v-1")
-        return _ADMISSIBLE
-    if v <= 0 or v % (2 * h):
+    if s == 0 and (v <= 0 or v % 2):
+        return Admissibility(
+            False, Reason.DIVISIBILITY, "v must be even for a 1-factorization"
+        )
+    if s != 0 and (v <= 0 or v % (2 * h)):
         return Admissibility(
             False,
             Reason.DIVISIBILITY,
@@ -119,8 +115,9 @@ def check_necessary(t: ParamTuple) -> Admissibility:
         return Admissibility(False, Reason.PARITY_OF_S, "s must be even")
     if r + 2 * s != v - 1:
         return Admissibility(False, Reason.EDGE_COUNT, "r+2s must equal v-1")
-    # With 2h | v, s even and r + 2s = v - 1, r = v - 1 (mod 4) holds already,
-    # so (r, s) lies in J(v) exactly when neither count is negative.
+    # With v even (2h | v when s > 0), s even and r + 2s = v - 1, r = v - 1
+    # (mod 4) holds already, so (r, s) lies in J(v) exactly when neither
+    # count is negative; for s = 0 that is r = v - 1 > 0.
     if r < 0 or s < 0:
         return Admissibility(
             False,

@@ -32,6 +32,7 @@ from sunurd.factorizations import (
     NONEXISTENT_MINUS_F,
     QUOTIENT_NODES,
     _hamiltonian_minus_f,
+    _quotient_search,
     canonical_perfect_matching,
 )
 
@@ -268,6 +269,29 @@ def test_bad_shape_inputs_rejected_before_any_work(call, expected):
     assert str(exc_info.value) == expected
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: cycle_factorization_odd(15, 3),
+        lambda: cycle_factorization_minus_f(8, 4),
+        lambda: cycle_factorization_odd(9, 9),
+        lambda: "x",
+    ],
+    ids=["K_15", "K_8 - F", "h=9", "not a factorization"],
+)
+def test_catalog_entry_for_another_ingredient_rejected(entry):
+    # The catalog's key was trusted: the first three entries were returned as
+    # the 3-cycle factorization of K_9, and "x" ended in an internal error.
+    catalog = {(9, 3, "complete"): entry()}
+    expected = "catalog entry (9, 3, 'complete') does not factor K_9 into 3-cycles"
+    with pytest.raises(ValueError) as exc_info:
+        cycle_factorization_odd(9, 3, catalog=catalog)
+    assert str(exc_info.value) == expected
+    with pytest.raises(ValueError) as exc_info:
+        IngredientSource(catalog=catalog).odd(9, 3)
+    assert str(exc_info.value) == expected
+
+
 class TestIngredientSource:
     def test_caches_results(self):
         source = IngredientSource()
@@ -395,19 +419,19 @@ OPEN_INGREDIENTS = {
 }
 
 # Quotient-resolved ingredients of the search-desk benchmark and the golden
-# spectra.
+# spectra, with the path extensions the quotient stage spends on each.
 QUOTIENT_SHAPES = [
-    (9, 3, "complete", "quotient:A"),
-    (15, 3, "complete", "quotient:C"),
-    (8, 4, "complete_minus_f", "quotient:B"),
-    (16, 4, "complete_minus_f", "quotient:B"),
-    (18, 6, "complete_minus_f", "quotient:B"),
-    (14, 7, "complete_minus_f", "quotient:C"),
+    (9, 3, "complete", "quotient:A", 7),
+    (15, 3, "complete", "quotient:C", 1_119),
+    (8, 4, "complete_minus_f", "quotient:B", 5),
+    (16, 4, "complete_minus_f", "quotient:B", 101),
+    (18, 6, "complete_minus_f", "quotient:B", 578),
+    (14, 7, "complete_minus_f", "quotient:C", 1_043),
 ]
 
 
 class TestQuotient:
-    @pytest.mark.parametrize("n,h,kind,source", QUOTIENT_SHAPES)
+    @pytest.mark.parametrize("n,h,kind,source", [row[:4] for row in QUOTIENT_SHAPES])
     def test_fresh_sources_give_identical_bytes(self, n, h, kind, source):
         docs = []
         for _ in range(2):
@@ -417,6 +441,13 @@ class TestQuotient:
             assert validate_cycle_factorization(cf).passed
             docs.append(dumps_document(cf))
         assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("n,h,kind,source,extensions", QUOTIENT_SHAPES)
+    def test_extension_counts_pinned(self, n, h, kind, source, extensions):
+        # The seeded quotient search finds the same base class after the same
+        # number of path extensions in any process.
+        cf, nodes = _quotient_search(kind, n, h, QUOTIENT_NODES)
+        assert (cf.source, nodes) == (source, extensions)
 
     def test_structures_exhausted_then_plain_search(self):
         # No structure holds a 5-cycle factorization of K_10 - F; running out

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sunurd import (
     ParamTuple,
@@ -130,7 +130,27 @@ class TestCheckNecessary:
         # plain 1-factorizations are admissible off the 2h grid too
         assert check_necessary(ParamTuple(8, 3, 7, 0)).ok
         assert check_necessary(ParamTuple(14, 5, 13, 0)).ok
-        adm = check_necessary(ParamTuple(9, 3, 8, 0))
-        assert adm.reason is Reason.DIVISIBILITY
+        for t in (ParamTuple(9, 3, 8, 0), ParamTuple(0, 3, -1, 0)):
+            adm = check_necessary(t)
+            assert adm.reason is Reason.DIVISIBILITY
+            assert adm.detail == "v must be even for a 1-factorization"
         adm = check_necessary(ParamTuple(8, 3, 6, 0))
         assert adm.reason is Reason.EDGE_COUNT
+        assert adm.detail == "r+2s must equal v-1"
+
+    @settings(max_examples=1_000)
+    @given(st.data())
+    def test_screen_agrees_with_counting_oracle(self, data):
+        # A tuple passes exactly when h >= 3 and it is a 1-factorization of an
+        # even v, or (r, s) is a pair the brute-force scan keeps.  v is drawn
+        # on the 2h grid, s near 0 and r on the edge-count line often enough
+        # to reach every boundary.
+        h = data.draw(st.integers(-1, 13))
+        v = data.draw(st.integers(-8, 400) | st.sampled_from(range(0, 401, 2 * max(h, 1))))
+        s = data.draw(st.integers(-8, 8) | st.integers(-8, 210))
+        r = data.draw(st.integers(-8, 410) | st.just(v - 1 - 2 * s))
+        if s == 0:
+            expected = h >= 3 and v > 0 and v % 2 == 0 and r == v - 1
+        else:
+            expected = h >= 3 and (r, s) in enumerate_by_counting(v, h)
+        assert check_necessary(ParamTuple(v, h, r, s)).ok == expected
