@@ -25,7 +25,8 @@ from .core import (
     Decomposition,
     HostGraph,
     ParallelClass,
-    canonicalize_sun,
+    Sun,
+    _canonical_order,
     edge,
     verify,
 )
@@ -136,7 +137,10 @@ def _assemble_inflation(t: ParamTuple, p: BuildPlan, cf: CycleFactorization) -> 
     a_i = 2i, b_i = 2i+1, and relabelled onto each base cycle: template
     vertex 2i + k becomes 2*cycle[i] + k, which is ``inflate_cycle(cycle,
     kind)`` without rebuilding the fill per cycle.  Relabelled suns are
-    canonicalized again, since a base cycle need not be in canonical form.
+    put in canonical order again, since a base cycle need not be in
+    canonical form; their shape is not checked again, since the fill is a
+    certified design, relabelling is injective and ``build`` certifies the
+    whole design.
     The leftover edges are the doubled pairs {2p, 2p+1} and, on K_n - F,
     the two matchings across each doubled edge of F.
     """
@@ -149,11 +153,11 @@ def _assemble_inflation(t: ParamTuple, p: BuildPlan, cf: CycleFactorization) -> 
         if j < p.x:
             matchings += _matchings(fill, base_class)
             continue
-        labels = _doubled(base_class)
+        relabels = [lab.__getitem__ for lab in _doubled(base_class)]
         for cls in sun_fill:
             suns = [
-                canonicalize_sun([lab[y] for y in cycle], [lab[y] for y in pendants])
-                for lab in labels
+                Sun(*_canonical_order(tuple(map(at, cycle)), tuple(map(at, pendants))))
+                for at in relabels
                 for cycle, pendants in cls.suns
             ]
             sun_classes.append(ParallelClass.sun_factor(sorted(suns)))

@@ -563,7 +563,8 @@ def _resolve(
     quotient stage spends at most QUOTIENT_NODES of it and the plain search
     the rest.  Only the plain search can prove an ingredient nonexistent.
     A catalog entry that is not an h-cycle factorization of the host its
-    key names raises ValueError before it is certified.
+    key names raises ValueError naming the key and, for an entry of the
+    right host and h, the certifier's first findings.
     """
     _check_budget(budget)
     problems = factorization_shape_problems(kind, n, h)
@@ -573,15 +574,22 @@ def _resolve(
         raise IngredientUnavailable(n, h, kind, NONEXISTENT)
     if h == n:
         return _certified(_hamiltonian_odd(n) if kind == COMPLETE else _hamiltonian_minus_f(n))
-    cf = catalog.get((n, h, kind)) if catalog else None
-    cf_host = cf.host if type(cf) is CycleFactorization else None
-    key = (cf_host.kind, cf_host.order, cf.h) if type(cf_host) is HostGraph else None
-    if cf is not None and not (key == (kind, n, h) and only_ints(key[1:])):
+    key = (n, h, kind)
+    cf = catalog.get(key) if catalog else None
+    if cf is not None:
+        # Certified here, once: an entry must factor the host its key names.
+        cf_host = cf.host if type(cf) is CycleFactorization else None
+        shape = (cf_host.kind, cf_host.order, cf.h) if type(cf_host) is HostGraph else None
+        reason = ""
+        if shape == (kind, n, h) and only_ints(shape[1:]):
+            report = validate_cycle_factorization(cf)
+            if report.passed:
+                return cf
+            reason = f": {report.brief()}"
         what = f"K_{n}" if kind == COMPLETE else f"K_{n} - F"
-        raise ValueError(f"catalog entry {(n, h, kind)} does not factor {what} into {h}-cycles")
-    if cf is None:
-        cap = QUOTIENT_NODES if budget is None else min(QUOTIENT_NODES, budget)
-        cf, nodes = _quotient_search(kind, n, h, cap)
+        raise ValueError(f"catalog entry {key} does not factor {what} into {h}-cycles{reason}")
+    cap = QUOTIENT_NODES if budget is None else min(QUOTIENT_NODES, budget)
+    cf, nodes = _quotient_search(kind, n, h, cap)
     if cf is None:
         host = _host(kind, n, canonical_perfect_matching(n))
         result = search_cycle_factorization(host, h, None if budget is None else budget - nodes)

@@ -1,11 +1,14 @@
-"""Differential check of the certifiers' coverage and partition findings.
+"""Differential check of the certifiers' coverage, partition and sun-shape
+findings.
 
 Built designs and seed records are mutated as raw JSON documents.  The six
 coverage and partition finding kinds reported by ``verify`` and
-``validate_cycle_factorization`` must equal those computed by a short
-reference that reads the document with plain Counters and uses nothing from
-sunurd.  Complete hosts, K_n - F records and blown-cycle fills are covered;
-only the last two have pairs of host vertices that are not host edges.
+``validate_cycle_factorization``, and the two kinds that name a sun of the
+wrong shape (``malformed-sun``) or of a length other than h
+(``non-uniform-class``), must equal those computed by a short reference
+that reads the document with plain Counters and uses nothing from sunurd.
+Complete hosts, K_n - F records and blown-cycle fills are covered; only the
+last two have pairs of host vertices that are not host edges.
 """
 
 from __future__ import annotations
@@ -30,13 +33,15 @@ from sunurd import (
     verify,
 )
 
-PARTITION_KINDS = (
+REFERENCE_KINDS = (
     "missing-edge",
     "duplicated-edge",
     "foreign-edge",
     "vertex-missed",
     "foreign-vertex",
     "vertex-repeated",
+    "malformed-sun",
+    "non-uniform-class",
 )
 
 
@@ -71,15 +76,33 @@ def reference_host(host: dict) -> tuple[list[int], set[tuple[int, int]]]:
     return list(range(v)), {(u, w) for u in range(v) for w in range(u + 1, v)} - removed
 
 
-def reference_findings(doc: dict) -> list[str]:
-    """The six coverage/partition findings of a design or seed document.
+def sun_problem(cyc: list[int], pen: list[int]) -> str | None:
+    """Why a sun is malformed, or None: the first of three rules it breaks."""
+    if len(cyc) < 3:
+        return "cycle shorter than 3"
+    if len(pen) != len(cyc):
+        return "pendant count differs from cycle length"
+    if len(set(cyc + pen)) != 2 * len(cyc):
+        return "repeated vertex"
+    return None
+
+
+def reference_findings(doc: dict, infer_h: bool = False) -> list[str]:
+    """The coverage, partition and sun-shape findings of a document.
 
     Every block's vertices count towards its class's coverage; only the
-    edges of well-formed blocks (a pair without a loop, a sun whose 2h
-    vertices are distinct, a cycle of h distinct vertices) count towards
-    the partition.
+    edges of well-formed blocks (a pair without a loop, a sun of at least
+    three cycle vertices, one pendant each and 2h distinct vertices, a
+    cycle of h distinct vertices) count towards the partition.  A
+    well-formed sun whose length is not h counts as well; h is the
+    document's, or with ``infer_h`` the length of its first well-formed sun.
     """
     vertices, host = reference_host(doc["host"])
+    h = doc["h"]
+    if infer_h:
+        suns = [sun for cls in doc["classes"] for sun in cls.get("suns", [])]
+        lengths = [len(s["cycle"]) for s in suns if sun_problem(s["cycle"], s["pendants"]) is None]
+        h = lengths[0] if lengths else None
     out: list[str] = []
     used: Counter = Counter()
     for ci, cls in enumerate(doc["classes"]):
@@ -91,10 +114,17 @@ def reference_findings(doc: dict) -> list[str]:
         for sun in cls.get("suns", []):
             cyc, pen = sun["cycle"], sun["pendants"]
             hits.update(cyc + pen)
-            if len(set(cyc + pen)) == 2 * len(cyc):
-                k = len(cyc)
-                for a, b in [(cyc[i], cyc[(i + 1) % k]) for i in range(k)] + list(zip(cyc, pen)):
-                    used[(min(a, b), max(a, b))] += 1
+            shown = f"({','.join(map(str, cyc))}; {','.join(map(str, pen))})"
+            problem = sun_problem(cyc, pen)
+            if problem is not None:
+                out.append(f"class {ci}: malformed-sun: sun {shown}: {problem}")
+                continue
+            k = len(cyc)
+            if k != h:
+                detail = f"sun {shown} has cycle length {k}, expected {h}"
+                out.append(f"class {ci}: non-uniform-class: {detail}")
+            for a, b in [(cyc[i], cyc[(i + 1) % k]) for i in range(k)] + list(zip(cyc, pen)):
+                used[(min(a, b), max(a, b))] += 1
         for cyc in cls.get("cycles", []):
             hits.update(cyc)
             if len(set(cyc)) == len(cyc) == doc["h"]:
@@ -151,9 +181,46 @@ def use_pair(doc: dict, x: int, y: int, ci: int) -> None:
         row[:] = [swap.get(t, t) for t in row]
 
 
+def reshape(suns: list[dict], op: str, b: int, c: int) -> None:
+    """Change the shape of sun b of a class; c picks slots.  No row is left
+    empty.  shorten-cycle drops a cycle vertex but not its pendant;
+    drop-position drops both, which leaves a well-formed sun of length h - 1
+    when h > 3; move-position moves both to the next sun of the class, which
+    then has length h + 1; repeat-vertex writes one vertex of the sun twice.
+    """
+    sun = suns[b % len(suns)]
+    cyc, pen = sun["cycle"], sun["pendants"]
+    i = c % len(cyc)
+    if op == "repeat-vertex":
+        slots = [(cyc, k) for k in range(len(cyc))] + [(pen, k) for k in range(len(pen))]
+        (row, j), (src, k) = slots[c % len(slots)], slots[(c + 1 + b) % len(slots)]
+        if (row, j) != (src, k):
+            row[j] = src[k]
+        return
+    if len(cyc) < 2 or (op != "shorten-cycle" and len(pen) < 2):
+        return
+    if op == "shorten-cycle":
+        del cyc[i]
+        return
+    i = min(i, len(pen) - 1)
+    x, y = cyc.pop(i), pen.pop(i)
+    if op == "move-position":
+        other = suns[(b + 1) % len(suns)]
+        other["cycle"].append(x)
+        other["pendants"].append(y)
+
+
+SHAPE_OPS = ("shorten-cycle", "drop-position", "move-position", "repeat-vertex")
+
+
 def mutate(doc: dict, op: str, a: int, b: int, c: int) -> None:
     """Apply one mutation in place; a, b, c pick classes, blocks and slots."""
     classes = doc["classes"]
+    if op in SHAPE_OPS:
+        pool = [cls for cls in classes if cls["type"] == "sun_factor" and cls["suns"]]
+        if pool:
+            reshape(pool[a % len(pool)]["suns"], op, b, c)
+        return
     if op in ("swap-endpoints", "swap-pendants"):
         kind = "one_factor" if op == "swap-endpoints" else "sun_factor"
         pool = [cls for cls in classes if cls["type"] == kind and _blocks(cls)]
@@ -184,7 +251,7 @@ def mutate(doc: dict, op: str, a: int, b: int, c: int) -> None:
         block = blocks[i]
         slots = block if cls["type"] == "one_factor" else block["cycle"] + block["pendants"]
         old = slots[c % len(slots)]
-        new = doc["host"]["v"] + c % 3
+        new = max(reference_host(doc["host"])[0]) + 1 + c % 3
         if cls["type"] == "one_factor":
             block[block.index(old)] = new
         else:
@@ -192,16 +259,19 @@ def mutate(doc: dict, op: str, a: int, b: int, c: int) -> None:
             part[part.index(old)] = new
 
 
-OPS = ("swap-endpoints", "swap-pendants", "drop-block", "duplicate-block", "relabel-outside")
+OPS = (
+    "swap-endpoints", "swap-pendants", "drop-block", "duplicate-block", "relabel-outside",
+    *SHAPE_OPS,
+)
 mutation = st.tuples(
     st.sampled_from(OPS), st.integers(0, 99), st.integers(0, 99), st.integers(0, 99)
 )
 
 
-def verify_findings(doc: dict) -> list[str]:
+def verify_findings(doc: dict, infer_h: bool = False) -> list[str]:
     parsed = from_document(doc)
-    report = verify(parsed.payload, expected_h=parsed.h)
-    return sorted(str(f) for f in report.violations if f.kind in PARTITION_KINDS)
+    report = verify(parsed.payload, expected_h=None if infer_h else parsed.h)
+    return sorted(str(f) for f in report.violations if f.kind in REFERENCE_KINDS)
 
 
 @pytest.mark.parametrize("vh", sorted(DESIGNS))
@@ -210,17 +280,22 @@ def test_reference_accepts_built_design(vh):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(DESIGNS)), st.lists(mutation, min_size=1, max_size=4))
-def test_findings_match_reference(vh, mutations):
-    doc = copy.deepcopy(DESIGNS[vh])
+@given(
+    st.sampled_from([*sorted(DESIGNS), *sorted(FILLS)]),
+    st.lists(mutation, min_size=1, max_size=4),
+)
+def test_findings_match_reference(key, mutations):
+    # A fill has one sun per sun class, so a reshaped sun is its whole class.
+    doc = copy.deepcopy({**DESIGNS, **FILLS}[key])
     for op, a, b, c in mutations:
         mutate(doc, op, a, b, c)
     assert verify_findings(doc) == reference_findings(doc)
+    assert verify_findings(doc, infer_h=True) == reference_findings(doc, infer_h=True)
 
 
 def verify_record_findings(doc: dict) -> list[str]:
     report = validate_cycle_factorization(from_document(doc).payload)
-    return sorted(str(f) for f in report.violations if f.kind in PARTITION_KINDS)
+    return sorted(str(f) for f in report.violations if f.kind in REFERENCE_KINDS)
 
 
 @pytest.mark.parametrize("nh", sorted(RECORDS))

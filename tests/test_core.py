@@ -21,6 +21,7 @@ from sunurd import (
     verify,
     vertex_profile,
 )
+from sunurd.core import ONE_FACTOR, SUN_FACTOR
 
 
 def k6_design() -> Decomposition:
@@ -281,6 +282,61 @@ def raw_suns(draw):
     return tuple(verts[:h]), tuple(verts[h:])
 
 
+@st.composite
+def written_classes(draw):
+    """A one-factor or sun class whose blocks are written canonically,
+    rotated, reflected, reversed or with list rows.
+
+    A sun class is a list of raw suns that may share vertices, or suns on
+    distinct vertices in one style: all canonical; each canonical or
+    reflected with its least vertex still first; each canonical or rotated
+    back by one, so its least vertex comes second; or each in any rotation
+    or reflection, with tuple or list rows.
+    """
+    kind = draw(st.sampled_from(["one-factor", "raw", "distinct", "distinct"]))
+    if kind == "one-factor":
+        pairs = st.tuples(st.integers(0, 99), st.integers(0, 99)).filter(lambda e: e[0] != e[1])
+        edges = [
+            draw(st.sampled_from([tuple, list]))(draw(st.permutations(e)))
+            for e in draw(st.lists(pairs, max_size=6))
+        ]
+        return ParallelClass(ONE_FACTOR, edges=tuple(edges))
+    if kind == "raw":
+        wrap = draw(st.sampled_from([tuple, list]))
+        raw = draw(st.lists(raw_suns(), max_size=4))
+        return ParallelClass(SUN_FACTOR, suns=tuple(Sun(wrap(c), wrap(p)) for c, p in raw))
+    h, k = draw(st.integers(3, 6)), draw(st.integers(1, 4))
+    verts = draw(st.lists(st.integers(0, 999), min_size=2 * h * k, max_size=2 * h * k, unique=True))
+    style = draw(st.sampled_from(["canonical", "reflected", "rotated", "any"]))
+    suns = []
+    for i in range(0, 2 * h * k, 2 * h):
+        cycle, pendants = canonicalize_sun(verts[i : i + h], verts[i + h : i + 2 * h])
+        wrap = tuple
+        if style == "any":
+            writings = list(dihedral_writings(cycle, pendants))
+            cycle, pendants = writings[draw(st.integers(0, len(writings) - 1))]
+            wrap = draw(st.sampled_from([tuple, list]))
+        elif style != "canonical" and draw(st.booleans()):
+            if style == "reflected":
+                cycle, pendants = cycle[:1] + cycle[:0:-1], pendants[:1] + pendants[:0:-1]
+            else:
+                cycle, pendants = cycle[-1:] + cycle[:-1], pendants[-1:] + pendants[:-1]
+        suns.append(Sun(wrap(cycle), wrap(pendants)))
+    return ParallelClass(SUN_FACTOR, suns=tuple(suns))
+
+
+def reference_canonical(dec: Decomposition) -> Decomposition:
+    """The canonical form block by block: every edge through ``edge``, every
+    sun through ``canonicalize_sun``, then each class sorted."""
+    classes = tuple(
+        ParallelClass.one_factor(sorted(edge(u, w) for u, w in cls.edges))
+        if cls.kind == ONE_FACTOR
+        else ParallelClass.sun_factor(sorted(canonicalize_sun(c, p) for c, p in cls.suns))
+        for cls in dec.classes
+    )
+    return Decomposition(dec.host, classes)
+
+
 class TestCanonicalForms:
     @given(raw_suns())
     def test_cycle_is_least_dihedral_writing(self, raw):
@@ -295,18 +351,28 @@ class TestCanonicalForms:
         assert (sun.cycle, sun.pendants) == best
         assert type(sun.cycle) is tuple and type(sun.pendants) is tuple
 
-    @given(st.lists(st.lists(raw_suns(), max_size=4), max_size=4), st.booleans())
-    def test_decomposition_idempotent_and_keeps_canonical_suns(self, classes, as_lists):
-        wrap = list if as_lists else tuple
-        dec = Decomposition(
-            HostGraph.complete(4),
-            tuple(
-                ParallelClass.sun_factor(Sun(wrap(c), wrap(p)) for c, p in cls) for cls in classes
-            ),
-        )
+    @given(
+        st.lists(written_classes(), max_size=4),
+        st.sampled_from([None, None, "loop", "repeated vertex"]),
+        st.integers(0, 4),
+    )
+    def test_decomposition_idempotent_and_keeps_canonical_suns(self, classes, fault, at):
+        # A loop edge or a sun with a repeated vertex, each in a class that is
+        # otherwise canonical, still raises.
+        if fault == "loop":
+            classes.insert(at % 5, ParallelClass(ONE_FACTOR, edges=((0, 1), (2, 2))))
+        elif fault == "repeated vertex":
+            bad = (Sun((0, 1, 2), (3, 4, 5)), Sun((6, 7, 8), (6, 9, 10)))
+            classes.insert(at % 5, ParallelClass(SUN_FACTOR, suns=bad))
+        dec = Decomposition(HostGraph.complete(4), tuple(classes))
+        if fault is not None:
+            with pytest.raises(ValueError):
+                canonical_decomposition(dec)
+            return
         canon = canonical_decomposition(dec)
-        for cls, raw in zip(canon.classes, classes):
-            assert list(cls.suns) == sorted(canonicalize_sun(c, p) for c, p in raw)
+        assert canon == reference_canonical(dec)
+        for cls in canon.classes:
+            assert all(type(e) is tuple for e in cls.edges)
             assert all(type(s.cycle) is tuple and type(s.pendants) is tuple for s in cls.suns)
         again = canonical_decomposition(canon)
         assert again == canon

@@ -269,21 +269,34 @@ def test_bad_shape_inputs_rejected_before_any_work(call, expected):
     assert str(exc_info.value) == expected
 
 
+def _without_first_class():
+    cf = cycle_factorization_odd(9, 3)
+    return cf._replace(classes=cf.classes[1:])
+
+
 @pytest.mark.parametrize(
-    "entry",
+    "entry, reason",
     [
-        lambda: cycle_factorization_odd(15, 3),
-        lambda: cycle_factorization_minus_f(8, 4),
-        lambda: cycle_factorization_odd(9, 9),
-        lambda: "x",
+        (lambda: cycle_factorization_odd(15, 3), ""),
+        (lambda: cycle_factorization_minus_f(8, 4), ""),
+        (lambda: cycle_factorization_odd(9, 9), ""),
+        (lambda: "x", ""),
+        (
+            _without_first_class,
+            ": decomposition: missing-edge: edge (0, 4) never covered;"
+            " decomposition: missing-edge: edge (0, 8) never covered;"
+            " decomposition: missing-edge: edge (1, 2) never covered",
+        ),
     ],
-    ids=["K_15", "K_8 - F", "h=9", "not a factorization"],
+    ids=["K_15", "K_8 - F", "h=9", "not a factorization", "fails certification"],
 )
-def test_catalog_entry_for_another_ingredient_rejected(entry):
+def test_catalog_entry_for_another_ingredient_rejected(entry, reason):
     # The catalog's key was trusted: the first three entries were returned as
     # the 3-cycle factorization of K_9, and "x" ended in an internal error.
+    # An entry of the right host and h that fails certification ended in an
+    # internal error as well; its message now carries the first findings.
     catalog = {(9, 3, "complete"): entry()}
-    expected = "catalog entry (9, 3, 'complete') does not factor K_9 into 3-cycles"
+    expected = "catalog entry (9, 3, 'complete') does not factor K_9 into 3-cycles" + reason
     with pytest.raises(ValueError) as exc_info:
         cycle_factorization_odd(9, 3, catalog=catalog)
     assert str(exc_info.value) == expected
