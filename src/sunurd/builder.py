@@ -1,8 +1,8 @@
 """Top-level constructor: route a (v, h, r, s) tuple to a base design, a
 plain 1-factorization, or a weight-2 inflation of a cycle factorization.
 
-The inflation routes double every base point p into the pair 2p, 2p+1 and
-replace each base h-cycle with the blown cycle on its doubled points, filled
+The inflation route doubles every base point p into the pair 2p, 2p+1 and
+replaces each base h-cycle with the blown cycle on its doubled points, filled
 with one of the two uniform fill designs: the sun fill contributes two
 global sun classes per base class, the matching fill four global matchings.
 Each fill comes from one template per kind, built once on the labels
@@ -37,15 +37,13 @@ from .spectrum import Admissibility, ParamTuple, SpectrumPair, admissible_pairs,
 class Route(enum.Enum):
     PURE_MATCHINGS = "pure-matchings"
     SMALL_CASE = "small-case"
-    INFLATION_0_MOD_4H = "inflation-0mod4h"
-    INFLATION_2H_EVEN = "inflation-2h-even"
-    INFLATION_2H_ODD = "inflation-2h-odd"
+    INFLATION = "inflation"
 
 
 class BuildPlan(NamedTuple):
     """How a tuple will be realized.
 
-    For inflation routes, ``l`` is the number of base cycle classes and
+    For the inflation route, ``l`` is the number of base cycle classes and
     ``x = r // 4`` of them get the matching fill; ``ingredient`` names the
     required factorization as (order, h, host kind) and ``provenance``
     records where it actually came from once resolved.
@@ -76,9 +74,13 @@ def plan(t: ParamTuple) -> BuildPlan:
     """Classify an admissible tuple into its construction route.
 
     A tuple with s > 0 inflates an h-cycle factorization on n = v/2 points,
-    of K_n for odd n and of K_n - F for even n, except (12, 3): its
+    of K_n for odd n and of K_n - F for even n.  In the paper's case split:
+    v = 0 (mod 4h) inflates K_{v/2} - F; v = 2h (mod 4h) inflates K_{v/2}
+    for odd h and K_{v/2} - F for even h.  The exception is (12, 3): its
     ingredient, a triangle factorization of K_6 - F, does not exist, so it
-    has fixed designs.
+    has fixed designs.  Since r = v - 1 (mod 4) and r + 2s = v - 1, the
+    x = r // 4 matching-filled classes and the s / 2 sun-filled ones make
+    up the l = (n - 1) // 2 base classes: 0 <= x < l and s = 2(l - x).
     """
     t = ParamTuple(*t)
     adm = check_necessary(t)
@@ -90,15 +92,9 @@ def plan(t: ParamTuple) -> BuildPlan:
     if (v, h) == (12, 3):
         return BuildPlan(Route.SMALL_CASE, v, h, r, s)
     n = v // 2
-    if n % 2:
-        route, kind = Route.INFLATION_2H_ODD, COMPLETE
-    else:
-        route = Route.INFLATION_2H_EVEN if v % (4 * h) else Route.INFLATION_0_MOD_4H
-        kind = COMPLETE_MINUS_F
+    kind = COMPLETE if n % 2 else COMPLETE_MINUS_F
     l, x = (n - 1) // 2, r // 4
-    if not 0 <= x < l or s != 2 * (l - x):
-        raise RuntimeError(f"internal error: inconsistent plan for {t}: x={x}, l={l}")
-    return BuildPlan(route, v, h, r, s, x=x, l=l, ingredient=(n, h, kind))
+    return BuildPlan(Route.INFLATION, v, h, r, s, x=x, l=l, ingredient=(n, h, kind))
 
 
 def inflate_cycle(cycle: tuple[int, ...], kind: UrgddKind) -> Decomposition:

@@ -110,15 +110,6 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _load_catalog(args):
-    from .factorizations import load_seed_catalog
-
-    seed_dir = args.seed_dir or os.environ.get(SEED_DIR_ENV)
-    if not seed_dir:
-        return None
-    return load_seed_catalog(seed_dir)
-
-
 def _render_text(dec: Decomposition) -> str:
     from .core import ONE_FACTOR
 
@@ -135,7 +126,9 @@ def _render_text(dec: Decomposition) -> str:
 def cmd_build(args) -> int:
     from .builder import InadmissibleTuple, build
     from .core import MAX_ORDER
-    from .factorizations import IngredientSource, IngredientUnavailable, SeedCatalogError
+    from .factorizations import (
+        IngredientSource, IngredientUnavailable, SeedCatalogError, load_seed_catalog
+    )
     from .serialization import dumps_document
     from .spectrum import ParamTuple
 
@@ -143,16 +136,18 @@ def cmd_build(args) -> int:
         print(f"build --v must be at most {MAX_ORDER}, the verifier's cap", file=sys.stderr)
         return EXIT_USAGE
     t = ParamTuple(args.v, args.h, args.r, args.s)
+    seed_dir = args.seed_dir or os.environ.get(SEED_DIR_ENV)
     try:
-        catalog = _load_catalog(args)
+        # The catalog loads before build() screens the tuple, so an
+        # unreadable or unparseable directory is reported first.
+        catalog = load_seed_catalog(seed_dir) if seed_dir else None
+        dec = build(t, source=IngredientSource(catalog=catalog))
     except OSError as exc:
         print(f"cannot read seed catalog: {exc}", file=sys.stderr)
         return EXIT_IO
     except SeedCatalogError as exc:
         print(f"bad seed catalog: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        dec = build(t, source=IngredientSource(catalog=catalog))
     except InadmissibleTuple as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INADMISSIBLE

@@ -1,6 +1,6 @@
-"""Cycle-factorization ingredients: direct constructions, validated seed
-catalogs, a search for one base class under a cyclic group, and bounded
-exact backtracking search.
+"""Cycle-factorization ingredients: direct constructions, seed catalogs,
+a search for one base class under a cyclic group, and bounded exact
+backtracking search.
 
 A cycle factorization splits the edges of K_n (n odd) or K_n minus a
 perfect matching F (n even) into parallel classes of h-cycles.  These are
@@ -60,8 +60,15 @@ class IngredientUnavailable(Exception):
         super().__init__(f"no {h}-cycle factorization of {what} available: {outcome}")
 
 
-class SeedCatalogError(Exception):
-    """A seed record failed to load or validate (message names the file)."""
+class SeedCatalogError(ValueError):
+    """A seed record that cannot be used.
+
+    ``load_seed_catalog`` raises it, naming the file, for a record that is
+    not UTF-8, not a format-"1" cycle-factorization document, or keyed like
+    another record.  Resolving an ingredient (``IngredientSource``, the
+    ``cycle_factorization_*`` functions) raises it, naming the key, for a
+    catalog entry that does not factor the host its key names.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +570,9 @@ def _resolve(
     quotient stage spends at most QUOTIENT_NODES of it and the plain search
     the rest.  Only the plain search can prove an ingredient nonexistent.
     A catalog entry that is not an h-cycle factorization of the host its
-    key names raises ValueError naming the key and, for an entry of the
-    right host and h, the certifier's first findings.
+    key names raises SeedCatalogError (a ValueError) naming the key and,
+    for an entry of the right host and h, the certifier's first findings.
+    This is the only certification of a catalog entry.
     """
     _check_budget(budget)
     problems = factorization_shape_problems(kind, n, h)
@@ -587,7 +595,9 @@ def _resolve(
                 return cf
             reason = f": {report.brief()}"
         what = f"K_{n}" if kind == COMPLETE else f"K_{n} - F"
-        raise ValueError(f"catalog entry {key} does not factor {what} into {h}-cycles{reason}")
+        raise SeedCatalogError(
+            f"catalog entry {key} does not factor {what} into {h}-cycles{reason}"
+        )
     cap = QUOTIENT_NODES if budget is None else min(QUOTIENT_NODES, budget)
     cf, nodes = _quotient_search(kind, n, h, cap)
     if cf is None:
@@ -668,12 +678,16 @@ class IngredientSource:
 
 
 def load_seed_catalog(path) -> dict[tuple[int, int, str], CycleFactorization]:
-    """Load and validate every seed record under ``path`` (*.json files).
+    """Read every seed record under ``path`` (*.json files), keyed (n, h,
+    host kind).
 
     Records use the standard document schema with cycle-factor classes.
     A ``path`` that is not a directory, or any unreadable file, raises
-    OSError; malformed, undecodable or invalid records raise
-    SeedCatalogError naming the offending file.  Keys are (n, h, host kind).
+    OSError; a record that is not UTF-8, not a format-"1" document, not a
+    cycle factorization, or keyed like another record raises
+    SeedCatalogError naming the offending file.  Records are not certified
+    here: the build that resolves a record's key certifies it, and a
+    record that does not factor its host fails that build alone.
     """
     directory = Path(path)
     if not directory.is_dir():
@@ -688,9 +702,6 @@ def load_seed_catalog(path) -> dict[tuple[int, int, str], CycleFactorization]:
         payload = doc.payload
         if not isinstance(payload, CycleFactorization):
             raise SeedCatalogError(f"{file.name}: not a cycle-factorization record")
-        report = validate_cycle_factorization(payload)
-        if not report.passed:
-            raise SeedCatalogError(f"{file.name}: invalid record: {report.brief()}")
         key = (payload.host.order, payload.h, payload.host.kind)
         if key in catalog:
             raise SeedCatalogError(f"{file.name}: duplicate record for {key}")

@@ -41,7 +41,7 @@ class TestPlan:
         assert plan(ParamTuple(12, 3, 7, 2)).route is Route.SMALL_CASE
         assert plan(ParamTuple(12, 3, 3, 4)).route is Route.SMALL_CASE
         p = plan(ParamTuple(6, 3, 1, 2))
-        assert p.route is Route.INFLATION_2H_ODD
+        assert p.route is Route.INFLATION
         assert (p.l, p.x) == (1, 0)
         assert p.ingredient == (3, 3, "complete")
         small = {
@@ -60,21 +60,38 @@ class TestPlan:
 
     def test_0_mod_4h(self):
         p = plan(ParamTuple(20, 5, 3, 8))
-        assert p.route is Route.INFLATION_0_MOD_4H
+        assert p.route is Route.INFLATION
         assert (p.l, p.x) == (4, 0)
         assert p.ingredient == (10, 5, "complete_minus_f")
 
     def test_2h_even(self):
         p = plan(ParamTuple(12, 6, 7, 2))
-        assert p.route is Route.INFLATION_2H_EVEN
+        assert p.route is Route.INFLATION
         assert (p.l, p.x) == (2, 1)
         assert p.ingredient == (6, 6, "complete_minus_f")
 
     def test_2h_odd(self):
         p = plan(ParamTuple(18, 3, 5, 6))
-        assert p.route is Route.INFLATION_2H_ODD
+        assert p.route is Route.INFLATION
         assert (p.l, p.x) == (4, 1)
         assert p.ingredient == (9, 3, "complete")
+
+    def test_inflation_plans_split_the_base_classes(self):
+        # Every inflation tuple up to v = 400: x matching-filled and s / 2
+        # sun-filled base classes make up the l classes of the ingredient,
+        # whose host kind follows the parity of v / 2.
+        count = 0
+        for v in range(6, 401, 2):
+            for h in range(3, v // 2 + 1):
+                for r, s in admissible_pairs(v, h):
+                    p = plan(ParamTuple(v, h, r, s))
+                    if p.route is not Route.INFLATION:
+                        continue
+                    count += 1
+                    n = v // 2
+                    assert 0 <= p.x < p.l and s == 2 * (p.l - p.x), p
+                    assert p.ingredient == (n, h, "complete" if n % 2 else "complete_minus_f")
+        assert count == 44_469
 
     def test_inadmissible_rejected(self):
         with pytest.raises(InadmissibleTuple):

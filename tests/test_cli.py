@@ -9,7 +9,13 @@ import sys
 
 import pytest
 
-from sunurd import IngredientSource, cycle_factorization_odd, dumps_document, urd6_h3
+from sunurd import (
+    IngredientSource,
+    cycle_factorization_odd,
+    dumps_document,
+    urd6_h3,
+    validate_cycle_factorization,
+)
 from sunurd.cli import main
 
 
@@ -162,6 +168,42 @@ class TestBuild:
         assert "bad seed catalog" in capsys.readouterr().err
 
 
+    def test_uncertified_seed_record_fails_only_the_build_that_uses_it(self, tmp_path, capsys):
+        # K_9 with its first class dropped parses, so the directory loads;
+        # only a build that resolves (9, 3, 'complete') certifies the record.
+        doc = json.loads(dumps_document(cycle_factorization_odd(9, 3)))
+        del doc["classes"][0]
+        (tmp_path / "k9.json").write_text(json.dumps(doc), encoding="utf-8")
+        seed = ["--seed-dir", str(tmp_path)]
+        assert main(["build", "--v", "18", "--h", "3", "--r", "1", "--s", "8"] + seed) == 2
+        assert capsys.readouterr().err == (
+            "bad seed catalog: catalog entry (9, 3, 'complete') does not factor K_9 "
+            "into 3-cycles: decomposition: missing-edge: edge (0, 4) never covered; "
+            "decomposition: missing-edge: edge (0, 8) never covered; "
+            "decomposition: missing-edge: edge (1, 2) never covered\n"
+        )
+        assert main(["build", "--v", "12", "--h", "3", "--r", "7", "--s", "2"] + seed) == 0
+        assert main(["build", "--v", "12", "--h", "3", "--r", "4", "--s", "4"] + seed) == 3
+
+    def test_seeded_build_certifies_its_record_once(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "k9.json").write_text(
+            dumps_document(cycle_factorization_odd(9, 3)), encoding="utf-8"
+        )
+        calls = []
+
+        def counting(cf):
+            calls.append(cf)
+            return validate_cycle_factorization(cf)
+
+        monkeypatch.setattr("sunurd.factorizations.validate_cycle_factorization", counting)
+        code = main(
+            ["build", "--v", "18", "--h", "3", "--r", "1", "--s", "8",
+             "--seed-dir", str(tmp_path)]
+        )
+        assert code == 0
+        assert len(calls) == 1
+
+
 class TestVerify:
     def test_round_trip_passes(self, tmp_path, capsys):
         path = tmp_path / "d.json"
@@ -261,6 +303,13 @@ class TestVerify:
         path.write_text(dumps_document(cycle_factorization_odd(9, 3)), encoding="utf-8")
         assert main(["verify", str(path)]) == 0
         assert "cycle-factorization" in capsys.readouterr().out
+
+    def test_seed_record_summary(self, tmp_path, capsys):
+        # bench/run.py requires this line for the catalog-h4 record.
+        path = tmp_path / "k9.json"
+        path.write_text(dumps_document(cycle_factorization_odd(9, 3)), encoding="utf-8")
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out == "cycle-factorization: 4 classes of 3-cycles\n"
 
 
 def test_module_entry_point_runs():

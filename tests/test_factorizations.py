@@ -360,13 +360,22 @@ class TestSeedCatalog:
         assert exc_info.value.nodes == 0
 
     def test_record_missing_an_edge_rejected(self, tmp_path):
+        # The record parses, so it loads; the build that resolves its key
+        # certifies it, once, and rejects it.
         cf = cycle_factorization_odd(9, 3)
         doc = json.loads(dumps_document(cf))
         doc["classes"][0]["cycles"] = doc["classes"][0]["cycles"][1:]
         (tmp_path / "broken.json").write_text(json.dumps(doc), encoding="utf-8")
+        catalog = load_seed_catalog(tmp_path)
+        assert list(catalog) == [(9, 3, "complete")]
         with pytest.raises(SeedCatalogError) as exc_info:
-            load_seed_catalog(tmp_path)
-        assert "broken.json" in str(exc_info.value)
+            IngredientSource(catalog=catalog).odd(9, 3)
+        assert str(exc_info.value) == (
+            "catalog entry (9, 3, 'complete') does not factor K_9 into 3-cycles: "
+            "decomposition: missing-edge: edge (0, 4) never covered; "
+            "decomposition: missing-edge: edge (0, 8) never covered; "
+            "decomposition: missing-edge: edge (4, 8) never covered"
+        )
 
     def test_loop_in_removed_matching_rejected(self, tmp_path):
         doc = json.loads(dumps_document(cycle_factorization_minus_f(6, 6)))

@@ -27,10 +27,12 @@ from sunurd import (
     admissible_pairs,
     build,
     canonical_cycle,
+    canonical_decomposition,
     cycle_factorization_minus_f,
     cycle_factorization_odd,
     dumps_document,
     edge,
+    enumerate_by_counting,
     loads_document,
     one_factorization,
     search_cycle_factorization,
@@ -276,9 +278,9 @@ class TestFindingText:
         ]
 
     def test_non_sequence_blocks_and_classes(self):
-        # Blocks whose fields are not sequences, and classes that are not
-        # parallel classes, are reported, not raised as TypeError or
-        # AttributeError.
+        # Blocks that are not Suns or whose fields are not sequences, and
+        # classes that are not parallel classes, are reported, not raised as
+        # TypeError or AttributeError.
         k6 = HostGraph.complete(6)
         report = verify(Decomposition(k6, (ParallelClass.sun_factor([Sun(5, (1, 2, 3))]),)))
         assert all(f.startswith("decomposition: missing-edge: ") for f in findings(report)[:15])
@@ -288,6 +290,12 @@ class TestFindingText:
             *(f"class 0: vertex-missed: vertex {x} not covered" for x in range(6)),
         ]
         assert (report.r, report.s) == (0, 1)
+        report = verify(Decomposition(k6, (ParallelClass.sun_factor([((0, 1, 2), (3, 4, 5))]),)))
+        assert all(f.startswith("decomposition: missing-edge: ") for f in findings(report)[:15])
+        assert findings(report)[15:] == [
+            "class 0: malformed-sun: sun ((0, 1, 2), (3, 4, 5)) is not a Sun of int sequences",
+            *(f"class 0: vertex-missed: vertex {x} not covered" for x in range(6)),
+        ]
         classes = ("x", ParallelClass.one_factor([(0, 1)]))
         report = verify(Decomposition(HostGraph.complete(2), classes))
         assert findings(report) == [
@@ -612,6 +620,20 @@ RAISED_MESSAGES = {
             HostGraph.blown_cycle(((0, 1), (2, 3), (4, 5))), 3
         ),
         "unsupported search host kind 'blown_cycle'",
+    ),
+    "canonical_decomposition: unknown class kind": (
+        lambda: canonical_decomposition(
+            Decomposition(HostGraph.complete(3), (ParallelClass("x"),))
+        ),
+        "unknown class kind 'x'",
+    ),
+    "dumps_document: unknown host kind": (
+        lambda: dumps_document(Decomposition(HostGraph("x", 3), ()), h=3),
+        "unknown host kind 'x'",
+    ),
+    "enumerate_by_counting: h below 3": (
+        lambda: enumerate_by_counting(8, 2),
+        "h must be at least 3",
     ),
 }
 

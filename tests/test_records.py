@@ -108,9 +108,9 @@ RECORDS = [
         False,
     ),
     (
-        BuildPlan(Route.INFLATION_2H_ODD, 30, 3, 1, 14, x=0, l=7, ingredient=(15, 3, "complete")),
+        BuildPlan(Route.INFLATION, 30, 3, 1, 14, x=0, l=7, ingredient=(15, 3, "complete")),
         ("route", "v", "h", "r", "s", "x", "l", "ingredient", "provenance"),
-        "BuildPlan(route=<Route.INFLATION_2H_ODD: 'inflation-2h-odd'>, v=30, h=3, r=1, s=14, "
+        "BuildPlan(route=<Route.INFLATION: 'inflation'>, v=30, h=3, r=1, s=14, "
         "x=0, l=7, ingredient=(15, 3, 'complete'), provenance=None)",
         Route.SMALL_CASE,
     ),

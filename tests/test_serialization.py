@@ -97,6 +97,11 @@ class TestDocumentShape:
         with pytest.raises(ValueError, match="h must be an int"):
             dumps_document(build(ParamTuple(12, 3, 3, 4)), h=h)
 
+    def test_payload_that_is_not_a_record_rejected(self):
+        with pytest.raises(TypeError) as exc_info:
+            dumps_document(5)
+        assert str(exc_info.value) == "cannot serialize int"
+
 
 class TestRejection:
     def test_bad_json(self):

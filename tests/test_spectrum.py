@@ -18,6 +18,7 @@ from sunurd import (
 class TestAdmissiblePairs:
     def test_12_3(self):
         assert admissible_pairs(12, 3) == [(3, 4), (7, 2), (11, 0)]
+        assert inadmissibility_reason(12, 3) is None
 
     def test_6_3(self):
         assert admissible_pairs(6, 3) == [(1, 2), (5, 0)]
@@ -42,6 +43,7 @@ class TestAdmissiblePairs:
     def test_h_below_3_rejected(self):
         with pytest.raises(ValueError):
             admissible_pairs(8, 2)
+        assert inadmissibility_reason(8, 2) == "h must be at least 3"
 
     def test_extreme_pairs(self):
         # the pair with maximum s and the pure-matching pair
