@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .base_designs import UrgddKind, one_factorization, urd12_h3, urgdd_ch2
+from .base_designs import UrgddKind, _matching_class, one_factorization, urd12_h3, urgdd_ch2
 from .core import (
     COMPLETE,
     COMPLETE_MINUS_F,
@@ -27,7 +27,6 @@ from .core import (
     ParallelClass,
     Sun,
     _canonical_order,
-    edge,
     verify,
 )
 from .factorizations import CycleFactorization, IngredientSource, IngredientUnavailable
@@ -120,10 +119,7 @@ def _matchings(templates, bases) -> list[ParallelClass]:
     # Each template matching relabelled onto every base; the bases are
     # vertex-disjoint, so the copies of one template form one matching.
     labels = _doubled(bases)
-    return [
-        ParallelClass.one_factor(sorted(edge(lab[u], lab[w]) for lab in labels for u, w in t))
-        for t in templates
-    ]
+    return [_matching_class((lab[u], lab[w]) for lab in labels for u, w in t) for t in templates]
 
 
 def _assemble_inflation(t: ParamTuple, p: BuildPlan, cf: CycleFactorization) -> Decomposition:
@@ -224,12 +220,11 @@ def build_all(
 ) -> dict[SpectrumPair, "Decomposition | IngredientUnavailable"]:
     """One verified decomposition per admissible pair, or the per-pair
     ingredient diagnostics for routes whose factorization is missing."""
-    src = source if source is not None else _default_source
     results: dict[SpectrumPair, Decomposition | IngredientUnavailable] = {}
     for pair in admissible_pairs(v, h):
         t = ParamTuple(v, h, pair.r, pair.s)
         try:
-            results[pair] = build(t, source=src)
+            results[pair] = build(t, source=source)
         except IngredientUnavailable as exc:
             results[pair] = exc
     return results

@@ -4,9 +4,11 @@ backtracking search.
 
 A cycle factorization splits the edges of K_n (n odd) or K_n minus a
 perfect matching F (n even) into parallel classes of h-cycles.  These are
-the ingredients the inflation builder consumes; every factorization handed
-out here is first re-checked by the validator, which lives in ``core`` with
-the type, its canonical form and the shape rule.
+the ingredients the inflation builder consumes.  ``_resolve``, and through
+it the ``cycle_factorization_*`` functions and ``IngredientSource``,
+certifies every factorization it returns with the validator, which lives in
+``core`` with the type, its canonical form and the shape rule;
+``search_cycle_factorization`` returns what it finds unchecked.
 """
 
 from __future__ import annotations
@@ -82,9 +84,15 @@ class SearchResult(NamedTuple):
     nodes: int
 
 
-def _check_budget(budget) -> None:
+def _check_request(kind: str, n: int, h: int, budget) -> None:
+    # Every ingredient request, searched or resolved: budget, kind, shape.
     if budget is not None and not (only_ints([budget]) and budget >= 0):
         raise ValueError(f"budget must be None or an int >= 0, not {budget!r}")
+    if kind not in (COMPLETE, COMPLETE_MINUS_F):
+        raise ValueError(f"unsupported search host kind {kind!r}")
+    problems = factorization_shape_problems(kind, n, h)
+    if problems:
+        raise ValueError(problems[0])
 
 
 def search_cycle_factorization(
@@ -112,13 +120,8 @@ def search_cycle_factorization(
     by the interpreter's recursion limit.  Identical inputs and budget
     always produce the identical result.
     """
-    _check_budget(budget)
-    if host.kind not in (COMPLETE, COMPLETE_MINUS_F):
-        raise ValueError(f"unsupported search host kind {host.kind!r}")
     n = host.order
-    problems = factorization_shape_problems(host.kind, n, h)
-    if problems:
-        raise ValueError(problems[0])
+    _check_request(host.kind, n, h, budget)
 
     needed = (n - 1) // 2 * (n // h)
     avail = [0] * n
@@ -230,20 +233,20 @@ QUOTIENT_NODES = 100_000
 _RESTART_NODES = 1_000
 
 
-# The structure table.  A row gives the name, the host kind, the number k of
-# copies of Z_q and whether the base class is fixed by the half-turn.  The
-# points are the k copies plus the fixed points of the host kind, one for K_n
-# and two for K_n - F, so q = (n - fixed) / k.  Z_q acts by translation on
-# every copy and fixes the fixed points.  With the half-turn the base class
-# is also fixed by x -> x + q/2, and its q/2 translates are the classes;
-# otherwise all q translates are.  F is the edge between the two fixed points
-# plus the pure half-difference pairs when q is even, or the mixed
-# difference-0 pairs when q is odd.
+# The structure table.  A row gives the name, the host kind and the number k
+# of copies of Z_q.  The points are the k copies plus the f fixed points of
+# the host kind, one for K_n and two for K_n - F, so q = (n - f) / k.  Z_q
+# acts by translation on every copy and fixes the fixed points.  The classes
+# are the q/s translates of the base class, where s is the order of its
+# stabilizer; they must be the host's (n - f) / 2 classes, so s = 2 / k.
+# With k = 1 the base class is also fixed by the half-turn x -> x + q/2.
+# F is the edge between the two fixed points plus the pure half-difference
+# pairs when q is even, or the mixed difference-0 pairs when q is odd.
 _STRUCTURES = (
-    ("A", COMPLETE, 1, True),
-    ("B", COMPLETE_MINUS_F, 1, True),
-    ("C", COMPLETE, 2, False),
-    ("C", COMPLETE_MINUS_F, 2, False),
+    ("A", COMPLETE, 1),
+    ("B", COMPLETE_MINUS_F, 1),
+    ("C", COMPLETE, 2),
+    ("C", COMPLETE_MINUS_F, 2),
 )
 
 
@@ -252,14 +255,14 @@ def _translate(v: int, t: int, f: int, q: int) -> int:
     return v if v < f else v - (v - f) % q + ((v - f) % q + t) % q
 
 
-def _fit(name: str, kind: str, k: int, half_turn: bool, n: int, h: int) -> _Quotient | None:
+def _fit(name: str, kind: str, k: int, n: int, h: int) -> _Quotient | None:
     """A structure laid on n points for h-cycles, or None if it does not fit."""
     f = 1 if kind == COMPLETE else 2
-    s = 2 if half_turn else 1
+    s = 2 // k
     q, r = divmod(n - f, k)
     if r or q < 2 or q % s:
         return None
-    turn = [_translate(v, q // 2 if half_turn else 0, f, q) for v in range(n)]
+    turn = [_translate(v, q // 2 if s == 2 else 0, f, q) for v in range(n)]
     if kind == COMPLETE:
         removed = set()
     elif q % 2 == 0:
@@ -292,15 +295,12 @@ def _fit(name: str, kind: str, k: int, half_turn: bool, n: int, h: int) -> _Quot
     if any(size * s % q for size in sizes):
         return None
     quota = [size * s // q for size in sizes]
-    if half_turn:
+    if s == 2 and h % 2:
         # A fixed point's cycle is fixed by the half-turn: for odd h it
         # closes through an edge {x, x + q/2}, for even h through a second
-        # fixed point.
-        if h % 2:
-            halves = [orbit[v][turn[v]] for v in range(f, n, q)]
-            if f > sum(quota[o] for o in halves if o >= 0):
-                return None
-        elif f % 2:
+        # fixed point, which K_n - F has (h | n, so even h means even n).
+        halves = [orbit[v][turn[v]] for v in range(f, n, q)]
+        if f > sum(quota[o] for o in halves if o >= 0):
             return None
     # With the half-turn no walk steps onto a fixed point; it closes there.
     rows = [[x for x in range(f if s == 2 else 0, n) if orbit[u][x] >= 0] for u in range(n)]
@@ -553,61 +553,53 @@ def _host(kind: str, n: int, matching: list[Edge]) -> HostGraph:
     return HostGraph.complete(n) if kind == COMPLETE else HostGraph.complete_minus_f(n, matching)
 
 
-def _certified(cf: CycleFactorization) -> CycleFactorization:
-    report = validate_cycle_factorization(cf)
-    if not report.passed:
-        raise RuntimeError(f"internal error: factorization failed validation: {report.brief()}")
-    return cf
-
-
 def _resolve(
     kind: str, n: int, h: int, catalog: Mapping | None, budget: int | None
 ) -> CycleFactorization:
-    """Shape checks, construction (h = n), seed catalog, the quotient
-    structures, then the plain search.
+    """Resolve one ingredient; this is the one certification of all it returns.
 
-    ``budget`` bounds the path extensions of both searches together: the
-    quotient stage spends at most QUOTIENT_NODES of it and the plain search
-    the rest.  Only the plain search can prove an ingredient nonexistent.
-    A catalog entry that is not an h-cycle factorization of the host its
-    key names raises SeedCatalogError (a ValueError) naming the key and,
-    for an entry of the right host and h, the certifier's first findings.
-    This is the only certification of a catalog entry.
+    After the request check, the factorization comes from exactly one
+    source: a seed catalog entry (h < n), the construction (h = n), the
+    quotient structures, or the plain search.  ``budget`` bounds the path
+    extensions of both searches together: the quotient stage spends at
+    most QUOTIENT_NODES of it and the plain search the rest.  Only the
+    plain search can prove an ingredient nonexistent.  A catalog entry
+    that is not an h-cycle factorization of the host its key names raises
+    SeedCatalogError (a ValueError) naming the key and, for an entry of the
+    right host and h, the certifier's first findings.  Any other ingredient
+    that fails certification is an internal error (RuntimeError).
     """
-    _check_budget(budget)
-    problems = factorization_shape_problems(kind, n, h)
-    if problems:
-        raise ValueError(problems[0])
+    _check_request(kind, n, h, budget)
     if kind == COMPLETE_MINUS_F and (n, h) in NONEXISTENT_MINUS_F:
         raise IngredientUnavailable(n, h, kind, NONEXISTENT)
-    if h == n:
-        return _certified(_hamiltonian_odd(n) if kind == COMPLETE else _hamiltonian_minus_f(n))
     key = (n, h, kind)
-    cf = catalog.get(key) if catalog else None
-    if cf is not None:
-        # Certified here, once: an entry must factor the host its key names.
-        cf_host = cf.host if type(cf) is CycleFactorization else None
-        shape = (cf_host.kind, cf_host.order, cf.h) if type(cf_host) is HostGraph else None
-        reason = ""
-        if shape == (kind, n, h) and only_ints(shape[1:]):
-            report = validate_cycle_factorization(cf)
-            if report.passed:
-                return cf
-            reason = f": {report.brief()}"
-        what = f"K_{n}" if kind == COMPLETE else f"K_{n} - F"
-        raise SeedCatalogError(
-            f"catalog entry {key} does not factor {what} into {h}-cycles{reason}"
-        )
-    cap = QUOTIENT_NODES if budget is None else min(QUOTIENT_NODES, budget)
-    cf, nodes = _quotient_search(kind, n, h, cap)
-    if cf is None:
-        host = _host(kind, n, canonical_perfect_matching(n))
-        result = search_cycle_factorization(host, h, None if budget is None else budget - nodes)
-        nodes += result.nodes
-        if result.status != FOUND:
-            raise IngredientUnavailable(n, h, kind, result.status, nodes)
-        cf = result.factorization
-    return _certified(cf)
+    entry = catalog.get(key) if h != n and catalog else None
+    what = f"K_{n}" if kind == COMPLETE else f"K_{n} - F"
+    bad_entry = f"catalog entry {key} does not factor {what} into {h}-cycles"
+    if entry is not None:
+        host = entry.host if type(entry) is CycleFactorization else None
+        shape = (host.kind, host.order, entry.h) if type(host) is HostGraph else None
+        if shape != (kind, n, h) or not only_ints(shape[1:]):
+            raise SeedCatalogError(bad_entry)
+        cf = entry
+    elif h == n:
+        cf = _hamiltonian_odd(n) if kind == COMPLETE else _hamiltonian_minus_f(n)
+    else:
+        cap = QUOTIENT_NODES if budget is None else min(QUOTIENT_NODES, budget)
+        cf, nodes = _quotient_search(kind, n, h, cap)
+        if cf is None:
+            host = _host(kind, n, canonical_perfect_matching(n))
+            result = search_cycle_factorization(host, h, None if budget is None else budget - nodes)
+            nodes += result.nodes
+            if result.status != FOUND:
+                raise IngredientUnavailable(n, h, kind, result.status, nodes)
+            cf = result.factorization
+    report = validate_cycle_factorization(cf)
+    if report.passed:
+        return cf
+    if entry is not None:
+        raise SeedCatalogError(f"{bad_entry}: {report.brief()}")
+    raise RuntimeError(f"internal error: factorization failed validation: {report.brief()}")
 
 
 def cycle_factorization_odd(

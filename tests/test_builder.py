@@ -195,6 +195,20 @@ class TestBuild:
         dec = build(ParamTuple(18, 3, 5, 6), source=source)
         assert all(ab == (3, 3) for ab in vertex_profile(dec).values())
 
+    def test_failed_certification_is_an_internal_error(self, monkeypatch, source):
+        def dropping_first_class(t, p, cf):
+            dec = _assemble_inflation(t, p, cf)
+            return dec._replace(classes=dec.classes[1:])
+
+        monkeypatch.setattr("sunurd.builder._assemble_inflation", dropping_first_class)
+        with pytest.raises(RuntimeError) as exc_info:
+            build((18, 3, 5, 6), source=source)
+        assert str(exc_info.value).startswith(
+            "internal error: built design failed certification for "
+            "ParamTuple(v=18, h=3, r=5, s=6): got (5,5); "
+            "decomposition: missing-edge: edge (0, 10) never covered"
+        )
+
 
 class TestBuildAll:
     def test_12_3(self, source):

@@ -305,6 +305,42 @@ def test_catalog_entry_for_another_ingredient_rejected(entry, reason):
     assert str(exc_info.value) == expected
 
 
+@pytest.mark.parametrize(
+    "n, h, cataloged, source",
+    [
+        (9, 9, False, "construction:zigzag-hamiltonian"),
+        (9, 3, True, "catalog:k9.json"),
+        (15, 3, False, "quotient:C"),
+        (10, 5, False, "search"),
+    ],
+    ids=["construction", "catalog", "quotient", "search"],
+)
+def test_every_ingredient_certified_once(monkeypatch, n, h, cataloged, source):
+    entry = cycle_factorization_odd(9, 3)._replace(source="catalog:k9.json")
+    catalog = {(9, 3, "complete"): entry} if cataloged else None
+    calls = []
+
+    def counting(cf):
+        calls.append(cf.source)
+        return validate_cycle_factorization(cf)
+
+    monkeypatch.setattr("sunurd.factorizations.validate_cycle_factorization", counting)
+    resolve = cycle_factorization_odd if n % 2 else cycle_factorization_minus_f
+    assert resolve(n, h, catalog=catalog).source == source
+    assert calls == [source]
+
+
+def test_construction_failing_certification_is_an_internal_error(monkeypatch):
+    broken = _without_first_class()
+    monkeypatch.setattr("sunurd.factorizations._hamiltonian_odd", lambda n: broken)
+    with pytest.raises(RuntimeError) as exc_info:
+        cycle_factorization_odd(9, 9)
+    assert str(exc_info.value).startswith(
+        "internal error: factorization failed validation: "
+        "decomposition: missing-edge: edge (0, 4) never covered"
+    )
+
+
 class TestIngredientSource:
     def test_caches_results(self):
         source = IngredientSource()

@@ -174,6 +174,10 @@ def test_sun_order_is_field_order():
     assert Sun((0, 1, 2), (3, 4, 5)) < Sun((0, 1, 3), (2, 4, 5))
 
 
+def test_sun_h_is_its_cycle_length():
+    assert Sun((0, 1, 2), (3, 4, 5)).h == 3
+
+
 def test_finding_order_is_index_then_kind_then_detail():
     findings = [
         Finding(0, "vertex-missed", "vertex 1 not covered"),
