@@ -8,6 +8,15 @@ Each subcommand imports only the package modules it runs, inside its
 ``cmd_*`` function: ``spectrum`` loads ``spectrum``, ``verify`` loads
 ``core`` and ``serialization``, and ``build`` loads the rest.  A process
 that does not build never loads, or compiles, the builder and the searches.
+
+``main`` runs a call without the cyclic garbage collector and restores the
+caller's setting; it never freezes, so library callers and in-process tests
+are untouched.  A process enters through ``run`` (``python -m sunurd`` and
+the ``sunurd`` script).  ``run`` switches the collector off before ``main``,
+so no young collection runs on ``main``'s return, and calls ``gc.freeze``
+after it: finalization forces full collections even with the collector off,
+and freezing leaves them none of ``main``'s objects to examine.  What they
+would free goes back to the OS at exit.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import gc
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 if TYPE_CHECKING:
     from .core import Decomposition
@@ -71,7 +80,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # No cyclic GC: the only cycle a call drops is argparse's parser.
+    # No cyclic GC: the only cycle a call drops is argparse's parser.  When
+    # the caller had the collector on, re-enabling it lets a young collection
+    # free the parser on return; under ``run`` it stays off, and the parser
+    # is left for the process's exit.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -87,6 +99,16 @@ def main(argv=None) -> int:
         return EXIT_IO
     finally:
         (gc.enable if enabled else gc.disable)()
+
+
+def run() -> NoReturn:
+    """Process entry: ``main`` with the collector off, then ``gc.freeze``,
+    then ``sys.exit`` with its code, so atexit handlers run and stdio is
+    flushed as usual."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 def cmd_spectrum(args) -> int:
@@ -196,7 +218,3 @@ def cmd_verify(args) -> int:
     for finding in report.violations:
         print(str(finding))
     return EXIT_VERIFY_FAILED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

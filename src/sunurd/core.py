@@ -489,6 +489,9 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
     """
     if type(dec) is not Decomposition:
         return _rejected("malformed-host", f"{_shown(dec)} is not a Decomposition")
+    if expected_h is not None and not only_ints([expected_h]):
+        detail = f"expected cycle length {_shown(expected_h)} is not an int"
+        return _rejected("bad-parameters", detail)
     findings: list[Finding] = []
     kinds = []
 

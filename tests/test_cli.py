@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from sunurd import (
     urd6_h3,
     validate_cycle_factorization,
 )
+from sunurd import cli
 from sunurd.cli import main
 
 
@@ -312,14 +314,47 @@ class TestVerify:
         assert capsys.readouterr().out == "cycle-factorization: 4 classes of 3-cycles\n"
 
 
+ENTRY_CALLS = [
+    (["spectrum", "--v", "12", "--h", "3"], 0, "(3,4) (7,2) (11,0)\n"),
+    (["spectrum", "--v", "twelve", "--h", "3"], 2, ""),
+    (["build", "--v", "14", "--h", "3", "--r", "1", "--s", "6"], 3, ""),
+]
+
+
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "sunurd", "spectrum", "--v", "12", "--h", "3"],
-        capture_output=True,
-        text=True,
+    # The entry exits through sys.exit, so atexit handlers still run after
+    # main's output is flushed.
+    script = (
+        "import atexit, runpy, sys; atexit.register(print, 'atexit ran'); "
+        "sys.argv[0] = 'sunurd'; runpy.run_module('sunurd', run_name='__main__')"
     )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "(3,4) (7,2) (11,0)"
+    for args, code, out in ENTRY_CALLS:
+        command = [sys.executable, "-m", "sunurd", *args]
+        proc = subprocess.run(command, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (code, out), args
+        assert "Traceback" not in proc.stderr
+        proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (code, out + "atexit ran\n"), args
+
+
+def test_process_entry_freezes_after_main_and_exits_with_its_code(monkeypatch):
+    events = []
+
+    def fake_main(argv=None):
+        events.append(("main", argv, gc.isenabled()))
+        return 3
+
+    was = gc.isenabled()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "main", fake_main)
+        patch.setattr(gc, "freeze", lambda: events.append(("freeze",)))
+        patch.setattr(sys, "exit", lambda code=None: events.append(("exit", code)))
+        gc.enable()
+        try:
+            cli.run()
+        finally:
+            (gc.enable if was else gc.disable)()
+    assert events == [("main", None, False), ("freeze",), ("exit", 3)]
 
 
 @pytest.mark.parametrize("subcommand", ["spectrum", "verify"])

@@ -35,14 +35,23 @@ def collector_off():
 
 
 @pytest.mark.parametrize("enabled", (True, False))
-def test_main_restores_the_callers_setting(enabled, capsys):
-    was = gc.isenabled()
+def test_main_restores_the_callers_setting(enabled, tmp_path, capsys):
+    # ``main`` also never freezes: only the process entry ``cli.run`` does.
+    path = tmp_path / "d.json"
+    calls = [
+        (["spectrum", "--v", "12", "--h", "3"], 0),
+        (["spectrum", "--v", "twelve", "--h", "3"], 2),
+        (["build", "--v", "12", "--h", "3", "--r", "3", "--s", "4", "--out", str(path)], 0),
+        (["verify", str(path)], 0),
+        (["verify", str(tmp_path / "missing.json")], 5),
+    ]
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
     try:
         (gc.enable if enabled else gc.disable)()
-        assert main(["spectrum", "--v", "12", "--h", "3"]) == 0
-        assert gc.isenabled() is enabled
-        assert main(["spectrum", "--v", "twelve", "--h", "3"]) == 2
-        assert gc.isenabled() is enabled
+        for argv, code in calls:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was else gc.disable)()
 

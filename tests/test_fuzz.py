@@ -67,6 +67,7 @@ def _records(children):
 PHASES = tuple(p for p in Phase if p is not Phase.explain)
 TREES = st.recursive(LEAVES, _records, max_leaves=24)
 HOSTS = st.builds(HostGraph, NAMES, ORDERS | LONG_INTS, TREES, TREES) | TREES
+BUILT = build(ParamTuple(12, 3, 3, 4))
 
 
 def _reported(report) -> bool:
@@ -79,12 +80,15 @@ def _reported(report) -> bool:
 def test_certifiers_report_any_object(tree, host, classes, h):
     assert _reported(verify(tree))
     assert _reported(verify(Decomposition(host, classes), expected_h=h))
+    # Random classes almost never form a well-formed sun class; a built
+    # design's do, so its check meets the drawn h.
+    assert _reported(verify(BUILT, expected_h=h))
     assert _reported(validate_cycle_factorization(tree))
     assert _reported(validate_cycle_factorization(CycleFactorization(host, h, classes)))
 
 
 DOCUMENTS = [
-    json.loads(dumps_document(build(ParamTuple(12, 3, 3, 4)), h=3)),
+    json.loads(dumps_document(BUILT, h=3)),
     json.loads(dumps_document(cycle_factorization_minus_f(8, 4))),
 ]
 JSON_VALUES = st.recursive(
