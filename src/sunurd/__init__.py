@@ -17,8 +17,7 @@ _EXPORTS = {
     ),
     "core": (
         "CycleFactorization", "Decomposition", "Edge", "Finding", "HostGraph", "ParallelClass",
-        "Sun", "VerificationReport", "canonical_cycle", "canonical_decomposition",
-        "canonicalize_sun", "edge", "host_edges", "host_vertices", "sun_edges",
+        "Sun", "VerificationReport", "edge", "host_edges", "host_vertices", "sun_edges",
         "validate_cycle_factorization", "verify", "vertex_profile",
     ),
     "factorizations": (
@@ -26,13 +25,14 @@ _EXPORTS = {
         "cycle_factorization_minus_f", "cycle_factorization_odd", "load_seed_catalog",
         "search_cycle_factorization",
     ),
-    "serialization": (
-        "Document", "DocumentFormatError", "dumps_document", "from_document", "loads_document",
-        "to_document",
-    ),
+    "serialization": ("Document", "DocumentFormatError", "from_document", "loads_document"),
     "spectrum": (
         "Admissibility", "ParamTuple", "Reason", "SpectrumPair", "admissible_pairs",
         "check_necessary", "enumerate_by_counting", "inadmissibility_reason",
+    ),
+    "writer": (
+        "canonical_cycle", "canonical_decomposition", "canonicalize_sun", "dumps_document",
+        "to_document",
     ),
 }
 _HOME = {name: home for home, names in _EXPORTS.items() for name in names}

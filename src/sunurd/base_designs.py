@@ -11,13 +11,8 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Sequence
 
-from .core import (
-    Decomposition,
-    HostGraph,
-    ParallelClass,
-    canonicalize_sun,
-    edge,
-)
+from .core import Decomposition, HostGraph, ParallelClass, edge
+from .writer import canonicalize_sun
 
 # ---------------------------------------------------------------------------
 # Hand-checked designs on 6 and 12 vertices (3-suns)

@@ -26,11 +26,11 @@ from .core import (
     HostGraph,
     ParallelClass,
     Sun,
-    _canonical_order,
     verify,
 )
 from .factorizations import CycleFactorization, IngredientSource, IngredientUnavailable
 from .spectrum import Admissibility, ParamTuple, SpectrumPair, admissible_pairs, check_necessary
+from .writer import _canonical_order
 
 
 class Route(enum.Enum):

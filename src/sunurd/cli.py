@@ -4,10 +4,23 @@ Exit codes are a stable contract: 0 success/pass, 1 verification failure,
 2 usage or parse error, 3 inadmissible tuple, 4 ingredient unavailable,
 5 I/O failure, a closed stdout included.
 
-Each subcommand imports only the package modules it runs, inside its
-``cmd_*`` function: ``spectrum`` loads ``spectrum``, ``verify`` loads
-``core`` and ``serialization``, and ``build`` loads the rest.  A process
-that does not build never loads, or compiles, the builder and the searches.
+One table, ``COMMANDS``, drives both the parsing of a command line and its
+usage text: each subcommand's options (an int, one of a tuple of choices or
+a string; required or with a default) and at most one positional argument.
+The parser accepts ``--v 12`` and ``--v=12``, a unique prefix of a long
+option (``--seed`` for ``--seed-dir``), a repeated option (the last one
+wins), a negative number as a value and ``--`` before a positional.  ``-h``
+or ``--help``, in place of the subcommand or after it, prints the help and
+exits 0.  Any other command line prints the usage line and the error on
+stderr and exits 2.
+
+This module imports only ``gc``, ``os`` and ``sys``, which the interpreter
+has loaded before it, and reads and writes files with ``open``.  Each
+subcommand imports only the package modules it runs, inside its ``cmd_*``
+function: ``spectrum`` loads ``spectrum``, ``verify`` loads ``core`` and
+``serialization``, and ``build`` loads the rest, ``writer`` among them.  A
+process that does not build never loads, or compiles, the builder, the
+searches, the canonical forms or the writer.
 
 ``main`` runs a call without the cyclic garbage collector and restores the
 caller's setting; it never freezes, so library callers and in-process tests
@@ -21,15 +34,9 @@ would free goes back to the OS at exit.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn
-
-if TYPE_CHECKING:
-    from .core import Decomposition
 
 SEED_DIR_ENV = "SUNURD_SEED_DIR"
 
@@ -43,55 +50,65 @@ EXIT_IO = 5
 # The largest --v of spectrum, whose memory grows as O(v): 130 MB RSS at 10**6.
 SPECTRUM_MAX_V = 10**6
 
+DESCRIPTION = (
+    "Construct and verify uniformly resolvable decompositions of K_v into\n"
+    "perfect matchings and sun factors."
+)
+REQUIRED = object()
+HELP = ("-h", "--help")
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sunurd",
-        description=(
-            "Construct and verify uniformly resolvable decompositions of K_v "
-            "into perfect matchings and sun factors."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Per subcommand: its help line and its arguments by name, as (type,
+# default, help).  A name starting with "--" is an option; another name is
+# the positional argument.  The type is int, str or a tuple of the choices,
+# and a default of REQUIRED makes the argument required.  The value of
+# --seed-dir is the attribute seed_dir.
+COMMANDS = {
+    "spectrum": ("print the admissible (r, s) pairs for (v, h)", {
+        "--v": (int, REQUIRED, "order of the complete graph"),
+        "--h": (int, REQUIRED, "sun cycle length"),
+        "--format": (("text", "json"), "text", "output format (default: text)"),
+    }),
+    "build": ("construct and write a verified design", {
+        "--v": (int, REQUIRED, "order of the complete graph"),
+        "--h": (int, REQUIRED, "sun cycle length"),
+        "--r": (int, REQUIRED, "number of matching classes"),
+        "--s": (int, REQUIRED, "number of sun classes"),
+        "--out": (str, None, "output path (default: stdout)"),
+        "--format": (("json", "text"), "json", "output format (default: json)"),
+        "--seed-dir": (str, None, f"directory of seed factorizations (default: ${SEED_DIR_ENV})"),
+    }),
+    "verify": ("verify a design document", {"path": (str, REQUIRED, "JSON document to check")}),
+}
 
-    sp = sub.add_parser("spectrum", help="print the admissible (r, s) pairs for (v, h)")
-    sp.add_argument("--v", type=int, required=True, help="order of the complete graph")
-    sp.add_argument("--h", type=int, required=True, help="sun cycle length")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_spectrum)
 
-    bp = sub.add_parser("build", help="construct and write a verified design")
-    bp.add_argument("--v", type=int, required=True)
-    bp.add_argument("--h", type=int, required=True)
-    bp.add_argument("--r", type=int, required=True, help="number of matching classes")
-    bp.add_argument("--s", type=int, required=True, help="number of sun classes")
-    bp.add_argument("--out", help="output path (default: stdout)")
-    bp.add_argument("--format", choices=("json", "text"), default="json")
-    bp.add_argument(
-        "--seed-dir",
-        help=f"directory of seed factorizations (default: ${SEED_DIR_ENV})",
-    )
-    bp.set_defaults(func=cmd_build)
+class UsageError(Exception):
+    """A command line the table does not accept: (subcommand or None, message)."""
 
-    vp = sub.add_parser("verify", help="verify a design document")
-    vp.add_argument("path", help="JSON document to check")
-    vp.set_defaults(func=cmd_verify)
-    return parser
+
+class Args:
+    """The values of one command line, one attribute per argument."""
+
+    def __init__(self, values: dict):
+        self.__dict__.update(values)
 
 
 def main(argv=None) -> int:
-    # No cyclic GC: the only cycle a call drops is argparse's parser.  When
-    # the caller had the collector on, re-enabling it lets a young collection
-    # free the parser on return; under ``run`` it stays off, and the parser
-    # is left for the process's exit.
+    # No cyclic GC: a call leaves no cyclic garbage, so the collector would
+    # only rescan live records.  The caller's setting is restored on return;
+    # under ``run`` it stays off.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = _parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_help(command))
+            return EXIT_OK
+        return globals()[f"cmd_{command}"](args)
+    except UsageError as exc:
+        command, message = exc.args
+        prog = " ".join(filter(None, ["sunurd", command]))
+        print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         # The reader closed stdout.  What is still buffered goes to devnull,
         # so the interpreter's final flush cannot raise again.
@@ -101,14 +118,123 @@ def main(argv=None) -> int:
         (gc.enable if enabled else gc.disable)()
 
 
-def run() -> NoReturn:
+def run():
     """Process entry: ``main`` with the collector off, then ``gc.freeze``,
     then ``sys.exit`` with its code, so atexit handlers run and stdio is
-    flushed as usual."""
+    flushed as usual.  It never returns."""
     gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)
+
+
+def _parse(argv) -> tuple[str | None, Args | None]:
+    """The subcommand ``argv`` runs and its values, or (the subcommand or
+    None, None) when ``argv`` asks for help.  Raises UsageError.
+
+    The first token is the subcommand, or -h or --help.  The rest are read
+    left to right, and after ``--`` every token is positional.  An option's
+    value follows its ``=`` or is the next token, which must be neither
+    ``--`` nor an option.  Help wins over any error found after it."""
+    if not argv:
+        raise UsageError(None, "the following arguments are required: command")
+    command = argv[0]
+    if command not in COMMANDS:
+        if _option(None, command, {}) in [(flag, None) for flag in HELP]:
+            return None, None
+        choices = ", ".join(map(repr, COMMANDS))
+        raise UsageError(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    arguments = COMMANDS[command][1]
+    positional = next((name for name in arguments if name[0] != "-"), None)
+    values = {_name(f): d for f, (_, d, _) in arguments.items() if d is not REQUIRED}
+    tokens, dashed = iter(argv[1:]), False
+    for token in tokens:
+        if token == "--" and not dashed:
+            dashed = True
+            continue
+        option = None if dashed else _option(command, token, arguments)
+        if option is None and (positional is None or positional in values):
+            raise UsageError(command, f"unrecognized arguments: {token}")
+        flag, value = option or (positional, token)
+        if flag in HELP:
+            if value is not None:
+                raise UsageError(command, f"argument {flag}: ignored explicit argument {value!r}")
+            return command, None
+        if value is None:
+            value = next(tokens, "--")  # a missing value is an error like "--"
+            if value == "--" or _option(command, value, arguments) is not None:
+                raise UsageError(command, f"argument {flag}: expected one argument")
+        values[_name(flag)] = _value(command, flag, arguments[flag][0], value)
+    missing = [f for f, (_, d, _) in arguments.items() if d is REQUIRED and _name(f) not in values]
+    if missing:
+        raise UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    return command, Args(values)
+
+
+def _option(command: str | None, token: str, arguments: dict) -> tuple[str, str | None] | None:
+    """(flag, the value after its ``=`` or None) when ``token`` names an
+    option, exactly or by a unique prefix of a long option; None when it is
+    positional: it does not start with ``-``, or it is ``-``, a negative
+    number or holds a space.  Raises UsageError for an unknown option."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    flags = [*arguments, *HELP]
+    long = name[:2] == "--"
+    hits = [f for f in flags if f == name] or [f for f in flags if long and f.startswith(name)]
+    if len(hits) == 1:
+        return hits[0], value if eq else None
+    whole, dot, fraction = token[1:].partition(".")
+    number = (whole.isdecimal() or dot and not whole) and (fraction.isdecimal() or not dot)
+    if number or " " in token:
+        return None
+    raise UsageError(command, f"unrecognized arguments: {token}")
+
+
+def _name(argument: str) -> str:
+    return argument.lstrip("-").replace("-", "_")
+
+
+def _value(command: str, flag: str, kind, text: str):
+    """``text`` as the value of ``flag``: an int, one of the choices in the
+    tuple ``kind`` or the string itself.  Raises UsageError."""
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(command, f"argument {flag}: invalid int value: {text!r}") from None
+    if kind is not str and text not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise UsageError(command, f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: sunurd [-h] {{{','.join(COMMANDS)}}} ..."
+    words = [f"usage: sunurd {command} [-h]"]
+    for name, (kind, default, _) in COMMANDS[command][1].items():
+        word = _shown(name, kind)
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return " ".join(words)
+
+
+def _shown(name: str, kind) -> str:
+    """An argument as the usage shows it: ``--v V``, ``--format {text,json}``, ``path``."""
+    if name[0] != "-":
+        return name
+    return f"{name} {{{','.join(kind)}}}" if type(kind) is tuple else f"{name} {_name(name).upper()}"
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        about, rows = DESCRIPTION, [(name, spec[0]) for name, spec in COMMANDS.items()]
+    else:
+        about, arguments = COMMANDS[command]
+        rows = [(_shown(name, kind), text) for name, (kind, _, text) in arguments.items()]
+    rows.append((", ".join(HELP), "show this help message and exit"))
+    table = "\n".join(f"  {left:22}{text}" for left, text in rows)
+    return f"{_usage(command)}\n\n{about}\n\n{table}\n"
 
 
 def cmd_spectrum(args) -> int:
@@ -132,7 +258,7 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _render_text(dec: Decomposition) -> str:
+def _render_text(dec) -> str:
     from .core import ONE_FACTOR
 
     lines = []
@@ -151,8 +277,8 @@ def cmd_build(args) -> int:
     from .factorizations import (
         IngredientSource, IngredientUnavailable, SeedCatalogError, load_seed_catalog
     )
-    from .serialization import dumps_document
     from .spectrum import ParamTuple
+    from .writer import dumps_document
 
     if args.v > MAX_ORDER:
         print(f"build --v must be at most {MAX_ORDER}, the verifier's cap", file=sys.stderr)
@@ -179,7 +305,8 @@ def cmd_build(args) -> int:
     text = _render_text(dec) if args.format == "text" else dumps_document(dec, h=args.h)
     if args.out:
         try:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as out:
+                out.write(text)
         except OSError as exc:
             print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -194,7 +321,8 @@ def cmd_verify(args) -> int:
     from .serialization import DocumentFormatError, loads_document
 
     try:
-        data = Path(args.path).read_bytes()
+        with open(args.path, "rb") as document:
+            data = document.read()
     except OSError as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,4 +1,4 @@
-"""Core types, both certifiers and the canonical forms.
+"""Core types and both certifiers.
 
 The types are ``typing.NamedTuple`` records, like every public record of the
 package: immutable tuples of their fields, copied with changes by ``_replace``.
@@ -16,7 +16,7 @@ it.  Both mark edges in a slot index of n*n bytes, n the host order: edge
 vertices in ``host_vertices`` order.  One bytearray holds the host's edges,
 one the edges the blocks use, and a design partitions the host when the two
 are equal and no edge was used twice or reaches outside the host.  The
-canonical forms serialization writes live here.
+canonical forms live in ``writer``, which only building and writing load.
 """
 
 from __future__ import annotations
@@ -64,33 +64,6 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _canonical_order(
-    cycle: tuple[int, ...], pendants: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Rotate the minimum vertex to the front, then reflect if needed so the
-    # second vertex is the smaller of its two neighbours; the pendants (empty
-    # for a bare cycle) move with their positions.  All 2h dihedral writings
-    # of one cycle share this representative.
-    m = cycle.index(min(cycle))
-    if m:
-        cycle = cycle[m:] + cycle[:m]
-        pendants = pendants[m:] + pendants[:m]
-    if cycle[1] > cycle[-1]:
-        cycle = cycle[:1] + cycle[:0:-1]
-        pendants = pendants[:1] + pendants[:0:-1]
-    return cycle, pendants
-
-
-def canonical_cycle(vertices: Iterable[int]) -> tuple[int, ...]:
-    """Canonical representative of a cycle under rotation and reflection."""
-    seq = tuple(vertices)
-    if len(seq) < 3:
-        raise ValueError("a cycle needs at least three vertices")
-    if len(set(seq)) != len(seq):
-        raise ValueError(f"repeated vertex in cycle {seq}")
-    return _canonical_order(seq, ())[0]
-
-
 class Sun(NamedTuple):
     """An h-cycle plus one pendant vertex per cycle position.
 
@@ -109,21 +82,6 @@ class Sun(NamedTuple):
         return "({}; {})".format(
             ",".join(map(str, self.cycle)), ",".join(map(str, self.pendants))
         )
-
-
-def canonicalize_sun(raw_cycle: Iterable[int], raw_pendants: Iterable[int]) -> Sun:
-    """Canonical form of a sun; idempotent and dihedral-invariant.
-
-    The cycle is rotated so its minimum vertex comes first and oriented so
-    the second vertex is the smaller of the first vertex's two neighbours;
-    pendants are permuted along with their cycle positions.
-    """
-    cycle = tuple(raw_cycle)
-    pendants = tuple(raw_pendants)
-    problem = _sun_problem(cycle, pendants)
-    if problem is not None:
-        raise ValueError(f"malformed sun ({cycle}; {pendants}): {problem}")
-    return Sun(*_canonical_order(cycle, pendants))
 
 
 def sun_edges(sun: Sun) -> set[Edge]:
@@ -626,52 +584,3 @@ def vertex_profile(dec: Decomposition) -> dict[int, tuple[int, int]]:
     on_cycle = Counter(chain.from_iterable(rows[::2]))
     pendant = Counter(chain.from_iterable(rows[1::2]))
     return {x: (on_cycle[x], pendant[x]) for x in host_vertices(dec.host)}
-
-
-def canonical_decomposition(dec: Decomposition) -> Decomposition:
-    """Canonical form: suns canonicalized, blocks sorted within each class.
-
-    Class order is preserved (it is part of the construction's presentation);
-    the result is the reference form for serialization and equality tests.
-    Blocks already in canonical form are kept as they are, not rebuilt.
-    """
-    classes: list[ParallelClass] = []
-    for cls in dec.classes:
-        if cls.kind == ONE_FACTOR:
-            edges = cls.edges
-            if not all(u < w for u, w in edges):
-                edges = [edge(u, w) for u, w in edges]
-            classes.append(ParallelClass(ONE_FACTOR, edges=tuple(sorted(map(tuple, edges)))))
-        elif cls.kind == SUN_FACTOR:
-            classes.append(ParallelClass(SUN_FACTOR, suns=tuple(_canonical_suns(cls.suns))))
-        else:
-            raise ValueError(f"unknown class kind {cls.kind!r}")
-    return Decomposition(_canonical_host(dec.host), tuple(classes))
-
-
-def _canonical_suns(suns) -> list[Sun]:
-    # A class of suns whose rows are tuples of one length h >= 3 sharing no
-    # vertex, each cycle with its least vertex first and its second vertex
-    # below its last, is canonical as a whole and only sorted.  Otherwise
-    # each sun is canonicalized and kept when that gives the same sun.
-    rows = list(chain.from_iterable(suns))
-    if not (
-        set(map(len, suns)) == {2}
-        and set(map(type, rows)) == {tuple}
-        and _well_formed(rows, list(chain.from_iterable(rows)), len(rows[0]))
-        and all(min(c) == c[0] and c[1] < c[-1] for c in rows[::2])
-    ):
-        suns = [sun if sun == (canon := canonicalize_sun(*sun)) else canon for sun in suns]
-    return sorted(suns)
-
-
-def canonical_factorization(cf: CycleFactorization) -> CycleFactorization:
-    """Canonical form: cycles canonicalized and sorted within each class."""
-    classes = tuple(tuple(sorted(canonical_cycle(c) for c in cls)) for cls in cf.classes)
-    return cf._replace(host=_canonical_host(cf.host), classes=classes)
-
-
-def _canonical_host(host: HostGraph) -> HostGraph:
-    if host.kind == COMPLETE_MINUS_F:
-        return HostGraph.complete_minus_f(host.order, host.matching)
-    return host

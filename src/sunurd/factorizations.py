@@ -7,8 +7,8 @@ perfect matching F (n even) into parallel classes of h-cycles.  These are
 the ingredients the inflation builder consumes.  ``_resolve``, and through
 it the ``cycle_factorization_*`` functions and ``IngredientSource``,
 certifies every factorization it returns with the validator, which lives in
-``core`` with the type, its canonical form and the shape rule;
-``search_cycle_factorization`` returns what it finds unchecked.
+``core`` with the type and the shape rule (its canonical form is in
+``writer``); ``search_cycle_factorization`` returns what it finds unchecked.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from .core import (
     CycleFactorization,
     Edge,
     HostGraph,
-    canonical_cycle,
-    canonical_factorization,
     factorization_shape_problems,
     host_edges,
     only_ints,
     validate_cycle_factorization,
 )
 from .serialization import DocumentFormatError, loads_document
+from .writer import canonical_cycle, canonical_factorization
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 

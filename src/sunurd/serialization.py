@@ -1,16 +1,11 @@
-"""Bit-exact JSON interchange for designs and cycle-factorization seeds.
+"""The reader of the format-"1" JSON documents: designs and
+cycle-factorization seeds.
 
 One schema covers both payload types: a host descriptor, the sun cycle
 length h, and a list of classes typed ``one_factor``, ``sun_factor`` or
-``cycle_factor`` (the last only in seed records).  Serialization is
-canonical: blocks are sorted within classes, suns and cycles are written in
-canonical form, field order is fixed, so equal inputs give identical bytes.
-``dumps_document`` writes the format-"1" text itself; ``to_document`` is
-that text parsed back into dicts, so the layout has one home.  Each class
-is written by one ``%`` fill of a template: the text of its blocks with
-``"%s"`` in place of each vertex, filled with the class's ints in order.
-On CPython 3.11 this writes the 9,900 suns of the ``(400,4,3,198)`` design
-in 11 ms instead of 27 ms with helper calls per sun.
+``cycle_factor`` (the last only in seed records).  ``writer`` writes it,
+in canonical form; this module holds the format version, ``Document`` and
+the reader, which is all that ``verify`` loads.
 
 The reader checks the types of whole lists at once with ``core.only_ints``,
 the certifiers' vertex rule: an integer is a value whose type is exactly
@@ -21,14 +16,10 @@ rejected.  A document with one fault gets the message of that fault.
 from __future__ import annotations
 
 import json
-from functools import cache
 from itertools import chain
 from typing import NamedTuple
 
 from .core import (
-    BLOWN_CYCLE,
-    COMPLETE,
-    COMPLETE_MINUS_F,
     CycleFactorization,
     Decomposition,
     HostGraph,
@@ -36,8 +27,6 @@ from .core import (
     ParallelClass,
     SUN_FACTOR,
     Sun,
-    canonical_decomposition,
-    canonical_factorization,
     only_ints,
 )
 
@@ -54,117 +43,6 @@ class Document(NamedTuple):
     h: int
     payload: "Decomposition | CycleFactorization"
     source: str | None = None
-
-
-def _array(items: list[str], depth: int) -> str:
-    """Indent-2 JSON array of pre-rendered items, its brackets at ``depth``."""
-    if not items:
-        return "[]"
-    pad = "  " * depth
-    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
-
-
-def _ints(values, depth: int) -> str:
-    """Indent-2 JSON array of ints, its brackets at ``depth``."""
-    return _array(list(map(str, values)), depth)
-
-
-def _pairs(pairs, depth: int) -> str:
-    """Indent-2 JSON array of int pairs, its brackets at ``depth``: the text
-    of ``_array`` over ``_ints`` of each pair, made by one fill of a template.
-    It writes the 40,600 one-factor edges of the ``(400,200,203,98)`` design
-    in 11 ms instead of 13 ms with one f-string per pair (CPython 3.11)."""
-    item = _ints(["%s", "%s"], depth + 1)
-    return _array([item] * len(pairs), depth) % tuple(chain.from_iterable(pairs))
-
-
-def _host_text(host: HostGraph) -> str:
-    # ``host`` comes from a canonical form, so its matching is already sorted.
-    if host.kind == COMPLETE:
-        fields = f'"kind": "complete",\n    "v": {host.order}'
-    elif host.kind == COMPLETE_MINUS_F:
-        fields = (
-            f'"kind": "complete_minus_f",\n    "v": {host.order},\n'
-            f'    "matching": {_pairs(host.matching, 2)}'
-        )
-    elif host.kind == BLOWN_CYCLE:
-        groups = host.groups
-        n = len(groups[0]) if groups else 0
-        fields = (
-            f'"kind": "blown_cycle",\n    "m": {len(groups)},\n    "n": {n},\n'
-            f'    "groups": {_array([_ints(g, 3) for g in groups], 2)}'
-        )
-    else:
-        raise ValueError(f"unknown host kind {host.kind!r}")
-    return "{\n    " + fields + "\n  }"
-
-
-def _class_text(kind: str, key: str, blocks: str) -> str:
-    return f'{{\n      "type": "{kind}",\n      "{key}": {blocks}\n    }}'
-
-
-@cache
-def _sun_text(h: int) -> str:
-    # One sun of cycle length h, with "%s" in place of each vertex.
-    ints = _ints(["%s"] * h, 5)
-    return f'{{\n          "cycle": {ints},\n          "pendants": {ints}\n        }}'
-
-
-def _suns(suns) -> str:
-    """A canonical sun class: one fill of the template of its suns."""
-    text = _array([_sun_text(len(cycle)) for cycle, _ in suns], 3)
-    return text % tuple(chain.from_iterable(chain.from_iterable(suns)))
-
-
-def dumps_document(payload, h: int | None = None, source: str | None = None) -> str:
-    """Canonical format-"1" JSON text (byte-stable across runs and platforms).
-
-    The text is json's indent-2 rendering of the document, written directly
-    here: two-space indent, one scalar per line, ``[]`` for an empty
-    list, ASCII-escaped strings, fixed key order and a trailing newline.
-    ``h`` is required for decompositions without sun classes (it cannot be
-    inferred from pure matchings), and must be an int: ValueError otherwise.
-    """
-    if isinstance(payload, CycleFactorization):
-        canon = canonical_factorization(payload)
-        h = payload.h
-        classes = [
-            _class_text("cycle_factor", "cycles", _array([_ints(c, 4) for c in cls], 3))
-            for cls in canon.classes
-        ]
-        # Seed records always carry their source, null included.
-        source = source if source is not None else payload.source
-        tail = f',\n  "source": {json.dumps(source)}'
-    elif isinstance(payload, Decomposition):
-        if h is None:
-            firsts = [cls.suns[0] for cls in payload.classes if cls.kind == SUN_FACTOR and cls.suns]
-            h = len(firsts[0][0]) if firsts else None
-        if h is None:
-            raise ValueError("h is required to serialize a decomposition without suns")
-        canon = canonical_decomposition(payload)
-        classes = [
-            _class_text("one_factor", "edges", _pairs(cls.edges, 3))
-            if cls.kind == ONE_FACTOR
-            else _class_text("sun_factor", "suns", _suns(cls.suns))
-            for cls in canon.classes
-        ]
-        tail = "" if source is None else f',\n  "source": {json.dumps(source)}'
-    else:
-        raise TypeError(f"cannot serialize {type(payload).__name__}")
-    if not only_ints([h]):
-        raise ValueError(f"h must be an int, not {h!r}")
-    return (
-        f'{{\n  "format_version": {json.dumps(FORMAT_VERSION)},\n'
-        f'  "host": {_host_text(canon.host)},\n'
-        f'  "h": {h},\n'
-        f'  "classes": {_array(classes, 1)}{tail}\n}}\n'
-    )
-
-
-def to_document(payload, h: int | None = None, source: str | None = None) -> dict:
-    """Canonical document dict for a Decomposition or CycleFactorization:
-    the parsed form of ``dumps_document``."""
-    return json.loads(dumps_document(payload, h=h, source=source))
 
 
 def _require(cond: bool, message: str) -> None:

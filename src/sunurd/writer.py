@@ -1,0 +1,233 @@
+"""Canonical forms and the format-"1" writer.
+
+A design or cycle factorization has one canonical form: every cycle (of a
+sun or on its own) rotated so its least vertex comes first and reflected so
+its second vertex is the smaller of that vertex's two neighbours, pendants
+moving with their positions; blocks sorted within each class, class order
+kept; a removed matching sorted.  ``dumps_document`` writes that form as
+format-"1" text, so equal inputs give identical bytes, and ``to_document``
+is that text parsed back into dicts, so the layout has one home.  The
+reader, ``Document`` and ``FORMAT_VERSION`` live in ``serialization``;
+``verify`` runs neither the canonical forms nor this writer, so a process
+that only verifies never loads this module.
+
+Each class is written by one ``%`` fill of a template: the text of its
+blocks with ``"%s"`` in place of each vertex, filled with the class's ints
+in order.  On CPython 3.11 this writes the 9,900 suns of the
+``(400,4,3,198)`` design in 11 ms instead of 27 ms with helper calls per sun.
+"""
+
+from __future__ import annotations
+
+import json
+from functools import cache
+from itertools import chain
+from typing import Iterable
+
+from .core import (
+    BLOWN_CYCLE, COMPLETE, COMPLETE_MINUS_F, ONE_FACTOR, SUN_FACTOR, CycleFactorization,
+    Decomposition, HostGraph, ParallelClass, Sun, _sun_problem, _well_formed, edge, only_ints,
+)
+from .serialization import FORMAT_VERSION
+
+
+def _canonical_order(
+    cycle: tuple[int, ...], pendants: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Rotate the minimum vertex to the front, then reflect if needed so the
+    # second vertex is the smaller of its two neighbours; the pendants (empty
+    # for a bare cycle) move with their positions.  All 2h dihedral writings
+    # of one cycle share this representative.
+    m = cycle.index(min(cycle))
+    if m:
+        cycle = cycle[m:] + cycle[:m]
+        pendants = pendants[m:] + pendants[:m]
+    if cycle[1] > cycle[-1]:
+        cycle = cycle[:1] + cycle[:0:-1]
+        pendants = pendants[:1] + pendants[:0:-1]
+    return cycle, pendants
+
+
+def canonical_cycle(vertices: Iterable[int]) -> tuple[int, ...]:
+    """Canonical representative of a cycle under rotation and reflection."""
+    seq = tuple(vertices)
+    if len(seq) < 3:
+        raise ValueError("a cycle needs at least three vertices")
+    if len(set(seq)) != len(seq):
+        raise ValueError(f"repeated vertex in cycle {seq}")
+    return _canonical_order(seq, ())[0]
+
+
+def canonicalize_sun(raw_cycle: Iterable[int], raw_pendants: Iterable[int]) -> Sun:
+    """Canonical form of a sun; idempotent and dihedral-invariant.
+
+    The cycle is rotated so its minimum vertex comes first and oriented so
+    the second vertex is the smaller of the first vertex's two neighbours;
+    pendants are permuted along with their cycle positions.
+    """
+    cycle = tuple(raw_cycle)
+    pendants = tuple(raw_pendants)
+    problem = _sun_problem(cycle, pendants)
+    if problem is not None:
+        raise ValueError(f"malformed sun ({cycle}; {pendants}): {problem}")
+    return Sun(*_canonical_order(cycle, pendants))
+
+
+def canonical_decomposition(dec: Decomposition) -> Decomposition:
+    """Canonical form: suns canonicalized, blocks sorted within each class.
+
+    Class order is preserved (it is part of the construction's presentation);
+    the result is the reference form for serialization and equality tests.
+    Blocks already in canonical form are kept as they are, not rebuilt.
+    """
+    classes: list[ParallelClass] = []
+    for cls in dec.classes:
+        if cls.kind == ONE_FACTOR:
+            edges = cls.edges
+            if not all(u < w for u, w in edges):
+                edges = [edge(u, w) for u, w in edges]
+            classes.append(ParallelClass(ONE_FACTOR, edges=tuple(sorted(map(tuple, edges)))))
+        elif cls.kind == SUN_FACTOR:
+            classes.append(ParallelClass(SUN_FACTOR, suns=tuple(_canonical_suns(cls.suns))))
+        else:
+            raise ValueError(f"unknown class kind {cls.kind!r}")
+    return Decomposition(_canonical_host(dec.host), tuple(classes))
+
+
+def _canonical_suns(suns) -> list[Sun]:
+    # A class of suns whose rows are tuples of one length h >= 3 sharing no
+    # vertex, each cycle with its least vertex first and its second vertex
+    # below its last, is canonical as a whole and only sorted.  Otherwise
+    # each sun is canonicalized and kept when that gives the same sun.
+    rows = list(chain.from_iterable(suns))
+    if not (
+        set(map(len, suns)) == {2}
+        and set(map(type, rows)) == {tuple}
+        and _well_formed(rows, list(chain.from_iterable(rows)), len(rows[0]))
+        and all(min(c) == c[0] and c[1] < c[-1] for c in rows[::2])
+    ):
+        suns = [sun if sun == (canon := canonicalize_sun(*sun)) else canon for sun in suns]
+    return sorted(suns)
+
+
+def canonical_factorization(cf: CycleFactorization) -> CycleFactorization:
+    """Canonical form: cycles canonicalized and sorted within each class."""
+    classes = tuple(tuple(sorted(canonical_cycle(c) for c in cls)) for cls in cf.classes)
+    return cf._replace(host=_canonical_host(cf.host), classes=classes)
+
+
+def _canonical_host(host: HostGraph) -> HostGraph:
+    if host.kind == COMPLETE_MINUS_F:
+        return HostGraph.complete_minus_f(host.order, host.matching)
+    return host
+
+
+def _array(items: list[str], depth: int) -> str:
+    """Indent-2 JSON array of pre-rendered items, its brackets at ``depth``."""
+    if not items:
+        return "[]"
+    pad = "  " * depth
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+def _ints(values, depth: int) -> str:
+    """Indent-2 JSON array of ints, its brackets at ``depth``."""
+    return _array(list(map(str, values)), depth)
+
+
+def _pairs(pairs, depth: int) -> str:
+    """Indent-2 JSON array of int pairs, its brackets at ``depth``: the text
+    of ``_array`` over ``_ints`` of each pair, made by one fill of a template.
+    It writes the 40,600 one-factor edges of the ``(400,200,203,98)`` design
+    in 11 ms instead of 13 ms with one f-string per pair (CPython 3.11)."""
+    item = _ints(["%s", "%s"], depth + 1)
+    return _array([item] * len(pairs), depth) % tuple(chain.from_iterable(pairs))
+
+
+def _host_text(host: HostGraph) -> str:
+    # ``host`` comes from a canonical form, so its matching is already sorted.
+    if host.kind == COMPLETE:
+        fields = f'"kind": "complete",\n    "v": {host.order}'
+    elif host.kind == COMPLETE_MINUS_F:
+        fields = (
+            f'"kind": "complete_minus_f",\n    "v": {host.order},\n'
+            f'    "matching": {_pairs(host.matching, 2)}'
+        )
+    elif host.kind == BLOWN_CYCLE:
+        groups = host.groups
+        n = len(groups[0]) if groups else 0
+        fields = (
+            f'"kind": "blown_cycle",\n    "m": {len(groups)},\n    "n": {n},\n'
+            f'    "groups": {_array([_ints(g, 3) for g in groups], 2)}'
+        )
+    else:
+        raise ValueError(f"unknown host kind {host.kind!r}")
+    return "{\n    " + fields + "\n  }"
+
+
+def _class_text(kind: str, key: str, blocks: str) -> str:
+    return f'{{\n      "type": "{kind}",\n      "{key}": {blocks}\n    }}'
+
+
+@cache
+def _sun_text(h: int) -> str:
+    # One sun of cycle length h, with "%s" in place of each vertex.
+    ints = _ints(["%s"] * h, 5)
+    return f'{{\n          "cycle": {ints},\n          "pendants": {ints}\n        }}'
+
+
+def _suns(suns) -> str:
+    """A canonical sun class: one fill of the template of its suns."""
+    text = _array([_sun_text(len(cycle)) for cycle, _ in suns], 3)
+    return text % tuple(chain.from_iterable(chain.from_iterable(suns)))
+
+
+def dumps_document(payload, h: int | None = None, source: str | None = None) -> str:
+    """Canonical format-"1" JSON text (byte-stable across runs and platforms).
+
+    The text is json's indent-2 rendering of the document, written directly
+    here: two-space indent, one scalar per line, ``[]`` for an empty
+    list, ASCII-escaped strings, fixed key order and a trailing newline.
+    ``h`` is required for decompositions without sun classes (it cannot be
+    inferred from pure matchings), and must be an int: ValueError otherwise.
+    """
+    if isinstance(payload, CycleFactorization):
+        canon = canonical_factorization(payload)
+        h = payload.h
+        classes = [
+            _class_text("cycle_factor", "cycles", _array([_ints(c, 4) for c in cls], 3))
+            for cls in canon.classes
+        ]
+        # Seed records always carry their source, null included.
+        source = source if source is not None else payload.source
+        tail = f',\n  "source": {json.dumps(source)}'
+    elif isinstance(payload, Decomposition):
+        if h is None:
+            firsts = [cls.suns[0] for cls in payload.classes if cls.kind == SUN_FACTOR and cls.suns]
+            h = len(firsts[0][0]) if firsts else None
+        if h is None:
+            raise ValueError("h is required to serialize a decomposition without suns")
+        canon = canonical_decomposition(payload)
+        classes = [
+            _class_text("one_factor", "edges", _pairs(cls.edges, 3))
+            if cls.kind == ONE_FACTOR
+            else _class_text("sun_factor", "suns", _suns(cls.suns))
+            for cls in canon.classes
+        ]
+        tail = "" if source is None else f',\n  "source": {json.dumps(source)}'
+    else:
+        raise TypeError(f"cannot serialize {type(payload).__name__}")
+    if not only_ints([h]):
+        raise ValueError(f"h must be an int, not {h!r}")
+    return (
+        f'{{\n  "format_version": {json.dumps(FORMAT_VERSION)},\n'
+        f'  "host": {_host_text(canon.host)},\n'
+        f'  "h": {h},\n'
+        f'  "classes": {_array(classes, 1)}{tail}\n}}\n'
+    )
+
+
+def to_document(payload, h: int | None = None, source: str | None = None) -> dict:
+    """Canonical document dict for a Decomposition or CycleFactorization:
+    the parsed form of ``dumps_document``."""
+    return json.loads(dumps_document(payload, h=h, source=source))

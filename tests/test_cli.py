@@ -378,3 +378,113 @@ def test_closed_stdout_exit_5_without_traceback(tmp_path, subcommand):
     proc.stderr.close()
     assert proc.wait() == 5
     assert b"Traceback" not in err
+
+
+# The command-line grammar: argv, then the subcommand it runs and the values
+# it passes, by field.  Every row parsed the same way with argparse.
+SPECTRUM = {"v": 12, "h": 3, "format": "text"}
+BUILD_ARGS = ["--v", "12", "--h", "3", "--r", "3", "--s", "4"]
+BUILD = {"v": 12, "h": 3, "r": 3, "s": 4, "out": None, "format": "json", "seed_dir": None}
+FIELDS = {"spectrum": SPECTRUM, "build": BUILD, "verify": {"path": None}}
+PARSES = [
+    (["spectrum", "--v", "12", "--h", "3"], "spectrum", SPECTRUM),
+    (["spectrum", "--v=12", "--h=3"], "spectrum", SPECTRUM),
+    (["spectrum", "--h", "3", "--v", "12"], "spectrum", SPECTRUM),
+    (["spectrum", "--v", " 12 ", "--h", "+3"], "spectrum", SPECTRUM),
+    (["spectrum", "--v", "5", "--h", "3", "--v", "12"], "spectrum", SPECTRUM),
+    (["spectrum", "--v", "12", "--h", "3", "--form", "json"], "spectrum",
+     {**SPECTRUM, "format": "json"}),
+    (["spectrum", "--v", "12", "--h", "3", "--f=json"], "spectrum",
+     {**SPECTRUM, "format": "json"}),
+    (["spectrum", "--v", "-12", "--h", "-3"], "spectrum", {**SPECTRUM, "v": -12, "h": -3}),
+    (["build", *BUILD_ARGS], "build", BUILD),
+    (["build", "--v", "-4", "--h", "3", "--r", "3", "--s", "4"], "build", {**BUILD, "v": -4}),
+    (["build", "--v=-4", "--h", "3", "--r", "3", "--s", "4"], "build", {**BUILD, "v": -4}),
+    (["build", *BUILD_ARGS, "--seed", "d", "--o", "x.json", "--form", "text"], "build",
+     {**BUILD, "seed_dir": "d", "out": "x.json", "format": "text"}),
+    (["build", *BUILD_ARGS, "--seed-dir=a", "--seed-dir", "b=c"], "build",
+     {**BUILD, "seed_dir": "b=c"}),
+    (["build", *BUILD_ARGS, "--out", "-"], "build", {**BUILD, "out": "-"}),
+    (["build", *BUILD_ARGS, "--out="], "build", {**BUILD, "out": ""}),
+    (["build", "--out", "-5", *BUILD_ARGS], "build", {**BUILD, "out": "-5"}),
+    (["verify", "d.json"], "verify", {"path": "d.json"}),
+    (["verify", "--", "d.json"], "verify", {"path": "d.json"}),
+    (["verify", "--", "-d.json"], "verify", {"path": "-d.json"}),
+    (["verify", "-"], "verify", {"path": "-"}),
+    (["verify", "-5"], "verify", {"path": "-5"}),
+    (["verify", "-a b"], "verify", {"path": "-a b"}),
+]
+HELP = [
+    ["-h"], ["--help"], ["--he"], ["-h", "bogus"], ["spectrum", "-h"], ["build", "--help"],
+    ["build", "--hel"], ["verify", "-h"], ["spectrum", "--v", "12", "-h"],
+    ["verify", "--help", "a.json", "b.json"],
+]
+USAGE_ERRORS = [
+    [],
+    ["bogus"],
+    ["--v", "12", "spectrum", "--h", "3"],
+    ["spectrum", "--v", "12", "--h", "3", "--bogus"],
+    ["spectrum", "--v", "12", "--h", "3", "-x"],
+    ["spectrum", "--v", "12", "--h", "3", "--v12"],
+    ["spectrum", "--v", "12"],
+    ["build", "--v", "12", "--h", "3", "--r", "3"],
+    ["spectrum", "--v", "twelve", "--h", "3"],
+    ["spectrum", "--v", "12.0", "--h", "3"],
+    ["spectrum", "--v=", "--h", "3"],
+    ["spectrum", "--v", "12", "--h", "3", "--format", "xml"],
+    ["spectrum", "--v", "12", "--h", "3", "--format=JSON"],
+    ["spectrum", "--v", "12", "--h", "3", "extra"],
+    ["verify", "a.json", "b.json"],
+    ["verify", "--", "a.json", "b.json"],
+    ["verify"],
+    ["verify", "--path", "a.json"],
+    ["spectrum", "--h", "3", "--v"],
+    ["build", *BUILD_ARGS, "--out"],
+    ["build", *BUILD_ARGS, "--out", "--format", "text"],
+    ["build", *BUILD_ARGS, "--out", "--"],
+    ["spectrum", "--v", "12", "--h", "3", "--help=x"],
+]
+
+
+def parsed(monkeypatch, argv: list[str]) -> tuple[int, tuple[str, dict] | None]:
+    """main's exit code for argv with each subcommand replaced by a recorder,
+    and the subcommand it ran with its values (None when none ran)."""
+    ran = []
+
+    def recorder(name):
+        def record(args):
+            ran.append((name, {key: getattr(args, key) for key in FIELDS[name]}))
+            return 0
+        return record
+
+    for name in FIELDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", recorder(name))
+    code = main(argv)
+    return code, ran[0] if ran else None
+
+
+@pytest.mark.parametrize("argv, command, values", PARSES)
+def test_accepted_command_lines(monkeypatch, capsys, argv, command, values):
+    assert parsed(monkeypatch, argv) == (0, (command, values))
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", HELP)
+def test_help_prints_usage_and_exits_0(monkeypatch, capsys, argv):
+    assert parsed(monkeypatch, argv) == (0, None)
+    out, err = capsys.readouterr()
+    prog = " ".join(["sunurd", *[a for a in argv[:1] if a in FIELDS]])
+    assert out.startswith(f"usage: {prog} ") and err == ""
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_errors_exit_2(monkeypatch, capsys, argv):
+    assert parsed(monkeypatch, argv) == (2, None)
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: sunurd") and "error: " in err
+    assert "Traceback" not in err
+
+
+def test_negative_order_reaches_build(capsys):
+    # -4 is a value, not an option: the build runs and rejects the tuple.
+    assert main(["build", "--v", "-4", "--h", "3", "--r", "3", "--s", "4"]) == 3

@@ -27,7 +27,6 @@ from sunurd import (
     search_cycle_factorization,
     validate_cycle_factorization,
 )
-from sunurd.core import canonical_cycle
 from sunurd.factorizations import (
     NONEXISTENT_MINUS_F,
     QUOTIENT_NODES,
@@ -35,6 +34,7 @@ from sunurd.factorizations import (
     _quotient_search,
     canonical_perfect_matching,
 )
+from sunurd.writer import canonical_cycle
 
 
 def minus_f_host(n: int) -> HostGraph:

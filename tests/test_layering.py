@@ -26,8 +26,7 @@ EXPORTS = {
     ],
     "core": [
         "CycleFactorization", "Decomposition", "Edge", "Finding", "HostGraph",
-        "ParallelClass", "Sun", "VerificationReport", "canonical_cycle",
-        "canonical_decomposition", "canonicalize_sun", "edge", "host_edges",
+        "ParallelClass", "Sun", "VerificationReport", "edge", "host_edges",
         "host_vertices", "sun_edges", "validate_cycle_factorization", "verify",
         "vertex_profile",
     ],
@@ -36,13 +35,14 @@ EXPORTS = {
         "cycle_factorization_minus_f", "cycle_factorization_odd", "load_seed_catalog",
         "search_cycle_factorization",
     ],
-    "serialization": [
-        "Document", "DocumentFormatError", "dumps_document", "from_document",
-        "loads_document", "to_document",
-    ],
+    "serialization": ["Document", "DocumentFormatError", "from_document", "loads_document"],
     "spectrum": [
         "Admissibility", "ParamTuple", "Reason", "SpectrumPair", "admissible_pairs",
         "check_necessary", "enumerate_by_counting", "inadmissibility_reason",
+    ],
+    "writer": [
+        "canonical_cycle", "canonical_decomposition", "canonicalize_sun", "dumps_document",
+        "to_document",
     ],
 }
 EXPORTED = [(home, name) for home, names in EXPORTS.items() for name in names]
@@ -105,11 +105,11 @@ print(json.dumps([0, sorted(sys.modules)]))
 """
 
 
-def modules_after(script: str, *argv: str) -> tuple[int, set[str]]:
+def modules_after(script: str, *argv: str, flags: tuple[str, ...] = ()) -> tuple[int, set[str]]:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argv],
+        [sys.executable, *flags, "-c", script, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -126,7 +126,9 @@ def loaded_after(*argv: str) -> tuple[int, set[str]]:
 
 
 class TestSubcommandImports:
-    SEARCH_AND_BUILD = {"sunurd.builder", "sunurd.factorizations", "sunurd.base_designs"}
+    SEARCH_AND_BUILD = {
+        "sunurd.builder", "sunurd.factorizations", "sunurd.base_designs", "sunurd.writer"
+    }
 
     def test_spectrum_loads_only_spectrum(self):
         assert loaded_after("spectrum", "--v", "12", "--h", "3") == (
@@ -146,16 +148,34 @@ class TestSubcommandImports:
         assert modules & self.SEARCH_AND_BUILD == set()
         assert modules == {"sunurd", "sunurd.cli", "sunurd.core", "sunurd.serialization"}
 
-    def test_no_subcommand_loads_dataclasses_or_inspect(self, tmp_path):
-        # Only modules the bare interpreter does not load count: what site
-        # imports differs between machines.
-        _, bare = modules_after(BARE)
+    @staticmethod
+    def beyond_bare(tmp_path, *flags: str) -> dict[str, set[str]]:
+        """Per subcommand, the modules a call loads that the bare interpreter,
+        run with the same flags, does not: what site imports differs between
+        machines."""
+        _, bare = modules_after(BARE, flags=flags)
         path = tmp_path / "design.json"
+        found = {}
         for argv in (
             ("spectrum", "--v", "12", "--h", "3"),
             ("build", "--v", "12", "--h", "3", "--r", "3", "--s", "4", "--out", str(path)),
             ("verify", str(path)),
         ):
-            code, modules = modules_after(LOADED_AFTER, *argv)
+            code, modules = modules_after(LOADED_AFTER, *argv, flags=flags)
             assert code == 0
-            assert (modules - bare) & {"dataclasses", "inspect"} == set(), argv
+            found[argv[0]] = modules - bare
+        return found
+
+    def test_no_subcommand_loads_dataclasses_or_inspect(self, tmp_path):
+        for command, modules in self.beyond_bare(tmp_path).items():
+            assert modules & {"dataclasses", "inspect"} == set(), command
+
+    def test_no_subcommand_loads_argparse_gettext_or_locale(self, tmp_path):
+        for command, modules in self.beyond_bare(tmp_path).items():
+            assert modules & {"argparse", "gettext", "locale"} == set(), command
+
+    def test_cli_reads_with_open_not_pathlib(self, tmp_path):
+        # Without site (-S), whose .pth files may import pathlib first.
+        # ``build`` is left out: factorizations loads pathlib for the catalog.
+        found = self.beyond_bare(tmp_path, "-S")
+        assert "pathlib" not in found["spectrum"] | found["verify"]

@@ -13,8 +13,9 @@ from __future__ import annotations
 import pytest
 
 from sunurd import CycleFactorization, HostGraph, search_cycle_factorization
-from sunurd.core import canonical_factorization, factorization_shape_problems, host_edges
+from sunurd.core import factorization_shape_problems, host_edges
 from sunurd.factorizations import canonical_perfect_matching
+from sunurd.writer import canonical_factorization
 
 BUDGET = 200_000
 

@@ -36,10 +36,9 @@ from sunurd.core import (
     COMPLETE_MINUS_F,
     ONE_FACTOR,
     SUN_FACTOR,
-    canonical_decomposition,
-    canonical_factorization,
 )
 from sunurd.serialization import FORMAT_VERSION
+from sunurd.writer import canonical_decomposition, canonical_factorization
 
 
 # --- reference: the dict builder the writer replaced, verbatim -------------
