@@ -1,6 +1,7 @@
 """Cycle-factorization ingredients: direct constructions, seed catalogs,
-a search for one base class under a cyclic group, and bounded exact
-backtracking search.
+and one backtracking engine, run for one base class under a cyclic group
+(the quotient stage) and, with the trivial group, as the bounded exact
+search.
 
 A cycle factorization splits the edges of K_n (n odd) or K_n minus a
 perfect matching F (n even) into parallel classes of h-cycles.  These are
@@ -22,8 +23,8 @@ from .core import (
     CycleFactorization,
     Edge,
     HostGraph,
+    _host_index,
     factorization_shape_problems,
-    host_edges,
     only_ints,
     validate_cycle_factorization,
 )
@@ -73,7 +74,7 @@ class SeedCatalogError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Exact backtracking search
+# One search engine: base classes under a group of translations
 # ---------------------------------------------------------------------------
 
 
@@ -94,135 +95,237 @@ def _check_request(kind: str, n: int, h: int, budget) -> None:
         raise ValueError(problems[0])
 
 
-def search_cycle_factorization(
-    host: HostGraph, h: int, budget: int | None = None
-) -> SearchResult:
-    """Exact class-by-class backtracking search for a cycle factorization.
+def _translate(v: int, t: int, f: int, q: int) -> int:
+    # Point v under translation by t: fixed points stay, each copy rotates.
+    return v if v < f else v - (v - f) % q + ((v - f) % q + t) % q
 
-    Each parallel class is grown by repeatedly closing a canonical h-cycle
-    through its most constrained uncovered vertex (exact-cover style).
-    Classes are kept in increasing order of their cycle through vertex 0,
-    which breaks the class-permutation symmetry.  In that order the smallest
-    neighbour m of 0 still available when a class starts is the second
-    vertex of this class's cycle through 0: m is the second vertex of the
-    cycle through 0 of this or a later class (were it the last, that cycle's
-    second vertex would be a smaller available neighbour), and second
-    vertices increase from class to class.  So each class's first cycle is
-    drawn only through m.  The subtrees this cuts hold no factorization and
-    the rest is visited in the same order, so the search returns the same
-    factorization and status as one over every first cycle, in fewer nodes
-    for the same budget; an exhausted search certifies nonexistence.
-    ``budget`` caps the path extensions, one per vertex added after a
-    cycle's anchor, the closing one included (None = unbounded, else an
-    int >= 0); a search stopped by it reports exactly ``budget`` nodes.  The
-    path lives on an explicit stack, so the depth of a search is not bound
-    by the interpreter's recursion limit.  Identical inputs and budget
-    always produce the identical result.
+
+def _search(row: tuple, h: int, order: list[int], budget: int | None) -> SearchResult:
+    """Search for the row's base classes, one path extension at a time.
+
+    ``row`` is (source, host, f, q, s, b), the host K_n or K_n - F.  Points
+    0..f-1 are fixed and point x of copy i is f + i*q + x; Z_q translates
+    every copy.  An orbit is the images of one edge under Z_q, and the b
+    base classes use each orbit once.  With s = 1 a base class develops
+    into its q translates.  With s = 2 it is also fixed by the half-turn
+    x -> x + q/2, uses an edge and its image as one, and develops into q/2.
+    The trivial row, f = n and q = 1, is the plain search: each edge is its
+    own orbit and the b = (n - 1)/2 base classes are the classes.
+
+    A class is grown walk by walk.  Its first walk starts at point 0
+    through its smallest free neighbour (any other choice is a later
+    class's, or under Z_q a translate), each later one at the most
+    constrained unplaced point.  A walk closes into a cycle of h points
+    drawn in one direction, with the half-turn its image too.  With the
+    half-turn a walk may also close at the image of its anchor after h/2
+    points, walk and image making one cycle, and a class's first walk runs
+    from point 0 to the middle of its cycle (the other fixed point for even
+    h) and back along its image.  A point tries its candidates lowest
+    first, those at or above its pivot ``order[u]`` (a mask -1 << p, or 0)
+    before the rest.
     """
+    source, host, f, q, s, b = row
     n = host.order
-    _check_request(host.kind, n, h, budget)
+    full, fixed = (1 << n) - 1, (1 << f) - 1
+    # The mask of a fixed point, and of each copy for its point 0: the
+    # neighbours through orbits still unused, at first the neighbourhood.
+    A = [full ^ 1 << u for u in range(n)]
+    for u, w in host.matching:
+        A[u] ^= 1 << w
+        A[w] ^= 1 << u
+    home = list(range(f)) + [o for o in range(f, n, q) for _ in range(q)]
+    ones = (1 << q) - 1
+    blocks = [ones << o for o in range(f, n, q)]
+    turn = [_translate(u, q // 2 * (s - 1), f, q) for u in range(n)]
+    keep = [~(1 << u | 1 << turn[u]) for u in range(n)]
+    # Points whose degree the anchor rule reads: an image has its point's.
+    lower = sum(1 << u for u in range(n) if u <= turn[u])
 
-    needed = (n - 1) // 2 * (n // h)
-    avail = [0] * n
-    for u, w in host_edges(host):
-        avail[u] |= 1 << w
-        avail[w] |= 1 << u
-    full = (1 << n) - 1
+    def avail(u: int) -> int:
+        # u's neighbours through unused orbits: its copy's mask turned to u.
+        if u < f:
+            return A[u]
+        x, m = u - home[u], A[home[u]]
+        out = m & fixed
+        for block in blocks:
+            y = m & block
+            out |= (y << x | y >> q - x) & block
+        return out
 
-    def flip(cyc: list[int]) -> int:
-        mask = 0
-        u = cyc[-1]
-        for w in cyc:
-            avail[u] ^= 1 << w
-            avail[w] ^= 1 << u
-            mask |= 1 << w
-            u = w
-        return mask
-
-    # ``path`` holds the closed cycles, h vertices each, then the open one;
-    # ``closed`` the unplaced set each closed cycle was drawn from.  One
-    # frame per vertex after an anchor: the candidates still to try there,
-    # lowest first, and the free vertices before one is taken.
-    path: list[int] = []
-    closed: list[int] = []
-    stack: list[list[int]] = []
-
-    def open_cycle(unplaced: int) -> None:
-        if unplaced == full:
-            # A class starts at vertex 0, through its smallest free neighbour.
-            anchor, first = 0, avail[0] & -avail[0]
+    def toggle(u: int, w: int) -> None:
+        # Use edge uw's orbit, or give it back.  A copy's mask holds the
+        # other end moved back by this end's translation; a fixed point's
+        # holds all of a copy for its one orbit to that copy.
+        cu, cw = home[u], home[w]
+        if u < f:
+            mu, mw = (1 << w if w < f else ones << cw), 1 << u
+        elif w < f:
+            mu, mw = 1 << w, ones << cu
         else:
-            # Most-constrained vertex; any unplaced vertex needs two available
-            # unplaced neighbours to sit on a cycle of this class.
+            d = w - cw - u + cu
+            mu, mw = 1 << cw + d % q, 1 << cu + -d % q
+        A[cu] ^= mu
+        if cu != cw or mu != mw:  # else a difference-q/2 orbit, one bit
+            A[cw] ^= mw
+
+    def settle(start: int, y: int) -> None:
+        # Close or reopen the walk from path[start].  An edge between fixed
+        # points is its own orbit and no walk repeats an edge, so such edges
+        # change state here, not as the walk grows; so does the closing
+        # edge to y (if y >= 0).
+        u = path[start]
+        for w in path[start + 1 :]:
+            if u < f > w:
+                A[u] ^= 1 << w
+                A[w] ^= 1 << u
+            u = w
+        if u < f > y >= 0:
+            A[u] ^= 1 << y
+            A[y] ^= 1 << u
+        elif y >= 0:
+            toggle(u, y)
+
+    # ``path`` holds the walks, each from its anchor; ``starts`` where each
+    # begins, ``closed`` per closed walk the unplaced set it was drawn from
+    # (all points for a class's first), its closing point (-1 if none) and
+    # the classes done before it.  A frame is the candidates still to try
+    # after a point and the free points: the current one is (m, rest), the
+    # ones below it are on ``stack``.
+    path: list[int] = []
+    starts: list[int] = []
+    closed: list[tuple[int, int, int]] = []
+    stack: list[tuple[int, int]] = []
+
+    def open_walk(unplaced: int) -> tuple[int, int, int, int]:
+        # The new walk's candidates, free points, start and anchor.
+        if unplaced == full:
+            anchor, first = 0, A[0] & -A[0]
+        else:
+            # The most constrained point: any unplaced point needs two
+            # available unplaced neighbours to sit on a cycle of this class.
             anchor, best = -1, n + 1
-            m = unplaced
+            m = unplaced & lower
             while m and best >= 2:
                 bit = m & -m
                 m ^= bit
                 x = bit.bit_length() - 1
-                d = (avail[x] & unplaced).bit_count()
+                d = ((A[x] if x < f else avail(x)) & unplaced).bit_count()
                 if d < best:
                     anchor, best = x, d
-            first = avail[anchor] if best >= 2 else 0
-        rest = unplaced & ~(1 << anchor)
+            first = 0 if best < 2 else A[anchor] if anchor < f else avail(anchor)
+        rest = unplaced & keep[anchor]
+        starts.append(len(path))
         path.append(anchor)
-        stack.append([first & rest, rest])
+        return first & rest, rest, starts[-1], anchor
 
-    nodes = 0
-    status = NONEXISTENT
-    unplaced = full
-    open_cycle(full)
-    while stack:
-        frame = stack[-1]
-        m, rest = frame
+    nodes, done, status, unplaced = 0, 0, NONEXISTENT, full
+    m, rest, start, a = open_walk(full)
+    while True:
         if not m:
-            stack.pop()
-            path.pop()
-            if closed and len(path) == h * len(closed):
-                # The open cycle is gone: reopen the last closed one.
-                unplaced = closed.pop()
-                flip(path[-h:])
+            if len(path) - 1 == start:
+                # The open walk is gone: reopen the last closed one.
                 path.pop()
+                starts.pop()
+                if not closed:
+                    break
+                unplaced, y, done = closed.pop()
+                start = starts[-1]
+                a = path[start]
+                settle(start, y)
+            x = path.pop()
+            u = path[-1]
+            if not x < f > u:
+                toggle(u, x)
+            m, rest = stack.pop()
             continue
         if nodes == budget:
             status = BUDGET_EXHAUSTED
             break
         nodes += 1
-        bit = m & -m
-        frame[0] = m ^ bit
-        path.append(bit.bit_length() - 1)
-        k = len(path) - h * len(closed)
-        if k < h:
-            rest ^= bit
-            m = avail[path[-1]] & rest
+        u = path[-1]
+        bit = m & order[u] or m
+        bit &= -bit
+        m ^= bit
+        x = bit.bit_length() - 1
+        path.append(x)
+        if not x < f > u:
+            toggle(u, x)
+        stack.append((m, rest))
+        k = len(path) - start
+        # x continues the walk unless it closes it (see below).
+        if k < h and (s == 1 or (x != turn[a] if a >= f else 2 * k <= h)):
+            rest &= keep[x]
+            nbrs = A[x] if x < f else avail(x)
+            m = nbrs & rest
             if k == h - 1:
-                # Last vertex: closes back to the anchor and beats path[1],
-                # so each cycle is drawn in one direction only.
-                m &= avail[path[-k]] & (-1 << (path[1 - k] + 1))
-            stack.append([m, rest])
+                # Last point: closes back to the anchor and beats the
+                # second, so each cycle is drawn in one direction only.
+                m &= (A[a] if a < f else avail(a)) & -1 << path[start + 1] + 1
+            elif s == 2 and a < f:
+                # From point 0 the walk meets a fixed point only at its middle.
+                m &= fixed if 2 * k == h else ~fixed
+            elif s == 2 and 2 * k == h and nbrs >> turn[a] & 1 and turn[x] > path[start + 1]:
+                # Or the walk closes at the anchor's image, one direction only.
+                m |= 1 << turn[a]
             continue
-        closed.append(unplaced)
-        unplaced &= ~flip(path[-h:])
+        # x closes the walk: at its anchor, at the image of its anchor, at
+        # the other fixed point, or through the edge to its own image.
+        y = a if k == h else -1 if x in (turn[x], turn[a]) else turn[x]
+        if y >= 0 and not x < f > y and not avail(x) >> y & 1:
+            m = 0  # the walk has just used the closing edge's orbit
+            continue
+        settle(start, y)
+        closed.append((unplaced, y, done))
+        unplaced = rest & keep[x]
         if not unplaced:
-            if len(closed) == needed:
+            done += 1
+            if done == b:
                 status = FOUND
                 break
             unplaced = full
-        open_cycle(unplaced)
+        m, rest, start, a = open_walk(unplaced)
 
-    if status == FOUND:
-        # Each class covers n consecutive vertices of the path.
-        classes = tuple(
-            tuple(tuple(path[j : j + h]) for j in range(i, i + n, h))
-            for i in range(0, len(path), n)
-        )
-        cf = canonical_factorization(CycleFactorization(host, h, classes, source="search"))
-        return SearchResult(FOUND, cf, nodes)
-    return SearchResult(status, None, nodes)
+    if status != FOUND:
+        return SearchResult(status, None, nodes)
+    bases: list[list[list[int]]] = []
+    for lo, hi, (was, _, _) in zip(starts, starts[1:] + [len(path)], closed):
+        walk = path[lo:hi]
+        image = [turn[v] for v in walk]
+        if was == full:
+            bases.append([])
+        if len(walk) == h:
+            bases[-1] += [walk, image][:s]
+        elif walk[-1] == image[0]:
+            bases[-1].append(walk[:-1] + image[:-1])
+        else:
+            bases[-1].append(walk + [turn[v] for v in walk[:0:-1] if v >= f])
+    classes = tuple(
+        tuple(tuple(_translate(v, t, f, q) for v in cycle) for cycle in cycles)
+        for cycles in bases
+        for t in range(q // s)
+    )
+    cf = canonical_factorization(CycleFactorization(host, h, classes, source=source))
+    return SearchResult(FOUND, cf, nodes)
+
+
+def search_cycle_factorization(host: HostGraph, h: int, budget: int | None = None) -> SearchResult:
+    """Exact backtracking search for an h-cycle factorization of ``host``.
+
+    Deterministic: identical inputs and budget give the identical result.
+    Exhaustive: the search ends ``found`` or, having tried every candidate,
+    ``nonexistent``, which proves that no factorization exists.  ``nodes``
+    counts path extensions, one per vertex added after a cycle's anchor,
+    the closing one included; ``budget`` caps them (None = unbounded, else
+    an int >= 0), and a search it stops reports exactly ``budget``.
+    """
+    n = host.order
+    _check_request(host.kind, n, h, budget)
+    _host_index(host)  # the host gate: raises ValueError on a malformed matching
+    return _search(("search", host, n, 1, 1, (n - 1) // 2), h, [0] * n, budget)
 
 
 # ---------------------------------------------------------------------------
-# Quotient search: one base class under Z_q, developed by translation
+# Quotient stage: one base class under Z_q, on the same engine
 # ---------------------------------------------------------------------------
 
 # Path extensions the quotient stage may spend on one ingredient, and on the
@@ -234,13 +337,12 @@ _RESTART_NODES = 1_000
 
 # The structure table.  A row gives the name, the host kind and the number k
 # of copies of Z_q.  The points are the k copies plus the f fixed points of
-# the host kind, one for K_n and two for K_n - F, so q = (n - f) / k.  Z_q
-# acts by translation on every copy and fixes the fixed points.  The classes
-# are the q/s translates of the base class, where s is the order of its
-# stabilizer; they must be the host's (n - f) / 2 classes, so s = 2 / k.
-# With k = 1 the base class is also fixed by the half-turn x -> x + q/2.
-# F is the edge between the two fixed points plus the pure half-difference
-# pairs when q is even, or the mixed difference-0 pairs when q is odd.
+# the host kind, one for K_n and two for K_n - F, so q = (n - f) / k.  The
+# classes are the q/s translates of one base class, where s is the order of
+# its stabilizer; they must be the host's (n - f) / 2 classes, so s = 2 / k,
+# and with k = 1 the base class is fixed by the half-turn.  F is the edge
+# between the two fixed points plus the pure half-difference pairs when q is
+# even, or the mixed difference-0 pairs when q is odd.
 _STRUCTURES = (
     ("A", COMPLETE, 1),
     ("B", COMPLETE_MINUS_F, 1),
@@ -249,225 +351,23 @@ _STRUCTURES = (
 )
 
 
-def _translate(v: int, t: int, f: int, q: int) -> int:
-    # Point v under translation by t: fixed points stay, each copy rotates.
-    return v if v < f else v - (v - f) % q + ((v - f) % q + t) % q
+def _fit(name: str, kind: str, k: int, n: int, h: int) -> tuple | None:
+    """A structure laid on n points for h-cycles, or None if it does not fit.
 
-
-def _fit(name: str, kind: str, k: int, n: int, h: int) -> _Quotient | None:
-    """A structure laid on n points for h-cycles, or None if it does not fit."""
+    Without the half-turn a half-difference orbit would be covered twice,
+    so F must hold it.  With it and odd h the fixed points' cycles close
+    through such orbits, so F must not: that leaves one fixed point, K_n.
+    """
     f = 1 if kind == COMPLETE else 2
     s = 2 // k
     q, r = divmod(n - f, k)
-    if r or q < 2 or q % s:
+    if r or q < 2 or q % s or (s, f) == (1, 1) and q % 2 == 0 or (s, f) == (2, 2) and h % 2:
         return None
-    turn = [_translate(v, q // 2 if s == 2 else 0, f, q) for v in range(n)]
-    if kind == COMPLETE:
-        removed = set()
-    elif q % 2 == 0:
-        removed = {(i, i, q // 2) for i in range(k)}
+    if q % 2:
+        matching = [(0, 1)] + [(v, v + q) for v in range(f, f + q)]
     else:
-        removed = {(0, 1, 0)}
-    index: dict[tuple, int] = {}
-    sizes: list[int] = []
-    orbit = [[-1] * n for _ in range(n)]
-    matching = []
-    for u in range(n):
-        for w in range(max(u + 1, f), n):
-            j, x = divmod(w - f, q)
-            if u < f:
-                key: tuple = (u, j)
-            else:
-                i, y = divmod(u - f, q)
-                d = (x - y) % q
-                key = (i, j, min(d, q - d) if i == j else d)
-            if key in removed:
-                matching.append((u, w))
-                continue
-            o = index.setdefault(key, len(sizes))
-            if o == len(sizes):
-                sizes.append(0)
-            sizes[o] += 1
-            orbit[u][w] = orbit[w][u] = o
-    if f == 2:
-        matching.append((0, 1))
-    if any(size * s % q for size in sizes):
-        return None
-    quota = [size * s // q for size in sizes]
-    if s == 2 and h % 2:
-        # A fixed point's cycle is fixed by the half-turn: for odd h it
-        # closes through an edge {x, x + q/2}, for even h through a second
-        # fixed point, which K_n - F has (h | n, so even h means even n).
-        halves = [orbit[v][turn[v]] for v in range(f, n, q)]
-        if f > sum(quota[o] for o in halves if o >= 0):
-            return None
-    # With the half-turn no walk steps onto a fixed point; it closes there.
-    rows = [[x for x in range(f if s == 2 else 0, n) if orbit[u][x] >= 0] for u in range(n)]
-    return _Quotient(name, kind, n, q, f, s, turn, orbit, quota, matching, rows)
-
-
-class _Quotient(NamedTuple):
-    """A structure laid on n points: edge orbits, their quotas and F.
-
-    Fixed points are 0..f-1 and point x of copy i is f + i*q + x.  Edges are
-    keyed by difference; ``orbit[u][w]`` is the orbit index of edge uw, -1
-    for an edge of F.  A base class that takes ``quota[o]`` edges from each
-    orbit o, counting an edge and its half-turn image as two, develops into
-    an exact cover of the host.  ``s`` is the order of the stabilizer: 2
-    with the half-turn, else 1.  ``rows[u]`` holds the points a walk may
-    step to from u.
-    """
-
-    name: str
-    kind: str
-    n: int
-    q: int
-    f: int
-    s: int
-    turn: list[int]
-    orbit: list[list[int]]
-    quota: list[int]
-    matching: list[Edge]
-    rows: list[list[int]]
-
-    def base_class(self, h: int, rng, cap: int) -> tuple[list[list[int]] | None, int, bool]:
-        """One seeded depth-first search for a base class.
-
-        Candidates are tried in an order drawn from ``rng``, a
-        ``random.Random``.  A class is built as walks: each walk starts at
-        the smallest uncovered point and covers its half-turn image too, and
-        its closing edge decides the cycle it stands for (see
-        ``_walk_cycles``).  Returns the base cycles (or None), the path
-        extensions spent (at most ``cap``) and whether the search space was
-        exhausted.
-        """
-        n, f, s, turn, orbit = self.n, self.f, self.s, self.turn, self.orbit
-        cand = [list(row) for row in self.rows]
-        for row in cand:
-            rng.shuffle(row)
-        rem = list(self.quota)
-        full = (1 << n) - 1
-        walks = [[0]]
-        covered = 1 | 1 << turn[0]
-
-        def fits(x: int, y: int, need: int) -> bool:
-            o = orbit[x][y]
-            return o >= 0 and rem[o] >= need
-
-        def moves() -> list[int]:
-            # Extensions as vertices, closures as their complements.  An
-            # extension to the walk's last position must be able to close.
-            walk = walks[-1]
-            u, w0, size = walk[-1], walk[0], len(walk)
-            row = orbit[u]
-            if s == 1 or w0 >= f:
-                # Closes at its start after h points, or (half-turn, even h)
-                # at the image of its start after h/2.
-                if size == h:
-                    return [~w0] if walk[1] < u and fits(u, w0, s) else []
-                out = [x for x in cand[u] if not covered >> x & 1 and rem[row[x]] >= s]
-                if size == h - 1:
-                    out = [x for x in out if x > walk[1] and fits(x, w0, s)]
-                t0 = turn[w0]
-                if s == 2 and 2 * size == h and walk[1] < turn[u] and fits(u, t0, 2):
-                    out.insert(0, ~t0)
-                return out
-            if 2 * size == h + 1:
-                # Odd h: the edge to the image of the last point is the middle.
-                return [~turn[u]] if fits(u, turn[u], 1) else []
-            if 2 * size == h:
-                # Even h: a second fixed point sits opposite the first.
-                return [~x for x in range(f) if not covered >> x & 1 and fits(u, x, 2)]
-            out = [x for x in cand[u] if not covered >> x & 1 and rem[row[x]] >= 2]
-            if size == 1:
-                # The walk and its half-turn image give the same cycle.
-                out = [x for x in out if x < turn[x]]
-            if 2 * size == h - 1:
-                out = [x for x in out if fits(x, turn[x], 1)]
-            elif 2 * size == h - 2:
-                out = [
-                    x for x in out if any(not covered >> y & 1 and fits(x, y, 2) for y in range(f))
-                ]
-            return out
-
-        # A frame holds its options, the next one to try, the points covered
-        # on entry, and the orbit and amount the option tried last drew.
-        nodes = 0
-        stack = [[moves(), 0, covered, 0, 0]]
-        while stack:
-            frame = stack[-1]
-            options, i, covered, o, d = frame
-            if i:
-                rem[o] += d
-                if options[i - 1] < 0:
-                    walks.pop()
-                walks[-1].pop()
-            if i == len(options):
-                stack.pop()
-                continue
-            if nodes == cap:
-                return None, nodes, False
-            nodes += 1
-            m = options[i]
-            walk = walks[-1]
-            x = m if m >= 0 else ~m
-            o = orbit[walk[-1]][x]
-            d = 1 if x == turn[walk[-1]] else s
-            rem[o] -= d
-            frame[1:] = i + 1, covered, o, d
-            covered |= 1 << x
-            # A closure stays on its walk as its complement: the walk's end.
-            walk.append(m)
-            if m >= 0:
-                covered |= 1 << turn[x]
-            elif covered == full:
-                return self._walk_cycles(walks), nodes, False
-            else:
-                free = full & ~covered
-                start = (free & -free).bit_length() - 1
-                walks.append([start])
-                covered |= 1 << start | 1 << turn[start]
-            stack.append([moves(), 0, covered, 0, 0])
-        return None, nodes, True
-
-    def _walk_cycles(self, walks: list[list[int]]) -> list[list[int]]:
-        """The base cycles the closed walks stand for.
-
-        A walk's last entry is the complement ``~x`` of the point x at which
-        its closing move ends it; the points before it are the walk.
-        Without the half-turn a walk is its cycle.  With it, a walk from a
-        fixed point runs to the opposite point of its cycle (the image of its
-        last vertex, or a second fixed point) and the cycle returns along
-        the image of the walk; any other walk closes either at its start,
-        giving the cycle and its image, or at the image of its start, giving
-        one cycle of walk and image.
-        """
-        turn, f = self.turn, self.f
-        cycles = []
-        for *walk, end in walks:
-            x = ~end
-            image = [turn[y] for y in walk]
-            if self.s == 1:
-                cycles.append(walk)
-            elif walk[0] < f:
-                cycles.append(walk + ([x] if x < f else []) + image[:0:-1])
-            elif x == walk[0]:
-                cycles += [walk, image]
-            else:
-                cycles.append(walk + image)
-        return cycles
-
-    def develop(self, h: int, base: list[list[int]]) -> CycleFactorization:
-        """The translates of the base class under Z_q, modulo the stabilizer."""
-        f, q = self.f, self.q
-        classes = tuple(
-            tuple(tuple(_translate(v, t, f, q) for v in cyc) for cyc in base)
-            for t in range(q // self.s)
-        )
-        host = _host(self.kind, self.n, self.matching)
-        return canonical_factorization(
-            CycleFactorization(host, h, classes, source=f"quotient:{self.name}")
-        )
+        matching = [(0, 1)] + [(v, v + q // 2) for v in range(f, n) if (v - f) % q < q // 2]
+    return f"quotient:{name}", _host(kind, n, matching), f, q, s, 1
 
 
 def _quotient_search(kind: str, n: int, h: int, cap: int) -> tuple[CycleFactorization | None, int]:
@@ -476,28 +376,27 @@ def _quotient_search(kind: str, n: int, h: int, cap: int) -> tuple[CycleFactoriz
     The fitting structures take seeded restarts in turn, _RESTART_NODES path
     extensions each in the first round and twice as many in each round after;
     a structure whose search space runs out is dropped, and the stage stops
-    after ``cap`` extensions in all.  The order of candidates comes from a
-    generator seeded by (kind, n, h), so identical inputs give the identical
-    factorization in any process.  Running out proves nothing about the
-    ingredient, only about the structures.
+    after ``cap`` extensions in all.  Each restart draws every point's pivot
+    from a generator seeded by (kind, n, h), so identical inputs give the
+    identical factorization in any process.  Running out proves nothing
+    about the ingredient, only about the structures.
     """
-    # Imported here: every CLI call imports this module, few search.
+    # Imported here: of the CLI commands only ``build`` imports this module,
+    # and few builds search.
     import random
 
     rng = random.Random(f"{kind}:{n}:{h}")
-    fitted = [qs for row in _STRUCTURES if row[1] == kind if (qs := _fit(*row, n, h))]
-    nodes = 0
-    limit = _RESTART_NODES
-    while fitted and nodes < cap:
-        for qs in list(fitted):
-            base, spent, exhausted = qs.base_class(h, rng, min(limit, cap - nodes))
+    rows = [row for spec in _STRUCTURES if spec[1] == kind if (row := _fit(*spec, n, h))]
+    nodes, limit = 0, _RESTART_NODES
+    while rows and nodes < cap:
+        for row in list(rows):
+            pivots = [-1 << rng.randrange(n) for _ in range(n)]
+            status, cf, spent = _search(row, h, pivots, min(limit, cap - nodes))
             nodes += spent
-            if base is not None:
-                return qs.develop(h, base), nodes
-            if exhausted:
-                fitted.remove(qs)
-            if nodes == cap:
-                break
+            if cf is not None:
+                return cf, nodes
+            if status == NONEXISTENT:
+                rows.remove(row)
         limit *= 2
     return None, nodes
 

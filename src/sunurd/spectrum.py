@@ -103,7 +103,7 @@ def check_necessary(t: ParamTuple) -> Admissibility:
         return Admissibility(False, Reason.DIVISIBILITY, "h must be at least 3")
     if s == 0 and (v <= 0 or v % 2):
         return Admissibility(
-            False, Reason.DIVISIBILITY, "v must be even for a 1-factorization"
+            False, Reason.DIVISIBILITY, "v must be a positive even number for a 1-factorization"
         )
     if s != 0 and (v <= 0 or v % (2 * h)):
         return Admissibility(

@@ -206,7 +206,7 @@ class TestBuild:
         assert str(exc_info.value).startswith(
             "internal error: built design failed certification for "
             "ParamTuple(v=18, h=3, r=5, s=6): got (5,5); "
-            "decomposition: missing-edge: edge (0, 10) never covered"
+            "decomposition: missing-edge: edge (0, 12) never covered"
         )
 
 

@@ -180,9 +180,9 @@ class TestBuild:
         assert main(["build", "--v", "18", "--h", "3", "--r", "1", "--s", "8"] + seed) == 2
         assert capsys.readouterr().err == (
             "bad seed catalog: catalog entry (9, 3, 'complete') does not factor K_9 "
-            "into 3-cycles: decomposition: missing-edge: edge (0, 4) never covered; "
-            "decomposition: missing-edge: edge (0, 8) never covered; "
-            "decomposition: missing-edge: edge (1, 2) never covered\n"
+            "into 3-cycles: decomposition: missing-edge: edge (0, 1) never covered; "
+            "decomposition: missing-edge: edge (0, 5) never covered; "
+            "decomposition: missing-edge: edge (1, 5) never covered\n"
         )
         assert main(["build", "--v", "12", "--h", "3", "--r", "7", "--s", "2"] + seed) == 0
         assert main(["build", "--v", "12", "--h", "3", "--r", "4", "--s", "4"] + seed) == 3

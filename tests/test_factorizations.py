@@ -283,9 +283,9 @@ def _without_first_class():
         (lambda: "x", ""),
         (
             _without_first_class,
-            ": decomposition: missing-edge: edge (0, 4) never covered;"
-            " decomposition: missing-edge: edge (0, 8) never covered;"
-            " decomposition: missing-edge: edge (1, 2) never covered",
+            ": decomposition: missing-edge: edge (0, 1) never covered;"
+            " decomposition: missing-edge: edge (0, 5) never covered;"
+            " decomposition: missing-edge: edge (1, 5) never covered",
         ),
     ],
     ids=["K_15", "K_8 - F", "h=9", "not a factorization", "fails certification"],
@@ -337,7 +337,7 @@ def test_construction_failing_certification_is_an_internal_error(monkeypatch):
         cycle_factorization_odd(9, 9)
     assert str(exc_info.value).startswith(
         "internal error: factorization failed validation: "
-        "decomposition: missing-edge: edge (0, 4) never covered"
+        "decomposition: missing-edge: edge (0, 1) never covered"
     )
 
 
@@ -408,9 +408,9 @@ class TestSeedCatalog:
             IngredientSource(catalog=catalog).odd(9, 3)
         assert str(exc_info.value) == (
             "catalog entry (9, 3, 'complete') does not factor K_9 into 3-cycles: "
-            "decomposition: missing-edge: edge (0, 4) never covered; "
-            "decomposition: missing-edge: edge (0, 8) never covered; "
-            "decomposition: missing-edge: edge (4, 8) never covered"
+            "decomposition: missing-edge: edge (0, 1) never covered; "
+            "decomposition: missing-edge: edge (0, 5) never covered; "
+            "decomposition: missing-edge: edge (1, 5) never covered"
         )
 
     def test_loop_in_removed_matching_rejected(self, tmp_path):
@@ -465,13 +465,7 @@ def _route_ingredients(max_v: int, hs: range) -> list[tuple[int, int, str]]:
 OPEN_INGREDIENTS = {
     (18, 3, "complete_minus_f"),
     (21, 3, "complete"),
-    (28, 7, "complete_minus_f"),
-    (30, 3, "complete_minus_f"),
-    (39, 3, "complete"),
-    (40, 5, "complete_minus_f"),
-    (40, 8, "complete_minus_f"),
     (42, 3, "complete_minus_f"),
-    (42, 7, "complete_minus_f"),
     (45, 3, "complete"),
     (48, 3, "complete_minus_f"),
 }
@@ -479,12 +473,12 @@ OPEN_INGREDIENTS = {
 # Quotient-resolved ingredients of the search-desk benchmark and the golden
 # spectra, with the path extensions the quotient stage spends on each.
 QUOTIENT_SHAPES = [
-    (9, 3, "complete", "quotient:A", 7),
-    (15, 3, "complete", "quotient:C", 1_119),
-    (8, 4, "complete_minus_f", "quotient:B", 5),
-    (16, 4, "complete_minus_f", "quotient:B", 101),
-    (18, 6, "complete_minus_f", "quotient:B", 578),
-    (14, 7, "complete_minus_f", "quotient:C", 1_043),
+    (9, 3, "complete", "quotient:A", 5),
+    (15, 3, "complete", "quotient:C", 116),
+    (8, 4, "complete_minus_f", "quotient:B", 4),
+    (16, 4, "complete_minus_f", "quotient:B", 131),
+    (18, 6, "complete_minus_f", "quotient:B", 555),
+    (14, 7, "complete_minus_f", "quotient:C", 41),
 ]
 
 

@@ -684,13 +684,13 @@ def resolution_texts(max_n: int, budget: int):
 
 def test_resolution_grid_bytes():
     assert digest(resolution_texts(40, 20_000)) == (
-        "81acb64a9d856c8549324b340bf394bc29dde335c39ed7903d49b4b05a028706"
+        "3a23f68c44ee7b53c9ff4ceef7c1aba8aa2fdcbe9e68260767643eba6ced3892"
     )
 
 
 SPECTRUM_DIGESTS = {
     (12, 3): "d862a88766107678f4f08ca37433105a6d8a4695348981efd6e53605ef4abc1c",
-    (18, 3): "2a8edcfd920d8745533f32e360958d88e419ebb859779f82b98f4ed2fa30c9f9",
+    (18, 3): "ba5a1f65be6e89ee2ead0d97b97f46b8640159f60946b865ce4f87390bfd58ab",
     (16, 4): "35e7d073012eb85a1907a6fbd60e354c6859ea2c250d305f486e6d0f1b6f1398",
     (20, 5): "605053c78394f9370be883f7db305005f620016437a5a5c25bcf2a48a84c682b",
 }
@@ -752,7 +752,7 @@ DOCUMENT_DIGESTS = {
     ),
     "k15-quotient": (
         lambda: [dumps_document(cycle_factorization_odd(15, 3))],
-        "b46ea2046f992b6eeedbafa2d58f68c50cde26b5213770b48416937ce0ec3cd1",
+        "0c469ea208fd337be4840bad272b94a0abefedab9e27f12b964a35b10ba8ae8c",
     ),
     "blown-cycle": (
         lambda: [dumps_document(urgdd_ch2(h, k), h=h) for h in (3, 4, 5) for k in UrgddKind]
@@ -763,7 +763,7 @@ DOCUMENT_DIGESTS = {
         lambda: [
             dumps_document(cycle_factorization_odd(9, 3), source='quo"te \\back\nline \u00e9\u2713')
         ],
-        "923fa21a233bb44ed6e846416cbc3018886fcc0bc370626070e8a21ae2aa049c",
+        "e8b27450e07d4f5116e0e67b4390fb47334033226f73e5d1493579b74482292c",
     ),
     "empty-classes": (
         lambda: [
@@ -791,22 +791,22 @@ DOCUMENT_DIGESTS = {
     ),
     "inflation-odd-h": (
         lambda: inflation_texts(30, 3) + inflation_texts(30, 5),
-        "e08b780bd4a41defa3401ef3de79cb62a992c59abcf1b674255764b527542b70",
+        "cd8bff2f5edfdc64eb6257a50d72fab1978cf6db2365a2c46bcf8c355deda9df",
     ),
     # The search-desk benchmark designs: inflations with no matching fill
     # (r = 1 or 3), on K_15 and on K_16 - F and K_18 - F from the quotient
     # stage.  Each digest is the sha256 of the document `sunurd build` writes.
     "search-desk-30-3": (
         lambda: [dumps_document(build(ParamTuple(30, 3, 1, 14)), h=3)],
-        "e40707143deaf3f36420886f944081532888c09bbd59990ca5bba2fe4bfb8a51",
+        "43fe9596bea3f3c1a0c8aef5d584fa6c953af812d222f5a6626af1eb84ef2e4f",
     ),
     "search-desk-32-4": (
         lambda: [dumps_document(build(ParamTuple(32, 4, 3, 14)), h=4)],
-        "aa8084146ee04fd4fe7ce4e15d62fbc0bd721991df79dacae55f7484f1b833b2",
+        "1f778a00775e8c1606cfb771bf8a7421acde201b0d74f7f53322a252bef0277e",
     ),
     "search-desk-36-6": (
         lambda: [dumps_document(build(ParamTuple(36, 6, 3, 16)), h=6)],
-        "6dec64972834404e579dfd8a5b4877d65ad87df486a8b787052a6b91fca0d9f6",
+        "ce76863d1909bf1c9079dc63f86324c0e08fd3fc88e8daaa8cfd81e89282b5f7",
     ),
 }
 

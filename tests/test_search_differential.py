@@ -23,7 +23,10 @@ BUDGET = 200_000
 def _host(kind: str, n: int) -> HostGraph:
     if kind == "complete":
         return HostGraph.complete(n)
-    return HostGraph.complete_minus_f(n, canonical_perfect_matching(n))
+    if kind == "complete_minus_f":
+        return HostGraph.complete_minus_f(n, canonical_perfect_matching(n))
+    # F = {i, i + n/2}: no edge of F joins consecutive vertices.
+    return HostGraph.complete_minus_f(n, [(i, i + n // 2) for i in range(n // 2)])
 
 
 class _OverBudget(Exception):
@@ -134,13 +137,14 @@ def reference_search(host: HostGraph, h: int, budget: int | None):
 
 
 # K_14 - F with 7-cycles exhausts this budget in both searches and is left
-# out only for its run time.
+# out only for its run time.  "half_turn_f" is K_n - F with F = {i, i + n/2}.
 SHAPES = [
     (kind, n, h)
     for n in range(1, 15)
     for h in range(3, n + 1)
-    for kind in ("complete", "complete_minus_f")
-    if not factorization_shape_problems(kind, n, h) and (kind, n, h) != ("complete_minus_f", 14, 7)
+    for kind in ("complete", "complete_minus_f", "half_turn_f")
+    if not factorization_shape_problems("complete" if kind == "complete" else "complete_minus_f", n, h)
+    and (kind, n, h) != ("complete_minus_f", 14, 7)
 ]
 
 

@@ -132,10 +132,10 @@ class TestCheckNecessary:
         # plain 1-factorizations are admissible off the 2h grid too
         assert check_necessary(ParamTuple(8, 3, 7, 0)).ok
         assert check_necessary(ParamTuple(14, 5, 13, 0)).ok
-        for t in (ParamTuple(9, 3, 8, 0), ParamTuple(0, 3, -1, 0)):
+        for t in (ParamTuple(9, 3, 8, 0), ParamTuple(0, 3, -1, 0), ParamTuple(-4, 3, -5, 0)):
             adm = check_necessary(t)
             assert adm.reason is Reason.DIVISIBILITY
-            assert adm.detail == "v must be even for a 1-factorization"
+            assert adm.detail == "v must be a positive even number for a 1-factorization"
         adm = check_necessary(ParamTuple(8, 3, 6, 0))
         assert adm.reason is Reason.EDGE_COUNT
         assert adm.detail == "r+2s must equal v-1"
