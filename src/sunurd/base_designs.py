@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Sequence
 
-from .core import Decomposition, HostGraph, ParallelClass, edge
+from .core import ONE_FACTOR, Decomposition, HostGraph, ParallelClass
 from .writer import canonicalize_sun
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,10 @@ def _sun_class(suns) -> ParallelClass:
 
 
 def _matching_class(pairs) -> ParallelClass:
-    return ParallelClass.one_factor(sorted(edge(u, w) for u, w in pairs))
+    # Pairs of distinct vertices, each put smaller endpoint first and sorted
+    # in one pass, without ``edge`` or the per-edge copy of ``one_factor``.
+    edges = sorted([(u, w) if u < w else (w, u) for u, w in pairs])
+    return ParallelClass(ONE_FACTOR, edges=tuple(edges))
 
 
 def _fixed_design(v: int, pair: tuple[int, int]) -> Decomposition:
@@ -180,6 +183,8 @@ def one_factorization(vertices: Iterable[int]) -> list[ParallelClass]:
     n = len(vs)
     if n < 2 or n % 2:
         raise ValueError("a 1-factorization needs an even number (>= 2) of vertices")
+    if len(set(vs)) != n:
+        raise ValueError("the vertices of a 1-factorization must be distinct")
     mod = n - 1
     return [
         _matching_class(

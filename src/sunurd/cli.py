@@ -17,18 +17,23 @@ stderr and exits 2.
 This module imports only ``gc``, ``os`` and ``sys``, which the interpreter
 has loaded before it, and reads and writes files with ``open``.  Each
 subcommand imports only the package modules it runs, inside its ``cmd_*``
-function: ``spectrum`` loads ``spectrum``, ``verify`` loads ``core`` and
-``serialization``, and ``build`` loads the rest, ``writer`` among them.  A
-process that does not build never loads, or compiles, the builder, the
-searches, the canonical forms or the writer.
+function: ``spectrum`` loads ``spectrum``; ``verify`` loads ``core`` and
+``serialization`` (the reader, with ``json``); ``build`` loads ``spectrum``,
+``core``, ``base_designs``, ``factorizations``, ``builder`` and ``writer``,
+and the reader, ``json`` and ``pathlib`` only with a seed catalog
+(``--seed-dir`` or ``$SUNURD_SEED_DIR``).  ``FORMAT_VERSION`` lives in
+``core``, so writing a document needs no reader.  A process that does not
+build never loads, or compiles, the builder, the searches, the canonical
+forms or the writer.
 
 ``main`` runs a call without the cyclic garbage collector and restores the
 caller's setting; it never freezes, so library callers and in-process tests
-are untouched.  A process enters through ``run`` (``python -m sunurd`` and
-the ``sunurd`` script).  ``run`` switches the collector off before ``main``,
-so no young collection runs on ``main``'s return, and calls ``gc.freeze``
-after it: finalization forces full collections even with the collector off,
-and freezing leaves them none of ``main``'s objects to examine.  What they
+are untouched.  A process enters through ``sunurd.__main__.run`` (``python
+-m sunurd`` and the ``sunurd`` script), which switches the collector off
+before it imports this module, so no young collection runs while it loads
+or on ``main``'s return, and calls ``gc.freeze`` after ``main``:
+finalization forces full collections even with the collector off, and
+freezing leaves them none of ``main``'s objects to examine.  What they
 would free goes back to the OS at exit.
 """
 
@@ -95,7 +100,7 @@ class Args:
 def main(argv=None) -> int:
     # No cyclic GC: a call leaves no cyclic garbage, so the collector would
     # only rescan live records.  The caller's setting is restored on return;
-    # under ``run`` it stays off.
+    # under ``__main__.run`` it stays off.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -116,16 +121,6 @@ def main(argv=None) -> int:
         return EXIT_IO
     finally:
         (gc.enable if enabled else gc.disable)()
-
-
-def run():
-    """Process entry: ``main`` with the collector off, then ``gc.freeze``,
-    then ``sys.exit`` with its code, so atexit handlers run and stdio is
-    flushed as usual.  It never returns."""
-    gc.disable()
-    code = main()
-    gc.freeze()
-    sys.exit(code)
 
 
 def _parse(argv) -> tuple[str | None, Args | None]:

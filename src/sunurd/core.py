@@ -12,11 +12,19 @@ The certifiers ``verify`` and ``validate_cycle_factorization`` import no
 builder: they check that the blocks use each host edge exactly once and no
 other edge, so a design is certified without trusting the code that built
 it.  Both mark edges in a slot index of n*n bytes, n the host order: edge
-(u, w), u < w, is byte ``pos[u] * n + pos[w]``, where ``pos`` numbers the
-vertices in ``host_vertices`` order.  One bytearray holds the host's edges,
-one the edges the blocks use, and a design partitions the host when the two
-are equal and no edge was used twice or reaches outside the host.  The
-canonical forms live in ``writer``, which only building and writing load.
+(u, w) is byte ``min(pos[u], pos[w]) * n + max(pos[u], pos[w])``, where
+``pos`` numbers the vertices in ``host_vertices`` order (on a complete host
+a vertex is its own position).  One bytearray holds the host's edges, one
+the edges the blocks use, and a design partitions the host when the two are
+equal and no edge was used twice or reaches outside the host.  The blocks
+are read as they are written: no edge is copied into a normalized pair
+first.
+
+``FORMAT_VERSION``, the version of the document format, lives here, so the
+writer, the reader (``serialization``, which re-exports it) and the
+certifiers share one constant and a ``build`` that reads no seed catalog
+never loads the reader or ``json``.  The canonical forms live in
+``writer``, which only building and writing load.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ from itertools import chain, compress
 from typing import Iterable, Iterator, NamedTuple
 
 Edge = tuple[int, int]
+
+FORMAT_VERSION = "1"
 
 COMPLETE = "complete"
 COMPLETE_MINUS_F = "complete_minus_f"
@@ -86,17 +96,17 @@ class Sun(NamedTuple):
 
 def sun_edges(sun: Sun) -> set[Edge]:
     """The 2h normalized edges of a valid sun."""
-    return set(_cycle_edges([sun.cycle], [sun.pendants]))
+    return {(u, w) if u < w else (w, u) for u, w in _cycle_edges([sun.cycle], [sun.pendants])}
 
 
-def _cycle_edges(cycles: list, pendants: list = ()) -> list[Edge]:
-    # The normalized edges of cycles of distinct vertices, so no edge is a
-    # loop: each cycle vertex with the next on its cycle, then, when
-    # ``pendants`` holds the pendant rows of suns, with its pendant.  Without
-    # pendants the zip stops after the cycle edges.
+def _cycle_edges(cycles: list, pendants: list = ()) -> Iterator[Edge]:
+    # The edges of cycles of distinct vertices, so no edge is a loop, as
+    # pairs in the order they are met: each cycle vertex with the next on
+    # its cycle, then, when ``pendants`` holds the pendant rows of suns, with
+    # its pendant.  Without pendants the zip stops after the cycle edges.
     flat = list(chain.from_iterable(cycles))
     ends = chain(chain.from_iterable(c[1:] + c[:1] for c in cycles), chain.from_iterable(pendants))
-    return [(u, w) if u < w else (w, u) for u, w in zip(chain(flat, flat), ends)]
+    return zip(chain(flat, flat), ends)
 
 
 def _well_formed(rows: list, flat: list, h) -> bool:
@@ -156,12 +166,13 @@ def host_edges(host: HostGraph) -> list[Edge]:
     """
     vertices_at, pos, slots = _host_index(host)
     n = len(pos)
-    return sorted((vertices_at[i // n], vertices_at[i % n]) for i in compress(range(n * n), slots))
+    ends = [(vertices_at[i // n], vertices_at[i % n]) for i in compress(range(n * n), slots)]
+    return sorted(edge(u, w) for u, w in ends)
 
 
 def _host_index(host: HostGraph) -> tuple[list[int], dict[int, int], bytearray]:
     """The host's vertices, their positions ``pos`` and its slots: byte
-    ``pos[u] * n + pos[w]`` is 1 for each host edge (u, w), u < w.
+    ``a * n + b`` is 1 for each host edge whose ends sit at positions a < b.
 
     The type gate for hosts: raises ValueError naming the fault unless
     ``host`` is a well-formed HostGraph of ints with at most MAX_ORDER
@@ -194,9 +205,9 @@ def _host_index(host: HostGraph) -> tuple[list[int], dict[int, int], bytearray]:
     slots = bytearray(n * n)
     if kind == BLOWN_CYCLE:
         for g, nxt in zip(groups, (*groups[1:], groups[0])):
-            for u in g:
-                for w in nxt:
-                    slots[pos[min(u, w)] * n + pos[max(u, w)]] = 1
+            for a in map(pos.__getitem__, g):
+                for b in map(pos.__getitem__, nxt):
+                    slots[a * n + b if a < b else b * n + a] = 1
         return vertices_at, pos, slots
     # Complete hosts are filled by row slices; a removed matching is cleared.
     ones = memoryview(b"\x01" * n)
@@ -352,23 +363,24 @@ def _gate(blocks, kind: str, ci: int, findings: list[Finding]) -> tuple:
 
 def _certify(
     host: HostGraph,
-    classes: Iterable[tuple[list[int], list[Edge]]],
+    classes: Iterable[tuple[list[int], Iterable[Edge]]],
     findings: list[Finding],
 ) -> VerificationReport:
     """Certification shared by verify() and validate_cycle_factorization().
 
     ``classes`` yields, per class, the int vertices its blocks touch and the
-    normalized edges, among those vertices, of its well-formed blocks,
-    appending block findings to ``findings``; it is consumed only after the
-    host passes its gate.  One pass over the classes checks each class's
-    vertex coverage and records each block edge (u, w) in a slot index: byte
-    ``pos[u] * n + pos[w]`` of an n*n bytearray (pos[u] = u on a complete
-    host) is set on first use.  A repeat use (keyed by its slot) and any use
-    of a pair with an endpoint outside the host (keyed by the pair) go to a
-    small Counter.  A design that partitions the host then costs one
-    comparison with the host's own slots and an empty counter; only a
-    failing one walks the rows that differ to name missing and foreign
-    edges, and the counter to name duplicated ones.
+    edges, among those vertices, of its well-formed blocks as pairs (u, w)
+    in either order and never loops, appending block findings to
+    ``findings``; it is consumed only after the host passes its gate.  One
+    pass over the classes checks each class's vertex coverage and records
+    each block edge in a slot index: with a = pos[u] and b = pos[w] (pos[u]
+    = u on a complete host), byte ``min(a, b) * n + max(a, b)`` of an n*n
+    bytearray is set on first use.  A repeat use (keyed by its slot) and any
+    use of a pair with an endpoint outside the host (keyed by the pair,
+    smaller endpoint first) go to a small Counter.  A design that partitions
+    the host then costs one comparison with the host's own slots and an
+    empty counter; only a failing one walks the rows that differ to name
+    missing and foreign edges, and the counter to name duplicated ones.
     """
     try:
         vertices_at, pos, host_slots = _host_index(host)
@@ -378,7 +390,7 @@ def _certify(
     n = len(pos)
     used = bytearray(n * n)
     extra: Counter = Counter()
-    for ci, (vertices, edges) in enumerate(classes):
+    for ci, (vertices, pairs) in enumerate(classes):
         seen = set(vertices)
         if seen != pos.keys():
             for x in pos.keys() - seen:
@@ -387,12 +399,13 @@ def _certify(
             for x in foreign:
                 findings.append(Finding(ci, "foreign-vertex", f"vertex {_shown(x)} outside host"))
             if foreign:
-                extra.update((u, w) for u, w in edges if u in foreign or w in foreign)
-                edges = [(u, w) for u, w in edges if u in pos and w in pos]
+                pairs = list(pairs)
+                extra.update(edge(u, w) for u, w in pairs if u in foreign or w in foreign)
+                pairs = [(u, w) for u, w in pairs if u in pos and w in pos]
         if host.kind == BLOWN_CYCLE:
-            edges = [(pos[u], pos[w]) for u, w in edges]
-        for a, b in edges:
-            i = a * n + b
+            pairs = [(pos[u], pos[w]) for u, w in pairs]
+        for a, b in pairs:
+            i = a * n + b if a < b else b * n + a
             if used[i]:
                 extra[i] += 1
             else:
@@ -453,7 +466,7 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
     findings: list[Finding] = []
     kinds = []
 
-    def blocks() -> Iterator[tuple[list[int], list[Edge]]]:
+    def blocks() -> Iterator[tuple[list[int], Iterable[Edge]]]:
         sun_h = expected_h
         classes = dec.classes
         if type(classes) not in _SEQ:
@@ -486,14 +499,16 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                         if len(e) != 2
                     )
                     edges = [e for e in edges if len(e) == 2]
-                pairs = [(u, w) if u < w else (w, u) for u, w in edges if u != w]
-                if len(pairs) < len(edges):
+                # A loop repeats its vertex, so only a class with a repeated
+                # vertex can hold one.
+                if len(set(vertices)) < len(vertices):
                     findings.extend(
                         Finding(ci, "malformed-edge", f"loop at vertex {_shown(u)}")
                         for u, w in edges
                         if u == w
                     )
-                yield vertices, pairs
+                    edges = [(u, w) for u, w in edges if u != w]
+                yield vertices, edges
                 continue
             suns, vertices = _gate(suns, "malformed-sun", ci, findings)
             # A well-formed class is checked as a whole; only one that is not
@@ -538,7 +553,7 @@ def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
         return _rejected("bad-parameters", f"cycle length {_shown(h)} is not an int")
     findings: list[Finding] = []
 
-    def blocks() -> Iterator[tuple[list[int], list[Edge]]]:
+    def blocks() -> Iterator[tuple[list[int], Iterable[Edge]]]:
         # Read only once the host has passed the gate, so its order is an int.
         n = host.order
         findings.extend(

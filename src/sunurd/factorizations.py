@@ -14,7 +14,6 @@ certifies every factorization it returns with the validator, which lives in
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .core import (
@@ -28,7 +27,6 @@ from .core import (
     only_ints,
     validate_cycle_factorization,
 )
-from .serialization import DocumentFormatError, loads_document
 from .writer import canonical_cycle, canonical_factorization
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
@@ -579,6 +577,12 @@ def load_seed_catalog(path) -> dict[tuple[int, int, str], CycleFactorization]:
     here: the build that resolves a record's key certifies it, and a
     record that does not factor its host fails that build alone.
     """
+    # Imported here, so a build that reads no catalog loads neither pathlib
+    # nor the reader and json.
+    from pathlib import Path
+
+    from .serialization import DocumentFormatError, loads_document
+
     directory = Path(path)
     if not directory.is_dir():
         raise OSError(f"not a directory: {directory}")

@@ -4,8 +4,10 @@ cycle-factorization seeds.
 One schema covers both payload types: a host descriptor, the sun cycle
 length h, and a list of classes typed ``one_factor``, ``sun_factor`` or
 ``cycle_factor`` (the last only in seed records).  ``writer`` writes it,
-in canonical form; this module holds the format version, ``Document`` and
-the reader, which is all that ``verify`` loads.
+in canonical form; this module holds ``Document`` and the reader, which
+with ``core`` is all that ``verify`` loads.  ``FORMAT_VERSION`` lives in
+``core`` and is re-exported here.  ``build`` loads this module, and with
+it ``json``, only to read a seed catalog (``--seed-dir``).
 
 The reader checks the types of whole lists at once with ``core.only_ints``,
 the certifiers' vertex rule: an integer is a value whose type is exactly
@@ -20,6 +22,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .core import (
+    FORMAT_VERSION,
     CycleFactorization,
     Decomposition,
     HostGraph,
@@ -29,8 +32,6 @@ from .core import (
     Sun,
     only_ints,
 )
-
-FORMAT_VERSION = "1"
 
 
 class DocumentFormatError(ValueError):

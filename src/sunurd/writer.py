@@ -6,10 +6,13 @@ its second vertex is the smaller of that vertex's two neighbours, pendants
 moving with their positions; blocks sorted within each class, class order
 kept; a removed matching sorted.  ``dumps_document`` writes that form as
 format-"1" text, so equal inputs give identical bytes, and ``to_document``
-is that text parsed back into dicts, so the layout has one home.  The
-reader, ``Document`` and ``FORMAT_VERSION`` live in ``serialization``;
-``verify`` runs neither the canonical forms nor this writer, so a process
-that only verifies never loads this module.
+is that text parsed back into dicts, so the layout has one home.
+``FORMAT_VERSION`` lives in ``core``; the reader and ``Document`` live in
+``serialization``, which this module does not import.  ``verify`` runs
+neither the canonical forms nor this writer, so a process that only
+verifies never loads this module.  A design is written without ``json``,
+which is imported only to quote a ``source`` string or, in ``to_document``,
+to parse the text, so a ``build`` loads neither the reader nor ``json``.
 
 Each class is written by one ``%`` fill of a template: the text of its
 blocks with ``"%s"`` in place of each vertex, filled with the class's ints
@@ -19,16 +22,15 @@ in order.  On CPython 3.11 this writes the 9,900 suns of the
 
 from __future__ import annotations
 
-import json
 from functools import cache
 from itertools import chain
 from typing import Iterable
 
 from .core import (
-    BLOWN_CYCLE, COMPLETE, COMPLETE_MINUS_F, ONE_FACTOR, SUN_FACTOR, CycleFactorization,
-    Decomposition, HostGraph, ParallelClass, Sun, _sun_problem, _well_formed, edge, only_ints,
+    BLOWN_CYCLE, COMPLETE, COMPLETE_MINUS_F, FORMAT_VERSION, ONE_FACTOR, SUN_FACTOR,
+    CycleFactorization, Decomposition, HostGraph, ParallelClass, Sun, _sun_problem, _well_formed,
+    edge, only_ints,
 )
-from .serialization import FORMAT_VERSION
 
 
 def _canonical_order(
@@ -200,7 +202,7 @@ def dumps_document(payload, h: int | None = None, source: str | None = None) -> 
         ]
         # Seed records always carry their source, null included.
         source = source if source is not None else payload.source
-        tail = f',\n  "source": {json.dumps(source)}'
+        tail = f',\n  "source": {_quoted(source)}'
     elif isinstance(payload, Decomposition):
         if h is None:
             firsts = [cls.suns[0] for cls in payload.classes if cls.kind == SUN_FACTOR and cls.suns]
@@ -214,20 +216,30 @@ def dumps_document(payload, h: int | None = None, source: str | None = None) -> 
             else _class_text("sun_factor", "suns", _suns(cls.suns))
             for cls in canon.classes
         ]
-        tail = "" if source is None else f',\n  "source": {json.dumps(source)}'
+        tail = "" if source is None else f',\n  "source": {_quoted(source)}'
     else:
         raise TypeError(f"cannot serialize {type(payload).__name__}")
     if not only_ints([h]):
         raise ValueError(f"h must be an int, not {h!r}")
+    # FORMAT_VERSION holds no character that JSON escapes.
     return (
-        f'{{\n  "format_version": {json.dumps(FORMAT_VERSION)},\n'
+        f'{{\n  "format_version": "{FORMAT_VERSION}",\n'
         f'  "host": {_host_text(canon.host)},\n'
         f'  "h": {h},\n'
         f'  "classes": {_array(classes, 1)}{tail}\n}}\n'
     )
 
 
+def _quoted(value) -> str:
+    """``value`` as json writes it: a string ASCII-escaped and quoted, None as null."""
+    import json
+
+    return json.dumps(value)
+
+
 def to_document(payload, h: int | None = None, source: str | None = None) -> dict:
     """Canonical document dict for a Decomposition or CycleFactorization:
     the parsed form of ``dumps_document``."""
+    import json
+
     return json.loads(dumps_document(payload, h=h, source=source))

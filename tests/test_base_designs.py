@@ -158,3 +158,8 @@ class TestOneFactorization:
     def test_odd_count_rejected(self):
         with pytest.raises(ValueError):
             one_factorization(range(5))
+
+    def test_repeated_vertex_rejected(self):
+        # Its circle method would pair the repeated vertex with itself.
+        with pytest.raises(ValueError, match="distinct"):
+            one_factorization((0, 0, 1, 2))

@@ -8,13 +8,16 @@ wrong shape (``malformed-sun``) or of a length other than h
 (``non-uniform-class``), must equal those computed by a short reference
 that reads the document with plain Counters and uses nothing from sunurd.
 Complete hosts, K_n - F records and blown-cycle fills are covered; only the
-last two have pairs of host vertices that are not host edges.
+last two have pairs of host vertices that are not host edges.  The fills
+come on their default labels and on seeded, shuffled ones, whose host
+positions are not in label order.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -56,7 +59,21 @@ DESIGNS = {vh: _built(*vh) for vh in ((12, 3), (16, 4), (18, 3), (20, 5))}
 
 
 RECORDS = {(n, h): to_document(cycle_factorization_minus_f(n, h)) for n, h in ((8, 4), (12, 4))}
-FILLS = {(h, k.name): to_document(urgdd_ch2(h, k), h=h) for h in (3, 4, 5) for k in UrgddKind}
+
+
+def _fill(h: int, kind: UrgddKind, seed: int) -> dict:
+    # Seed 0: the default labels, groups {2i, 2i+1}.  Otherwise the labels
+    # 0..2h-1 in an order drawn from the seed.
+    if seed == 0:
+        return to_document(urgdd_ch2(h, kind), h=h)
+    labels = random.Random(seed).sample(range(2 * h), 2 * h)
+    return to_document(urgdd_ch2(h, kind, labels[:h], labels[h:]), h=h)
+
+
+# Keyed (seed, h, kind), so the fills on default labels sort first.
+FILLS = {
+    (seed, h, k.name): _fill(h, k, seed) for seed in (0, 1, 2) for h in (3, 4, 5) for k in UrgddKind
+}
 
 
 def reference_host(host: dict) -> tuple[list[int], set[tuple[int, int]]]:
@@ -306,6 +323,12 @@ def test_reference_accepts_record(nh):
 @pytest.mark.parametrize("key", sorted(FILLS))
 def test_reference_accepts_fill(key):
     assert reference_findings(FILLS[key]) == verify_findings(FILLS[key]) == []
+
+
+def test_shuffled_fills_hold_positions_out_of_label_order():
+    for (seed, h, kind), doc in FILLS.items():
+        vertices = [x for g in doc["host"]["groups"] for x in g]
+        assert (vertices == sorted(vertices)) is (seed == 0), (seed, h, kind)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import os
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from sunurd import (
     urd6_h3,
     validate_cycle_factorization,
 )
+from sunurd import __main__ as entry
 from sunurd import cli
 from sunurd.cli import main
 
@@ -351,10 +353,54 @@ def test_process_entry_freezes_after_main_and_exits_with_its_code(monkeypatch):
         patch.setattr(sys, "exit", lambda code=None: events.append(("exit", code)))
         gc.enable()
         try:
-            cli.run()
+            entry.run()
         finally:
             (gc.enable if was else gc.disable)()
     assert events == [("main", None, False), ("freeze",), ("exit", 3)]
+
+
+# Enters like the installed script: imports the entry, then calls it.  A
+# gc.callbacks hook, set after a full collection, records every collection
+# that starts from then until the atexit handlers, which run after main.
+WATCHED_ENTRY = """
+import atexit, gc, sys
+gc.collect()
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info["generation"]))
+atexit.register(lambda: (gc.callbacks.clear(), print("collections:", starts, file=sys.stderr)))
+from sunurd.__main__ import run
+sys.argv[0] = "sunurd"
+run()
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--v", "12", "--h", "3"],
+        ["build", "--v", "12", "--h", "3", "--r", "3", "--s", "4"],
+    ],
+)
+def test_no_collection_runs_before_main_without_a_bytecode_cache(tmp_path, args):
+    # The cache prefix is an empty directory and nothing is written, so
+    # every module is compiled; entered through an import of ``cli`` with
+    # the collector on, a young collection runs while cli.py compiles.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-c", WATCHED_ENTRY, *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "collections: []\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_importing_the_entry_loads_no_cli():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sunurd.__main__; print('sunurd.cli' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "False\n", proc.stderr
 
 
 @pytest.mark.parametrize("subcommand", ["spectrum", "verify"])

@@ -133,6 +133,18 @@ class TestHostEdges:
                     expected.add(edge(u, w))
         assert set(edges) == expected
 
+    def test_blown_cycle_out_of_label_order(self):
+        # Positions run 5, 0, 3, 4, 1, 2: slots are keyed by position, and the
+        # edges still come out smaller label first, sorted.
+        groups = ((5, 0), (3, 4), (1, 2))
+        expected = sorted(
+            (min(u, w), max(u, w))
+            for i, g in enumerate(groups)
+            for u in g
+            for w in groups[(i + 1) % 3]
+        )
+        assert host_edges(HostGraph.blown_cycle(groups)) == expected
+
     def test_complete_minus_f_k12(self):
         host = HostGraph.complete_minus_f(12, [(2 * i, 2 * i + 1) for i in range(6)])
         assert len(host_edges(host)) == 60

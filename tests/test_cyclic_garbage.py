@@ -35,7 +35,7 @@ def collector_off():
 
 @pytest.mark.parametrize("enabled", (True, False))
 def test_main_restores_the_callers_setting(enabled, tmp_path, capsys):
-    # ``main`` also never freezes: only the process entry ``cli.run`` does.
+    # ``main`` also never freezes: only the process entry ``__main__.run`` does.
     path = tmp_path / "d.json"
     calls = [
         (["spectrum", "--v", "12", "--h", "3"], 0),

@@ -66,6 +66,13 @@ def test_serialization_imports_no_builder():
     assert relative_imports("serialization") & {"factorizations", "builder", "cli"} == set()
 
 
+def test_format_version_lives_in_core_and_the_reader_reexports_it():
+    from sunurd import core, serialization
+
+    assert serialization.FORMAT_VERSION is core.FORMAT_VERSION == "1"
+    assert "serialization" not in relative_imports("writer")
+
+
 class TestPackageSurface:
     def test_all_lists_every_export(self):
         assert sorted(sunurd.__all__) == sorted(name for _, name in EXPORTED)
@@ -91,23 +98,28 @@ class TestPackageSurface:
 SRC = Path(sunurd.__file__).resolve().parent.parent
 
 # Runs cli.main on argv in a fresh interpreter, then prints its exit code and
-# every module loaded, as JSON.  BARE prints what the interpreter, its site
-# and json load without sunurd.
+# every module loaded, as JSON.  BARE prints what the interpreter and its
+# site load without sunurd.  Both take the list before they import json.
 LOADED_AFTER = """
-import json, sys
+import sys
 from sunurd import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(sys.modules)]))
+modules = sorted(sys.modules)
+import json
+print(json.dumps([code, modules]))
 """
 BARE = """
-import json, sys
-print(json.dumps([0, sorted(sys.modules)]))
+import sys
+modules = sorted(sys.modules)
+import json
+print(json.dumps([0, modules]))
 """
 
 
 def modules_after(script: str, *argv: str, flags: tuple[str, ...] = ()) -> tuple[int, set[str]]:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    env.pop("SUNURD_SEED_DIR", None)
     proc = subprocess.run(
         [sys.executable, *flags, "-c", script, *argv],
         capture_output=True,
@@ -176,6 +188,23 @@ class TestSubcommandImports:
 
     def test_cli_reads_with_open_not_pathlib(self, tmp_path):
         # Without site (-S), whose .pth files may import pathlib first.
-        # ``build`` is left out: factorizations loads pathlib for the catalog.
         found = self.beyond_bare(tmp_path, "-S")
         assert "pathlib" not in found["spectrum"] | found["verify"]
+
+    def test_build_without_seed_dir_loads_no_reader_json_or_pathlib(self, tmp_path):
+        argv = ("build", "--v", "12", "--h", "3", "--r", "3", "--s", "4")
+        code, modules = loaded_after(*argv, "--out", str(tmp_path / "d.json"))
+        assert code == 0
+        assert "sunurd.serialization" not in modules
+        assert {"json", "pathlib"} & self.beyond_bare(tmp_path, "-S")["build"] == set()
+
+    def test_build_with_seed_dir_loads_the_reader(self, tmp_path):
+        seeds = tmp_path / "seeds"
+        seeds.mkdir()
+        (seeds / "k9.json").write_text(
+            sunurd.dumps_document(sunurd.cycle_factorization_odd(9, 3)), encoding="utf-8"
+        )
+        argv = ("build", "--v", "18", "--h", "3", "--r", "1", "--s", "8", "--seed-dir", str(seeds))
+        code, modules = loaded_after(*argv, "--out", str(tmp_path / "d.json"))
+        assert code == 0
+        assert "sunurd.serialization" in modules
