@@ -166,7 +166,8 @@ def build(
     certify: bool = True,
 ) -> Decomposition:
     """Construct a decomposition of K_v with exactly r matchings and s sun
-    classes, certified by the verifier before it is returned.
+    classes, certified by the verifier and returned in canonical form on
+    every route (``writer.canonical_decomposition`` gives it back unchanged).
 
     Raises InadmissibleTuple when the necessary conditions fail, ValueError
     when v is above ``core.MAX_ORDER`` and IngredientUnavailable when an
@@ -183,6 +184,7 @@ def build_with_plan(
     source: IngredientSource | None = None,
     certify: bool = True,
 ) -> tuple[Decomposition, BuildPlan]:
+    """``build``'s certified design in canonical form, and the plan it ran."""
     t = ParamTuple(*t)
     p = plan(t)
     if t.v > MAX_ORDER:

@@ -273,7 +273,7 @@ def cmd_build(args) -> int:
         IngredientSource, IngredientUnavailable, SeedCatalogError, load_seed_catalog
     )
     from .spectrum import ParamTuple
-    from .writer import dumps_document
+    from .writer import dumps_canonical
 
     if args.v > MAX_ORDER:
         print(f"build --v must be at most {MAX_ORDER}, the verifier's cap", file=sys.stderr)
@@ -297,7 +297,7 @@ def cmd_build(args) -> int:
     except IngredientUnavailable as exc:
         print(f"ingredient-unavailable: {exc} after {exc.nodes} search nodes", file=sys.stderr)
         return EXIT_INGREDIENT
-    text = _render_text(dec) if args.format == "text" else dumps_document(dec, h=args.h)
+    text = _render_text(dec) if args.format == "text" else dumps_canonical(dec, h=args.h)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as out:

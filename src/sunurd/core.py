@@ -18,7 +18,8 @@ a vertex is its own position).  One bytearray holds the host's edges, one
 the edges the blocks use, and a design partitions the host when the two are
 equal and no edge was used twice or reaches outside the host.  The blocks
 are read as they are written: no edge is copied into a normalized pair
-first.
+first, each class's vertex set is made once, by the type gate, and a
+class well formed as a whole is not walked block by block.
 
 ``FORMAT_VERSION``, the version of the document format, lives here, so the
 writer, the reader (``serialization``, which re-exports it) and the
@@ -109,11 +110,11 @@ def _cycle_edges(cycles: list, pendants: list = ()) -> Iterator[Edge]:
     return zip(chain(flat, flat), ends)
 
 
-def _well_formed(rows: list, flat: list, h) -> bool:
+def _well_formed(rows: list, seen: set, h) -> bool:
     """Whether the rows of a sun class, its suns' cycles and pendants, all
-    have length h >= 3 and ``flat``, their vertices, holds no vertex twice:
-    then every sun of the class is well formed."""
-    return set(map(len, rows)) == {h} and h >= 3 and len(set(flat)) == len(flat)
+    have length h >= 3 and ``seen``, their vertex set, has one vertex per
+    slot: then every sun of the class is well formed."""
+    return set(map(len, rows)) == {h} and h >= 3 and len(seen) == len(rows) * h
 
 
 def _sun_problem(cycle: tuple[int, ...], pendants: tuple[int, ...]) -> str | None:
@@ -345,12 +346,12 @@ _BLOCKS = {
 
 def _gate(blocks, kind: str, ci: int, findings: list[Finding]) -> tuple:
     """The type gate for the blocks of class ``ci``: (blocks kept, their
-    vertices).  Blocks are checked one by one only when the whole list
-    fails, and one of the wrong type is dropped with a ``kind`` finding."""
+    vertices, their vertex set).  Blocks are checked one by one only when
+    the list fails, and one of the wrong type is dropped with a finding."""
     what, vertices_of, problem = _BLOCKS[kind]
     if type(blocks) not in _SEQ:
         findings.append(Finding(ci, kind, f"{what} {_shown(blocks)} is not a sequence"))
-        return (), []
+        return (), [], set()
     vertices = vertices_of(blocks)
     if vertices is None:
         ok = [vertices_of([b]) is not None for b in blocks]
@@ -358,24 +359,25 @@ def _gate(blocks, kind: str, ci: int, findings: list[Finding]) -> tuple:
         findings.extend(Finding(ci, kind, problem.format(_shown(b))) for b in bad)
         blocks = list(compress(blocks, ok))
         vertices = vertices_of(blocks)
-    return blocks, vertices
+    return blocks, vertices, set(vertices)
 
 
 def _certify(
     host: HostGraph,
-    classes: Iterable[tuple[list[int], Iterable[Edge]]],
+    classes: Iterable[tuple[list[int], set[int], Iterable[Edge]]],
     findings: list[Finding],
 ) -> VerificationReport:
     """Certification shared by verify() and validate_cycle_factorization().
 
-    ``classes`` yields, per class, the int vertices its blocks touch and the
-    edges, among those vertices, of its well-formed blocks as pairs (u, w)
-    in either order and never loops, appending block findings to
-    ``findings``; it is consumed only after the host passes its gate.  One
-    pass over the classes checks each class's vertex coverage and records
-    each block edge in a slot index: with a = pos[u] and b = pos[w] (pos[u]
-    = u on a complete host), byte ``min(a, b) * n + max(a, b)`` of an n*n
-    bytearray is set on first use.  A repeat use (keyed by its slot) and any
+    ``classes`` yields, per class, the int vertices its blocks touch, their
+    set (the one ``_gate`` made) and the edges, among those vertices, of its
+    well-formed blocks as pairs (u, w) in either order and never loops,
+    appending block findings to ``findings``; it is consumed only after the
+    host passes its gate.  One pass over the classes compares each class's
+    set with the host's, made once, and records each block edge in a slot
+    index: with a = pos[u] and b = pos[w] (pos[u] = u on a complete host),
+    byte ``min(a, b) * n + max(a, b)`` of an n*n bytearray is set on first
+    use.  A repeat use (keyed by its slot) and any
     use of a pair with an endpoint outside the host (keyed by the pair,
     smaller endpoint first) go to a small Counter.  A design that partitions
     the host then costs one comparison with the host's own slots and an
@@ -388,14 +390,14 @@ def _certify(
         return _rejected("malformed-host", str(exc))
 
     n = len(pos)
+    everyone = set(vertices_at)
     used = bytearray(n * n)
     extra: Counter = Counter()
-    for ci, (vertices, pairs) in enumerate(classes):
-        seen = set(vertices)
-        if seen != pos.keys():
-            for x in pos.keys() - seen:
+    for ci, (vertices, seen, pairs) in enumerate(classes):
+        if seen != everyone:
+            for x in everyone - seen:
                 findings.append(Finding(ci, "vertex-missed", f"vertex {_shown(x)} not covered"))
-            foreign = seen - pos.keys()
+            foreign = seen - everyone
             for x in foreign:
                 findings.append(Finding(ci, "foreign-vertex", f"vertex {_shown(x)} outside host"))
             if foreign:
@@ -466,7 +468,7 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
     findings: list[Finding] = []
     kinds = []
 
-    def blocks() -> Iterator[tuple[list[int], Iterable[Edge]]]:
+    def blocks() -> Iterator[tuple[list[int], set[int], Iterable[Edge]]]:
         sun_h = expected_h
         classes = dec.classes
         if type(classes) not in _SEQ:
@@ -481,7 +483,7 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                 if type(cls) is not ParallelClass:
                     detail = f"{_shown(cls)} is not a parallel class"
                 findings.append(Finding(ci, "non-uniform-class", detail))
-                yield [], []
+                yield [], set(), []
                 continue
             one = kind == ONE_FACTOR
             other = suns if one else edges
@@ -491,33 +493,27 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                     detail = "sun-factor class carries edge blocks"
                 findings.append(Finding(ci, "non-uniform-class", detail))
             if one:
-                edges, vertices = _gate(edges, "malformed-edge", ci, findings)
-                if not set(map(len, edges)) <= {2}:
-                    findings.extend(
-                        Finding(ci, "malformed-edge", f"edge {_shown(e)} is not a pair")
-                        for e in edges
-                        if len(e) != 2
-                    )
-                    edges = [e for e in edges if len(e) == 2]
+                edges, vertices, seen = _gate(edges, "malformed-edge", ci, findings)
                 # A loop repeats its vertex, so only a class with a repeated
-                # vertex can hold one.
-                if len(set(vertices)) < len(vertices):
-                    findings.extend(
-                        Finding(ci, "malformed-edge", f"loop at vertex {_shown(u)}")
-                        for u, w in edges
-                        if u == w
-                    )
-                    edges = [(u, w) for u, w in edges if u != w]
-                yield vertices, edges
+                # vertex or a block of another length is walked edge by edge.
+                if len(seen) < len(vertices) or not set(map(len, edges)) <= {2}:
+                    for e in edges:
+                        if len(e) != 2 or e[0] == e[1]:
+                            detail = f"edge {_shown(e)} is not a pair"
+                            if len(e) == 2:
+                                detail = f"loop at vertex {_shown(e[0])}"
+                            findings.append(Finding(ci, "malformed-edge", detail))
+                    edges = [e for e in edges if len(e) == 2 and e[0] != e[1]]
+                yield vertices, seen, edges
                 continue
-            suns, vertices = _gate(suns, "malformed-sun", ci, findings)
+            suns, vertices, seen = _gate(suns, "malformed-sun", ci, findings)
             # A well-formed class is checked as a whole; only one that is not
             # is walked sun by sun to name each fault.
             rows = list(chain.from_iterable(suns))
             h = len(rows[0]) if sun_h is None and rows else sun_h
-            if _well_formed(rows, vertices, h):
+            if _well_formed(rows, seen, h):
                 sun_h = h
-                yield vertices, _cycle_edges(rows[::2], rows[1::2])
+                yield vertices, seen, _cycle_edges(rows[::2], rows[1::2])
                 continue
             kept = []
             for sun in suns:
@@ -534,7 +530,7 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                     detail = f"sun {shown} has cycle length {h}, expected {_shown(sun_h, str)}"
                     findings.append(Finding(ci, "non-uniform-class", detail))
                 kept.append(sun)
-            yield vertices, _cycle_edges([c for c, _ in kept], [p for _, p in kept])
+            yield vertices, seen, _cycle_edges([c for c, _ in kept], [p for _, p in kept])
 
     # The kinds are recorded as the classes are read, since a class without
     # a kind makes dec.r and dec.s raise.
@@ -553,7 +549,7 @@ def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
         return _rejected("bad-parameters", f"cycle length {_shown(h)} is not an int")
     findings: list[Finding] = []
 
-    def blocks() -> Iterator[tuple[list[int], Iterable[Edge]]]:
+    def blocks() -> Iterator[tuple[list[int], set[int], Iterable[Edge]]]:
         # Read only once the host has passed the gate, so its order is an int.
         n = host.order
         findings.extend(
@@ -569,17 +565,18 @@ def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
             detail = f"{len(seq)} classes, expected {expected}"
             findings.append(Finding(-1, "wrong-class-count", detail))
         for ci, cycles in enumerate(seq):
-            cycles, vertices = _gate(cycles, "malformed-cycle", ci, findings)
-            ok = []
-            for cyc in cycles:
-                if len(cyc) == h and len(set(cyc)) == h:
-                    ok.append(cyc)
-                    continue
-                detail = f"cycle {_shown(cyc)} has length {len(cyc)}"
-                if len(cyc) == h:
-                    detail = f"repeated vertex in cycle {_shown(cyc)}"
-                findings.append(Finding(ci, "malformed-cycle", detail))
-            yield vertices, _cycle_edges(ok)
+            cycles, vertices, seen = _gate(cycles, "malformed-cycle", ci, findings)
+            # A class of h-cycles with no vertex twice is checked as a whole;
+            # only one that is not is walked cycle by cycle to name each fault.
+            if len(seen) < len(vertices) or not set(map(len, cycles)) <= {h}:
+                for cyc in cycles:
+                    if len(cyc) != h or len(set(cyc)) < h:
+                        detail = f"cycle {_shown(cyc)} has length {len(cyc)}"
+                        if len(cyc) == h:
+                            detail = f"repeated vertex in cycle {_shown(cyc)}"
+                        findings.append(Finding(ci, "malformed-cycle", detail))
+                cycles = [cyc for cyc in cycles if len(cyc) == len(set(cyc)) == h]
+            yield vertices, seen, _cycle_edges(cycles)
 
     return _certify(host, blocks(), findings)
 

@@ -4,9 +4,11 @@ A design or cycle factorization has one canonical form: every cycle (of a
 sun or on its own) rotated so its least vertex comes first and reflected so
 its second vertex is the smaller of that vertex's two neighbours, pendants
 moving with their positions; blocks sorted within each class, class order
-kept; a removed matching sorted.  ``dumps_document`` writes that form as
-format-"1" text, so equal inputs give identical bytes, and ``to_document``
-is that text parsed back into dicts, so the layout has one home.
+kept; a removed matching sorted.  ``dumps_canonical`` writes a payload in
+that form, as it stands, as format-"1" text; ``sunurd build`` so writes
+``build``'s result.  ``dumps_document`` is it applied to the canonical
+form, so equal inputs give identical bytes, and ``to_document`` is that
+text parsed back into dicts: the layout has one home.
 ``FORMAT_VERSION`` lives in ``core``; the reader and ``Document`` live in
 ``serialization``, which this module does not import.  ``verify`` runs
 neither the canonical forms nor this writer, so a process that only
@@ -105,7 +107,7 @@ def _canonical_suns(suns) -> list[Sun]:
     if not (
         set(map(len, suns)) == {2}
         and set(map(type, rows)) == {tuple}
-        and _well_formed(rows, list(chain.from_iterable(rows)), len(rows[0]))
+        and _well_formed(rows, set(chain.from_iterable(rows)), len(rows[0]))
         and all(min(c) == c[0] and c[1] < c[-1] for c in rows[::2])
     ):
         suns = [sun if sun == (canon := canonicalize_sun(*sun)) else canon for sun in suns]
@@ -185,31 +187,35 @@ def _suns(suns) -> str:
 
 
 def dumps_document(payload, h: int | None = None, source: str | None = None) -> str:
-    """Canonical format-"1" JSON text (byte-stable across runs and platforms).
+    """Canonical format-"1" JSON text (byte-stable across runs and platforms):
+    ``dumps_canonical`` of the canonical form of ``payload``."""
+    if isinstance(payload, Decomposition):
+        # h is read from the first sun as given, before the suns are sorted.
+        h = _sun_length(payload) if h is None else h
+        payload = canonical_decomposition(payload)
+    elif isinstance(payload, CycleFactorization):
+        payload = canonical_factorization(payload)
+    return dumps_canonical(payload, h, source)
 
-    The text is json's indent-2 rendering of the document, written directly
+
+def dumps_canonical(canon, h: int | None = None, source: str | None = None) -> str:
+    """Format-"1" text of a payload already in canonical form, as it stands
+    (unchecked): json's indent-2 rendering of the document, written directly
     here: two-space indent, one scalar per line, ``[]`` for an empty
     list, ASCII-escaped strings, fixed key order and a trailing newline.
     ``h`` is required for decompositions without sun classes (it cannot be
     inferred from pure matchings), and must be an int: ValueError otherwise.
     """
-    if isinstance(payload, CycleFactorization):
-        canon = canonical_factorization(payload)
-        h = payload.h
+    if isinstance(canon, CycleFactorization):
+        h = canon.h
         classes = [
             _class_text("cycle_factor", "cycles", _array([_ints(c, 4) for c in cls], 3))
             for cls in canon.classes
         ]
         # Seed records always carry their source, null included.
-        source = source if source is not None else payload.source
-        tail = f',\n  "source": {_quoted(source)}'
-    elif isinstance(payload, Decomposition):
-        if h is None:
-            firsts = [cls.suns[0] for cls in payload.classes if cls.kind == SUN_FACTOR and cls.suns]
-            h = len(firsts[0][0]) if firsts else None
-        if h is None:
-            raise ValueError("h is required to serialize a decomposition without suns")
-        canon = canonical_decomposition(payload)
+        tail = f',\n  "source": {_quoted(canon.source if source is None else source)}'
+    elif isinstance(canon, Decomposition):
+        h = _sun_length(canon) if h is None else h
         classes = [
             _class_text("one_factor", "edges", _pairs(cls.edges, 3))
             if cls.kind == ONE_FACTOR
@@ -218,7 +224,7 @@ def dumps_document(payload, h: int | None = None, source: str | None = None) -> 
         ]
         tail = "" if source is None else f',\n  "source": {_quoted(source)}'
     else:
-        raise TypeError(f"cannot serialize {type(payload).__name__}")
+        raise TypeError(f"cannot serialize {type(canon).__name__}")
     if not only_ints([h]):
         raise ValueError(f"h must be an int, not {h!r}")
     # FORMAT_VERSION holds no character that JSON escapes.
@@ -228,6 +234,14 @@ def dumps_document(payload, h: int | None = None, source: str | None = None) -> 
         f'  "h": {h},\n'
         f'  "classes": {_array(classes, 1)}{tail}\n}}\n'
     )
+
+
+def _sun_length(dec: Decomposition) -> int:
+    """The cycle length of the first sun of ``dec``; ValueError if it has none."""
+    firsts = [cls.suns[0] for cls in dec.classes if cls.kind == SUN_FACTOR and cls.suns]
+    if not firsts:
+        raise ValueError("h is required to serialize a decomposition without suns")
+    return len(firsts[0][0])
 
 
 def _quoted(value) -> str:

@@ -167,7 +167,8 @@ def reference_findings(doc: dict, infer_h: bool = False) -> list[str]:
 
 
 def _blocks(cls: dict) -> list:
-    return cls["edges"] if cls["type"] == "one_factor" else cls["suns"]
+    """The blocks of a class: its edges, suns or cycles."""
+    return cls[{"one_factor": "edges", "sun_factor": "suns"}.get(cls["type"], "cycles")]
 
 
 def _rows(cls: dict) -> list[list[int]]:
@@ -266,23 +267,29 @@ def mutate(doc: dict, op: str, a: int, b: int, c: int) -> None:
         _blocks(same[c % len(same)]).append(copy.deepcopy(blocks[i]))
     elif op == "relabel-outside":
         block = blocks[i]
-        slots = block if cls["type"] == "one_factor" else block["cycle"] + block["pendants"]
+        sun = cls["type"] == "sun_factor"
+        slots = block["cycle"] + block["pendants"] if sun else block
         old = slots[c % len(slots)]
         new = max(reference_host(doc["host"])[0]) + 1 + c % 3
-        if cls["type"] == "one_factor":
-            block[block.index(old)] = new
-        else:
+        if sun:
             part = block["cycle"] if old in block["cycle"] else block["pendants"]
             part[part.index(old)] = new
+        else:
+            block[block.index(old)] = new
+    elif op == "repeat-in-class":
+        # Slot c + 1 of block i (of its cycle, for a sun) is written over
+        # slot c of the same block for even c, else of the block before it:
+        # one vertex then sits twice in one block, or in two blocks whose
+        # cycles each keep h distinct vertices.
+        src, dst = (k["cycle"] if type(k) is dict else k for k in (blocks[i], blocks[i - c % 2]))
+        dst[c % len(dst)] = src[(c + 1) % len(src)]
 
 
-OPS = (
-    "swap-endpoints", "swap-pendants", "drop-block", "duplicate-block", "relabel-outside",
-    *SHAPE_OPS,
-)
-mutation = st.tuples(
-    st.sampled_from(OPS), st.integers(0, 99), st.integers(0, 99), st.integers(0, 99)
-)
+BLOCK_OPS = ("drop-block", "duplicate-block", "relabel-outside", "repeat-in-class")
+OPS = ("swap-endpoints", "swap-pendants", *BLOCK_OPS, *SHAPE_OPS)
+picks = [st.integers(0, 99)] * 3
+mutation = st.tuples(st.sampled_from(OPS), *picks)
+block_mutation = st.tuples(st.sampled_from(BLOCK_OPS), *picks)
 
 
 def verify_findings(doc: dict, infer_h: bool = False) -> list[str]:
@@ -318,6 +325,17 @@ def verify_record_findings(doc: dict) -> list[str]:
 @pytest.mark.parametrize("nh", sorted(RECORDS))
 def test_reference_accepts_record(nh):
     assert reference_findings(RECORDS[nh]) == verify_record_findings(RECORDS[nh]) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(RECORDS)), st.lists(block_mutation, min_size=1, max_size=4))
+def test_record_findings_match_reference(nh, mutations):
+    # The block mutations on cycle classes, so that a class that fails the
+    # whole-class check of validate_cycle_factorization is compared too.
+    doc = copy.deepcopy(RECORDS[nh])
+    for op, a, b, c in mutations:
+        mutate(doc, op, a, b, c)
+    assert verify_record_findings(doc) == reference_findings(doc)
 
 
 @pytest.mark.parametrize("key", sorted(FILLS))

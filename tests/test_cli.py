@@ -13,8 +13,12 @@ import pytest
 
 from sunurd import (
     IngredientSource,
+    ParamTuple,
+    build,
     cycle_factorization_odd,
     dumps_document,
+    load_seed_catalog,
+    to_document,
     urd6_h3,
     validate_cycle_factorization,
 )
@@ -206,6 +210,38 @@ class TestBuild:
         )
         assert code == 0
         assert len(calls) == 1
+
+
+    @pytest.mark.parametrize(
+        "t, seeded",
+        [((12, 3, 3, 4), False), ((36, 6, 3, 16), False), ((18, 3, 1, 8), True)],
+        ids=["fixed-12-3", "searched-36-6", "seed-dir-18-3"],
+    )
+    def test_build_writes_the_design_it_certified_as_it_stands(
+        self, tmp_path, capsys, monkeypatch, t, seeded
+    ):
+        # build() returns the canonical form, so the CLI writes the bytes
+        # dumps_document gives without running canonical_decomposition.
+        v, h, r, s = t
+        argv = ["build", "--v", str(v), "--h", str(h), "--r", str(r), "--s", str(s)]
+        source = None
+        if seeded:
+            # A K_9 record with every cycle written backwards, out of canonical form.
+            doc = to_document(cycle_factorization_odd(9, 3))
+            for cls in doc["classes"]:
+                for cycle in cls["cycles"]:
+                    cycle.reverse()
+            (tmp_path / "k9.json").write_text(json.dumps(doc), encoding="utf-8")
+            argv += ["--seed-dir", str(tmp_path)]
+            source = IngredientSource(catalog=load_seed_catalog(tmp_path))
+        want = dumps_document(build(ParamTuple(*t), source=source), h=h)
+
+        def refuse(dec):
+            raise AssertionError("sunurd build ran a second canonical pass")
+
+        monkeypatch.setattr("sunurd.writer.canonical_decomposition", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestVerify:

@@ -699,10 +699,18 @@ SPECTRUM_DIGESTS = {
 @pytest.mark.parametrize("v, h", sorted(SPECTRUM_DIGESTS))
 def test_spectrum_build_bytes(v, h):
     texts = (
-        dumps_document(build(ParamTuple(v, h, p.r, p.s)), h=h)
+        dumps_document(canonical_build(ParamTuple(v, h, p.r, p.s)), h=h)
         for p in admissible_pairs(v, h)
     )
     assert digest(texts) == SPECTRUM_DIGESTS[(v, h)]
+
+
+def canonical_build(t: ParamTuple, source: IngredientSource | None = None) -> Decomposition:
+    """``build(t)``, checked to be in canonical form already, which is what
+    lets ``sunurd build`` write it without a second canonical pass."""
+    d = build(t, source=source)
+    assert canonical_decomposition(d) == d, t
+    return d
 
 
 def doubled_c4_catalog(*orders: int) -> dict:
@@ -732,7 +740,7 @@ def doubled_c4_catalog(*orders: int) -> dict:
 def inflation_texts(v: int, h: int, source: IngredientSource | None = None) -> list[str]:
     """Every inflation build of the (v, h) spectrum that uses both fills."""
     return [
-        dumps_document(build(ParamTuple(v, h, p.r, p.s), source=source), h=h)
+        dumps_document(canonical_build(ParamTuple(v, h, p.r, p.s), source=source), h=h)
         for p in admissible_pairs(v, h)
         if p.s and p.r > 3
     ]
