@@ -112,8 +112,8 @@ def urgdd_ch2(
     Index formulas below are 1-based and cyclic (index h+1 wraps to 1); the
     odd-h matching family mixes a formula part with literal patch edges and
     is emitted exactly as written, not simplified.  Without labels the
-    groups are {2i, 2i+1} (0-based i): the builder's inflation calls it so,
-    once per kind, and relabels the result onto each base cycle.
+    groups are {2i, 2i+1} (0-based i): the builder's inflation calls it so
+    for the matching fill and relabels the result onto each base cycle.
     """
     if h < 3:
         raise ValueError("h must be at least 3")

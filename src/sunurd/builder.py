@@ -5,8 +5,8 @@ The inflation route doubles every base point p into the pair 2p, 2p+1 and
 replaces each base h-cycle with the blown cycle on its doubled points, filled
 with one of the two uniform fill designs: the sun fill contributes two
 global sun classes per base class, the matching fill four global matchings.
-Each fill comes from one template per kind, built once on the labels
-0..2h-1 and relabelled onto every base cycle.
+The matching fill is one template relabelled onto every base cycle; the
+sun fill is written per base class from its vertices and their successors.
 The leftover edges are covered by matchings relabelled the same way: the
 doubled pairs {2p, 2p+1}, and on K_n - F the two matchings across each
 doubled edge of F.
@@ -15,6 +15,7 @@ doubled edge of F.
 from __future__ import annotations
 
 import enum
+from operator import lt
 from typing import NamedTuple
 
 from .base_designs import UrgddKind, _matching_class, one_factorization, urd12_h3, urgdd_ch2
@@ -26,6 +27,7 @@ from .core import (
     HostGraph,
     ParallelClass,
     Sun,
+    _successors,
     verify,
 )
 from .factorizations import CycleFactorization, IngredientSource, IngredientUnavailable
@@ -125,34 +127,35 @@ def _matchings(templates, bases) -> list[ParallelClass]:
 def _assemble_inflation(t: ParamTuple, p: BuildPlan, cf: CycleFactorization) -> Decomposition:
     """Inflate every base cycle and add the leftover matchings.
 
-    Each fill kind is built once, as ``urgdd_ch2`` on the template labels
-    a_i = 2i, b_i = 2i+1, and relabelled onto each base cycle: template
-    vertex 2i + k becomes 2*cycle[i] + k, which is ``inflate_cycle(cycle,
-    kind)`` without rebuilding the fill per cycle.  Relabelled suns are
-    put in canonical order again, since a base cycle need not be in
-    canonical form; their shape is not checked again, since the fill is a
-    certified design, relabelling is injective and ``build`` certifies the
-    whole design.
+    The matching fill is built once, as ``urgdd_ch2`` on the labels a_i =
+    2i, b_i = 2i+1, and template vertex 2i + k becomes 2*cycle[i] + k, as in
+    ``inflate_cycle``.  The sun fill of a base class has cycles 2x with
+    pendants 2*succ(x)+1 and cycles 2x+1 with pendants 2*succ(x), x its
+    vertices in order.  x -> 2x + k keeps order, so only a class not already
+    canonical and sorted has its suns put in canonical order one by one.
+    No shape is checked again: the fill is a certified design, relabelling
+    is injective and ``build`` certifies the whole design.
     The leftover edges are the doubled pairs {2p, 2p+1} and, on K_n - F,
     the two matchings across each doubled edge of F.
     """
     v, h, r, s = t
     fill = [cls.edges for cls in urgdd_ch2(h, UrgddKind.FOUR_ZERO).classes]
-    sun_fill = urgdd_ch2(h, UrgddKind.ZERO_TWO).classes
+    even, odd = list(range(0, v, 2)).__getitem__, list(range(1, v, 2)).__getitem__
     sun_classes: list[ParallelClass] = []
     matchings: list[ParallelClass] = []
     for j, base_class in enumerate(cf.classes):
         if j < p.x:
             matchings += _matchings(fill, base_class)
             continue
-        relabels = [lab.__getitem__ for lab in _doubled(base_class)]
-        for cls in sun_fill:
-            suns = [
-                Sun(*_canonical_order(tuple(map(at, cycle)), tuple(map(at, pendants))))
-                for at in relabels
-                for cycle, pendants in cls.suns
-            ]
-            sun_classes.append(ParallelClass.sun_factor(sorted(suns)))
+        flat, succ = _successors(base_class)
+        canonical = list(map(min, base_class)) == flat[::h] == sorted(flat[::h])
+        canonical = canonical and all(map(lt, flat[1::h], flat[h - 1 :: h]))
+        for on_cycle, pendant in ((even, odd), (odd, even)):
+            # zip over h references to one iterator cuts a row into h-tuples.
+            suns = map(Sun, zip(*[map(on_cycle, flat)] * h), zip(*[map(pendant, succ)] * h))
+            if not canonical:
+                suns = sorted(Sun(*_canonical_order(*sun)) for sun in suns)
+            sun_classes.append(ParallelClass.sun_factor(suns))
     matchings += _matchings([((0, 1),)], [(q,) for q in range(v // 2)])
     if cf.removed_matching:
         matchings += _matchings([((0, 2), (1, 3)), ((0, 3), (1, 2))], cf.removed_matching)

@@ -31,7 +31,7 @@ never loads the reader or ``json``.  The canonical forms live in
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from typing import Iterable, Iterator, NamedTuple
 
 Edge = tuple[int, int]
@@ -102,12 +102,25 @@ def sun_edges(sun: Sun) -> set[Edge]:
 
 def _cycle_edges(cycles: list, pendants: list = ()) -> Iterator[Edge]:
     # The edges of cycles of distinct vertices, so no edge is a loop, as
-    # pairs in the order they are met: each cycle vertex with the next on
-    # its cycle, then, when ``pendants`` holds the pendant rows of suns, with
-    # its pendant.  Without pendants the zip stops after the cycle edges.
+    # pairs in the order they are met: each cycle vertex with its successor,
+    # then, when ``pendants`` holds the pendant rows of suns, with its
+    # pendant.  Without pendants the zip stops after the cycle edges.
+    flat, succ = _successors(cycles)
+    return zip(chain(flat, flat), chain(succ, chain.from_iterable(pendants)))
+
+
+def _successors(cycles: list) -> tuple[list, list]:
+    # The cycles' vertices in order and each one's successor: the vertices
+    # shifted by one, each cycle's last slot wrapped to its first vertex.
     flat = list(chain.from_iterable(cycles))
-    ends = chain(chain.from_iterable(c[1:] + c[:1] for c in cycles), chain.from_iterable(pendants))
-    return zip(chain(flat, flat), ends)
+    succ = flat[1:] + flat[:1]
+    if flat and set(map(len, cycles)) == {h := len(cycles[0])}:
+        succ[h - 1 :: h] = flat[::h]
+    else:
+        for end, c in zip(accumulate(map(len, cycles)), cycles):
+            if c:
+                succ[end - 1] = c[0]
+    return flat, succ
 
 
 def _well_formed(rows: list, seen: set, h) -> bool:
@@ -328,38 +341,39 @@ def _int_rows(rows) -> list[int] | None:
     return None
 
 
-def _sun_vertices(suns) -> list[int] | None:
+def _sun_rows(suns) -> list | None:
     # A Sun is the tuple of its two rows: the cycle and the pendants.
-    if set(map(type, suns)) <= {Sun}:
-        return _int_rows(list(chain.from_iterable(suns)))
-    return None
+    return list(chain.from_iterable(suns)) if set(map(type, suns)) <= {Sun} else None
 
 
 # Per block finding kind: the name of a class's list of such blocks, the
-# ``vertices_of`` of ``_gate`` and the text for a block of the wrong type.
+# ``rows_of`` of ``_gate`` (``tuple`` keeps a tuple of edges or cycles as
+# it is) and the text for a block of the wrong type.
 _BLOCKS = {
-    "malformed-edge": ("edges", _int_rows, "edge {} is not a pair of ints"),
-    "malformed-sun": ("suns", _sun_vertices, "sun {} is not a Sun of int sequences"),
-    "malformed-cycle": ("class", _int_rows, "cycle {} is not a sequence of ints"),
+    "malformed-edge": ("edges", tuple, "edge {} is not a pair of ints"),
+    "malformed-sun": ("suns", _sun_rows, "sun {} is not a Sun of int sequences"),
+    "malformed-cycle": ("class", tuple, "cycle {} is not a sequence of ints"),
 }
 
 
 def _gate(blocks, kind: str, ci: int, findings: list[Finding]) -> tuple:
-    """The type gate for the blocks of class ``ci``: (blocks kept, their
-    vertices, their vertex set).  Blocks are checked one by one only when
-    the list fails, and one of the wrong type is dropped with a finding."""
-    what, vertices_of, problem = _BLOCKS[kind]
+    """The type gate for the blocks of class ``ci``: (rows of the blocks
+    kept, their vertices, their vertex set).  Blocks are checked one by one
+    only when the list fails, and one of the wrong type is dropped with a
+    finding."""
+    what, rows_of, problem = _BLOCKS[kind]
     if type(blocks) not in _SEQ:
         findings.append(Finding(ci, kind, f"{what} {_shown(blocks)} is not a sequence"))
         return (), [], set()
-    vertices = vertices_of(blocks)
+    rows = rows_of(blocks)
+    vertices = _int_rows(rows)
     if vertices is None:
-        ok = [vertices_of([b]) is not None for b in blocks]
+        ok = [_int_rows(rows_of([b])) is not None for b in blocks]
         bad = [b for b, k in zip(blocks, ok) if not k]
         findings.extend(Finding(ci, kind, problem.format(_shown(b))) for b in bad)
-        blocks = list(compress(blocks, ok))
-        vertices = vertices_of(blocks)
-    return blocks, vertices, set(vertices)
+        rows = rows_of(list(compress(blocks, ok)))
+        vertices = _int_rows(rows)
+    return rows, vertices, set(vertices)
 
 
 def _certify(
@@ -506,17 +520,16 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                     edges = [e for e in edges if len(e) == 2 and e[0] != e[1]]
                 yield vertices, seen, edges
                 continue
-            suns, vertices, seen = _gate(suns, "malformed-sun", ci, findings)
+            rows, vertices, seen = _gate(suns, "malformed-sun", ci, findings)
             # A well-formed class is checked as a whole; only one that is not
             # is walked sun by sun to name each fault.
-            rows = list(chain.from_iterable(suns))
             h = len(rows[0]) if sun_h is None and rows else sun_h
             if _well_formed(rows, seen, h):
                 sun_h = h
                 yield vertices, seen, _cycle_edges(rows[::2], rows[1::2])
                 continue
             kept = []
-            for sun in suns:
+            for sun in map(Sun, rows[::2], rows[1::2]):
                 problem = _sun_problem(*sun)
                 if problem is not None:
                     detail = f"sun {_shown(sun, str)}: {problem}"

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sunurd import (
+    CycleFactorization,
     Decomposition,
+    HostGraph,
     InadmissibleTuple,
     IngredientSource,
     IngredientUnavailable,
@@ -20,7 +22,9 @@ from sunurd import (
     build,
     build_all,
     build_with_plan,
+    dumps_document,
     inflate_cycle,
+    one_factorization,
     plan,
     verify,
     vertex_profile,
@@ -257,14 +261,19 @@ def per_cycle_fill_classes(p, cf) -> tuple[ParallelClass, ...]:
 _shared_source = IngredientSource()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(
     st.sampled_from([(18, 3), (16, 4), (20, 5), (24, 4), (30, 5), (24, 6), (28, 7), (36, 6)]),
     st.data(),
 )
 def test_template_relabelling_matches_per_cycle_fills(vh, data):
-    # Every base cycle is rewritten in a random rotation and direction, so
-    # relabelled suns land out of canonical form as often as in it.
+    # The ingredients come with every cycle canonical and every class
+    # sorted, so their suns are written as they stand.  When drawn, every
+    # base cycle is rewritten in a random rotation and direction, so
+    # relabelled suns land out of canonical form as often as in it; or
+    # reflected about its first vertex, which stays the least; or each
+    # class's cycles are shuffled, each cycle still canonical; 160 examples
+    # give each way about 40.
     v, h = vh
     pair = data.draw(st.sampled_from([q for q in admissible_pairs(v, h) if q.s]))
     t = ParamTuple(v, h, pair.r, pair.s)
@@ -272,12 +281,54 @@ def test_template_relabelling_matches_per_cycle_fills(vh, data):
     n, _, kind = p.ingredient
     cf = _shared_source.minus_f(n, h) if kind == COMPLETE_MINUS_F else _shared_source.odd(n, h)
     rng = random.Random(data.draw(st.integers(0, 2**32)))
+    how = data.draw(st.sampled_from(["as given", "reoriented", "reflected", "shuffled"]))
 
     def reorient(cycle):
         k = rng.randrange(len(cycle))
         cycle = cycle[k:] + cycle[:k]
         return cycle[::-1] if rng.random() < 0.5 else cycle
 
-    cf = cf._replace(classes=tuple(tuple(map(reorient, cls)) for cls in cf.classes))
+    def rewrite(cls):
+        if how == "reoriented":
+            return tuple(map(reorient, cls))
+        if how == "reflected":
+            return tuple(c[:1] + c[:0:-1] for c in cls)
+        return tuple(rng.sample(cls, len(cls)))
+
+    if how != "as given":
+        cf = cf._replace(classes=tuple(map(rewrite, cf.classes)))
     fills = per_cycle_fill_classes(p, cf)
     assert _assemble_inflation(t, p, cf).classes[: len(fills)] == fills
+
+
+def canonical_c4_catalog(n: int) -> dict:
+    """A C4-factorization of K_n - F, keyed as a seed catalog, with every
+    cycle canonical and every class sorted: the base edge {p, q}, p < q, of
+    a round robin on n/2 points becomes the 4-cycle (2p, 2q, 2p+1, 2q+1)."""
+    m = n // 2
+    classes = tuple(
+        tuple(sorted((2 * min(e), 2 * max(e), 2 * min(e) + 1, 2 * max(e) + 1) for e in cls.edges))
+        for cls in one_factorization(range(m))
+    )
+    host = HostGraph.complete_minus_f(n, [(2 * p, 2 * p + 1) for p in range(m)])
+    return {(n, 4, host.kind): CycleFactorization(host, 4, classes, source="test:canonical-c4")}
+
+
+@pytest.mark.parametrize(
+    "t, catalog",
+    [((36, 6, 3, 16), None), ((80, 4, 7, 36), canonical_c4_catalog(40))],
+    ids=["searched-36-6", "catalog-c4-80"],
+)
+def test_canonical_base_classes_are_written_without_per_sun_canonical_order(
+    monkeypatch, t, catalog
+):
+    # Base classes whose cycles are canonical and sorted give canonical,
+    # sorted suns as written, so no sun passes through _canonical_order.
+    t = ParamTuple(*t)
+    want = dumps_document(build(t, source=IngredientSource(catalog=catalog)), h=t.h)
+
+    def refuse(cycle, pendants):
+        raise AssertionError("a canonical base class took the per-sun canonical order")
+
+    monkeypatch.setattr("sunurd.builder._canonical_order", refuse)
+    assert dumps_document(build(t, source=IngredientSource(catalog=catalog)), h=t.h) == want

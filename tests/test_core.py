@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,7 +23,7 @@ from sunurd import (
     verify,
     vertex_profile,
 )
-from sunurd.core import ONE_FACTOR, SUN_FACTOR
+from sunurd.core import ONE_FACTOR, SUN_FACTOR, _cycle_edges
 
 
 def k6_design() -> Decomposition:
@@ -114,6 +116,46 @@ class TestSunEdges:
     def test_edge_count_is_2h(self, h):
         sun = canonicalize_sun(range(h), range(h, 2 * h))
         assert len(sun_edges(sun)) == 2 * h
+
+
+def cycle_edges_by_rotation(cycles, pendants=()):
+    """``core._cycle_edges`` as written before the successor list: each
+    cycle's next vertices read from a copy rotated by one, kept as the
+    reference for the successor list."""
+    flat = list(chain.from_iterable(cycles))
+    ends = chain(chain.from_iterable(c[1:] + c[:1] for c in cycles), chain.from_iterable(pendants))
+    return zip(chain(flat, flat), ends)
+
+
+@st.composite
+def cycle_rows(draw):
+    # Cycles of lengths 3-9 on distinct vertices, mixed or of one length,
+    # each a tuple or a list, with a pendant row per cycle or none.
+    lengths = draw(st.lists(st.integers(3, 9), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        lengths = [lengths[0]] * len(lengths)
+    vertices = draw(st.permutations(range(2 * sum(lengths))))
+    cycles, pendants, at = [], [], 0
+    for k in lengths:
+        row = draw(st.sampled_from([tuple, list]))
+        cycles.append(row(vertices[at : at + k]))
+        pendants.append(row(vertices[at + k : at + 2 * k]))
+        at += 2 * k
+    return cycles, pendants if draw(st.booleans()) else ()
+
+
+class TestCycleEdges:
+    def test_single_triangle(self):
+        for pendants in ((), [(3, 4, 5)]):
+            got = list(_cycle_edges([(0, 1, 2)], pendants))
+            assert got == list(cycle_edges_by_rotation([(0, 1, 2)], pendants))
+        assert got == [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)]
+
+    @given(cycle_rows())
+    def test_successor_list_matches_rotation(self, rows):
+        cycles, pendants = rows
+        want = list(cycle_edges_by_rotation(cycles, pendants))
+        assert list(_cycle_edges(cycles, pendants)) == want
 
 
 class TestHostEdges:
