@@ -18,11 +18,12 @@ import enum
 from operator import lt
 from typing import NamedTuple
 
-from .base_designs import UrgddKind, _matching_class, one_factorization, urd12_h3, urgdd_ch2
+from .base_designs import UrgddKind, one_factorization, urd12_h3, urgdd_ch2
 from .core import (
     COMPLETE,
     COMPLETE_MINUS_F,
     MAX_ORDER,
+    ONE_FACTOR,
     Decomposition,
     HostGraph,
     ParallelClass,
@@ -118,10 +119,17 @@ def _doubled(bases) -> list[list[int]]:
 
 
 def _matchings(templates, bases) -> list[ParallelClass]:
-    # Each template matching relabelled onto every base; the bases are
-    # vertex-disjoint, so the copies of one template form one matching.
+    # Each template matching relabelled onto every base, each edge put
+    # smaller end first, and sorted; the bases are vertex-disjoint, so the
+    # copies of one template form one matching.
     labels = _doubled(bases)
-    return [_matching_class((lab[u], lab[w]) for lab in labels for u, w in t) for t in templates]
+    return [
+        ParallelClass(ONE_FACTOR, edges=tuple(sorted([
+            (a, b) if a < b else (b, a)
+            for lab in labels for u, w in t for a, b in [(lab[u], lab[w])]
+        ])))
+        for t in templates
+    ]
 
 
 def _assemble_inflation(t: ParamTuple, p: BuildPlan, cf: CycleFactorization) -> Decomposition:

@@ -273,7 +273,7 @@ def cmd_build(args) -> int:
         IngredientSource, IngredientUnavailable, SeedCatalogError, load_seed_catalog
     )
     from .spectrum import ParamTuple
-    from .writer import dumps_canonical
+    from .writer import _chunks
 
     if args.v > MAX_ORDER:
         print(f"build --v must be at most {MAX_ORDER}, the verifier's cap", file=sys.stderr)
@@ -297,17 +297,22 @@ def cmd_build(args) -> int:
     except IngredientUnavailable as exc:
         print(f"ingredient-unavailable: {exc} after {exc.nodes} search nodes", file=sys.stderr)
         return EXIT_INGREDIENT
-    text = _render_text(dec) if args.format == "text" else dumps_canonical(dec, h=args.h)
+    # The first chunk comes after every check of the writer, so --out is
+    # opened only for a document that will be written whole.
+    chunks = iter([_render_text(dec)]) if args.format == "text" else _chunks(dec, h=args.h)
+    first = next(chunks)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as out:
-                out.write(text)
+                out.write(first)
+                out.writelines(chunks)
         except OSError as exc:
             print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
         print(f"(r,s)=({args.r},{args.s}) written to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(first)
+        sys.stdout.writelines(chunks)
     return EXIT_OK
 
 

@@ -214,14 +214,27 @@ class TestBuild:
 
     @pytest.mark.parametrize(
         "t, seeded",
-        [((12, 3, 3, 4), False), ((36, 6, 3, 16), False), ((18, 3, 1, 8), True)],
-        ids=["fixed-12-3", "searched-36-6", "seed-dir-18-3"],
+        [
+            ((12, 3, 3, 4), False),
+            ((36, 6, 3, 16), False),
+            ((18, 3, 1, 8), True),
+            ((20, 10, 3, 8), False),
+            ((40, 5, 19, 10), False),
+            ((24, 3, 23, 0), False),
+        ],
+        ids=[
+            "fixed-12-3", "searched-36-6", "seed-dir-18-3",
+            # A Hamiltonian ingredient, both fills; several cycles per base
+            # class, matchings only in the fill; pure matchings.
+            "hamiltonian-20-10", "cycles-40-5", "matchings-24-3",
+        ],
     )
     def test_build_writes_the_design_it_certified_as_it_stands(
         self, tmp_path, capsys, monkeypatch, t, seeded
     ):
         # build() returns the canonical form, so the CLI writes the bytes
-        # dumps_document gives without running canonical_decomposition.
+        # dumps_document gives without running canonical_decomposition, to
+        # stdout and to --out alike.
         v, h, r, s = t
         argv = ["build", "--v", str(v), "--h", str(h), "--r", str(r), "--s", str(s)]
         source = None
@@ -242,6 +255,21 @@ class TestBuild:
         monkeypatch.setattr("sunurd.writer.canonical_decomposition", refuse)
         assert main(argv) == 0
         assert capsys.readouterr().out == want
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_out_exit_5_without_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sunurd", "build", "--v", "40", "--h", "5", "--r", "19",
+             "--s", "10", "--out", "/dev/full"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 5
+        assert proc.stderr.startswith("cannot write /dev/full: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestVerify:
@@ -439,12 +467,14 @@ def test_importing_the_entry_loads_no_cli():
     assert proc.stdout == "False\n", proc.stderr
 
 
-@pytest.mark.parametrize("subcommand", ["spectrum", "verify"])
+@pytest.mark.parametrize("subcommand", ["spectrum", "verify", "build"])
 def test_closed_stdout_exit_5_without_traceback(tmp_path, subcommand):
     # Each prints megabytes, far more than a pipe buffers, so the write after
     # the reader has gone fails.
     if subcommand == "spectrum":
         args = ["spectrum", "--v", "1000000", "--h", "4", "--format", "json"]
+    elif subcommand == "build":
+        args = ["build", "--v", "400", "--h", "200", "--r", "203", "--s", "98"]
     else:
         doc = json.loads(dumps_document(urd6_h3((1, 2)), h=3))
         doc["host"]["v"] = 600

@@ -196,6 +196,77 @@ def test_generated_payloads(payload, h, source):
     )
 
 
+# --- classes of different shapes in one document ---------------------------
+#
+# The writer makes one template per shape of class in a document: a
+# one-factor class's edge count, a sun class's cycle lengths and sun count,
+# a cycle class's cycle lengths.  Each payload below has classes that share
+# a kind but not a shape, so a template reused across shapes shows.
+
+
+def _edges(k: int) -> ParallelClass:
+    return ParallelClass.one_factor([(2 * i, 2 * i + 1) for i in range(k)])
+
+
+def _sun(first: int, k: int) -> Sun:
+    return Sun(tuple(range(first, first + k)), tuple(range(first + k, first + 2 * k)))
+
+
+def _cycles(*lengths: int) -> tuple[tuple[int, ...], ...]:
+    starts = [sum(lengths[:i]) for i in range(len(lengths))]
+    return tuple(tuple(range(a, a + k)) for a, k in zip(starts, lengths))
+
+
+SHAPED_DOCUMENTS = {
+    "edge-counts": Decomposition(
+        HostGraph.complete(8), (_edges(1), _edges(4), _edges(2), _edges(4), _edges(1))
+    ),
+    "sun-counts": Decomposition(
+        HostGraph.complete(24),
+        tuple(ParallelClass.sun_factor([_sun(6 * i, 3) for i in range(m)]) for m in (1, 3, 2, 3)),
+    ),
+    "cycle-lengths": Decomposition(
+        HostGraph.complete(16),
+        tuple(ParallelClass.sun_factor([_sun(0, k)]) for k in (3, 5, 4, 3, 8)),
+    ),
+    # Same sun count and vertex count, lengths in the other order.
+    "mixed-suns": Decomposition(
+        HostGraph.complete(14),
+        (
+            ParallelClass.sun_factor([_sun(0, 3), _sun(6, 4)]),
+            ParallelClass.sun_factor([_sun(0, 4), _sun(8, 3)]),
+        ),
+    ),
+    "kinds-interleaved": Decomposition(
+        HostGraph.complete(12),
+        (_edges(3), ParallelClass.sun_factor([_sun(0, 3)]), _edges(6),
+         ParallelClass.sun_factor([_sun(0, 3), _sun(6, 3)]), _edges(3)),
+    ),
+    "no-classes": Decomposition(HostGraph.complete(6), ()),
+    "empty-classes": Decomposition(
+        HostGraph.complete(6),
+        (ParallelClass.one_factor([]), _edges(3), ParallelClass.sun_factor([]),
+         ParallelClass.sun_factor([_sun(0, 3)]), ParallelClass.one_factor([]),
+         ParallelClass.sun_factor([])),
+    ),
+    "only-empty-classes": Decomposition(
+        HostGraph.complete(6), (ParallelClass.sun_factor([]), ParallelClass.one_factor([]))
+    ),
+    "cycle-classes": CycleFactorization(
+        HostGraph.complete(9),
+        3,
+        (_cycles(3), _cycles(3, 3), (), _cycles(4, 5), _cycles(5, 4), _cycles(3)),
+        "unspecified",
+    ),
+    "no-cycle-classes": CycleFactorization(HostGraph.complete(9), 3, (), None),
+}
+
+
+@pytest.mark.parametrize("payload", SHAPED_DOCUMENTS.values(), ids=SHAPED_DOCUMENTS)
+def test_classes_of_different_shapes(payload):
+    assert_same_text(dumps_document(payload, h=3), reference_text(payload, h=3))
+
+
 # --- every spectrum with v <= 32, and the ingredients it uses ---------------
 
 SPECTRA = [(v, h) for v in range(3, 33) for h in range(3, v + 1) if admissible_pairs(v, h)]
