@@ -13,7 +13,8 @@ import sys
 def run():
     """``cli.main`` with the collector off, then ``gc.freeze``, then
     ``sys.exit`` with its code, so atexit handlers run and stdio is flushed
-    as usual.  It never returns."""
+    as usual.  It never returns.  It is the one place that sets the
+    collector policy: ``main`` itself never touches the collector."""
     gc.disable()
     from .cli import main
 

@@ -106,10 +106,8 @@ def inflate_cycle(cycle: tuple[int, ...], kind: UrgddKind) -> Decomposition:
     blown cycle on those groups and the classes come from the fill design of
     the requested kind (two sun classes, or four matchings).
     """
-    cyc = tuple(cycle)
-    a = [2 * p for p in cyc]
-    b = [2 * p + 1 for p in cyc]
-    return urgdd_ch2(len(cyc), kind, a, b)
+    (labels,) = _doubled([cycle])
+    return urgdd_ch2(len(labels) // 2, kind, labels[::2], labels[1::2])
 
 
 def _doubled(bases) -> list[list[int]]:

@@ -14,8 +14,8 @@ or ``--help``, in place of the subcommand or after it, prints the help and
 exits 0.  Any other command line prints the usage line and the error on
 stderr and exits 2.
 
-This module imports only ``gc``, ``os`` and ``sys``, which the interpreter
-has loaded before it, and reads and writes files with ``open``.  Each
+This module imports only ``os`` and ``sys``, which the interpreter has
+loaded before it, and reads and writes files with ``open``.  Each
 subcommand imports only the package modules it runs, inside its ``cmd_*``
 function: ``spectrum`` loads ``spectrum``; ``verify`` loads ``core`` and
 ``serialization`` (the reader, with ``json``); ``build`` loads ``spectrum``,
@@ -26,20 +26,19 @@ and the reader, ``json`` and ``pathlib`` only with a seed catalog
 build never loads, or compiles, the builder, the searches, the canonical
 forms or the writer.
 
-``main`` runs a call without the cyclic garbage collector and restores the
-caller's setting; it never freezes, so library callers and in-process tests
-are untouched.  A process enters through ``sunurd.__main__.run`` (``python
--m sunurd`` and the ``sunurd`` script), which switches the collector off
-before it imports this module, so no young collection runs while it loads
-or on ``main``'s return, and calls ``gc.freeze`` after ``main``:
-finalization forces full collections even with the collector off, and
-freezing leaves them none of ``main``'s objects to examine.  What they
-would free goes back to the OS at exit.
+``main`` never touches the cyclic garbage collector, so library callers
+and in-process tests keep their own setting, during a call and after it.
+The collector policy of a process has one owner, ``sunurd.__main__.run``
+(``python -m sunurd`` and the ``sunurd`` script): it switches the collector
+off before it imports this module, so no collection runs while it loads or
+while ``main`` runs, and calls ``gc.freeze`` after ``main``: finalization
+forces full collections even with the collector off, and freezing leaves
+them none of ``main``'s objects to examine.  What they would free goes
+back to the OS at exit.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import sys
 
@@ -98,11 +97,6 @@ class Args:
 
 
 def main(argv=None) -> int:
-    # No cyclic GC: a call leaves no cyclic garbage, so the collector would
-    # only rescan live records.  The caller's setting is restored on return;
-    # under ``__main__.run`` it stays off.
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         command, args = _parse(sys.argv[1:] if argv is None else argv)
         if args is None:
@@ -119,8 +113,6 @@ def main(argv=None) -> int:
         # so the interpreter's final flush cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
-    finally:
-        (gc.enable if enabled else gc.disable)()
 
 
 def _parse(argv) -> tuple[str | None, Args | None]:

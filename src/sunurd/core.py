@@ -349,11 +349,18 @@ def _sun_rows(suns) -> list | None:
 
 # Per block finding kind: the name of a class's list of such blocks, the
 # ``rows_of`` of ``_gate`` (``tuple`` keeps a tuple of edges or cycles as
-# it is) and the text for a block of the wrong type.
+# it is) and the text for a block of the wrong type.  Edges and cycles also
+# carry the texts of the row rule of ``_gate_rows``, each filled with the
+# row and then its length or its first vertex: a class is kept whole when
+# every row has one length (2 for an edge, h for a cycle) and no vertex
+# repeats, and otherwise a row of another length, or with a repeated
+# vertex, is dropped.
 _BLOCKS = {
-    "malformed-edge": ("edges", tuple, "edge {} is not a pair of ints"),
+    "malformed-edge": ("edges", tuple, "edge {} is not a pair of ints",
+                       "edge {0} is not a pair", "loop at vertex {1}"),
     "malformed-sun": ("suns", _sun_rows, "sun {} is not a Sun of int sequences"),
-    "malformed-cycle": ("class", tuple, "cycle {} is not a sequence of ints"),
+    "malformed-cycle": ("class", tuple, "cycle {} is not a sequence of ints",
+                        "cycle {0} has length {1}", "repeated vertex in cycle {0}"),
 }
 
 
@@ -361,8 +368,10 @@ def _gate(blocks, kind: str, ci: int, findings: list[Finding]) -> tuple:
     """The type gate for the blocks of class ``ci``: (rows of the blocks
     kept, their vertices, their vertex set).  Blocks are checked one by one
     only when the list fails, and one of the wrong type is dropped with a
-    finding."""
-    what, rows_of, problem = _BLOCKS[kind]
+    finding.  Edge and cycle classes pass it through ``_gate_rows``, which
+    then holds each row to one length with no vertex repeated; a sun class
+    meets the same rule per sun in ``_well_formed`` and ``_sun_problem``."""
+    what, rows_of, problem, *_ = _BLOCKS[kind]
     if type(blocks) not in _SEQ:
         findings.append(Finding(ci, kind, f"{what} {_shown(blocks)} is not a sequence"))
         return (), [], set()
@@ -375,6 +384,23 @@ def _gate(blocks, kind: str, ci: int, findings: list[Finding]) -> tuple:
         rows = rows_of(list(compress(blocks, ok)))
         vertices = _int_rows(rows)
     return rows, vertices, set(vertices)
+
+
+def _gate_rows(blocks, k: int, kind: str, ci: int, findings: list[Finding]) -> tuple:
+    """``_gate`` for a class of edges (k = 2) or of k-cycles, then the row
+    rule: the class is kept whole when every row has length k and no vertex
+    repeats; otherwise each row of another length, or with a repeated
+    vertex, is dropped with a finding (a loop repeats its vertex)."""
+    rows, vertices, seen = _gate(blocks, kind, ci, findings)
+    if len(seen) < len(vertices) or not set(map(len, rows)) <= {k}:
+        length, repeated = _BLOCKS[kind][3:]
+        for row in rows:
+            if len(row) != k:
+                findings.append(Finding(ci, kind, length.format(_shown(row), len(row))))
+            elif len(set(row)) < k:
+                findings.append(Finding(ci, kind, repeated.format(_shown(row), _shown(row[0]))))
+        rows = [row for row in rows if len(row) == len(set(row)) == k]
+    return rows, vertices, seen
 
 
 def _certify(
@@ -508,17 +534,7 @@ def verify(dec: Decomposition, expected_h: int | None = None) -> VerificationRep
                     detail = "sun-factor class carries edge blocks"
                 findings.append(Finding(ci, "non-uniform-class", detail))
             if one:
-                edges, vertices, seen = _gate(edges, "malformed-edge", ci, findings)
-                # A loop repeats its vertex, so only a class with a repeated
-                # vertex or a block of another length is walked edge by edge.
-                if len(seen) < len(vertices) or not set(map(len, edges)) <= {2}:
-                    for e in edges:
-                        if len(e) != 2 or e[0] == e[1]:
-                            detail = f"edge {_shown(e)} is not a pair"
-                            if len(e) == 2:
-                                detail = f"loop at vertex {_shown(e[0])}"
-                            findings.append(Finding(ci, "malformed-edge", detail))
-                    edges = [e for e in edges if len(e) == 2 and e[0] != e[1]]
+                edges, vertices, seen = _gate_rows(edges, 2, "malformed-edge", ci, findings)
                 yield vertices, seen, edges
                 continue
             rows, vertices, seen = _gate(suns, "malformed-sun", ci, findings)
@@ -579,17 +595,7 @@ def validate_cycle_factorization(cf: CycleFactorization) -> VerificationReport:
             detail = f"{len(seq)} classes, expected {expected}"
             findings.append(Finding(-1, "wrong-class-count", detail))
         for ci, cycles in enumerate(seq):
-            cycles, vertices, seen = _gate(cycles, "malformed-cycle", ci, findings)
-            # A class of h-cycles with no vertex twice is checked as a whole;
-            # only one that is not is walked cycle by cycle to name each fault.
-            if len(seen) < len(vertices) or not set(map(len, cycles)) <= {h}:
-                for cyc in cycles:
-                    if len(cyc) != h or len(set(cyc)) < h:
-                        detail = f"cycle {_shown(cyc)} has length {len(cyc)}"
-                        if len(cyc) == h:
-                            detail = f"repeated vertex in cycle {_shown(cyc)}"
-                        findings.append(Finding(ci, "malformed-cycle", detail))
-                cycles = [cyc for cyc in cycles if len(cyc) == len(set(cyc)) == h]
+            cycles, vertices, seen = _gate_rows(cycles, h, "malformed-cycle", ci, findings)
             yield vertices, seen, _cycle_edges(cycles)
 
     return _certify(host, blocks(), findings)

@@ -52,7 +52,7 @@ def admissible_pairs(v: int, h: int) -> list[SpectrumPair]:
     """
     if h < 3:
         raise ValueError("h must be at least 3")
-    if v <= 0 or v % (2 * h):
+    if inadmissibility_reason(v, h):
         return []
     return [SpectrumPair(r, (v - 1 - r) // 2) for r in range((v - 1) % 4, v, 4)]
 
@@ -94,9 +94,11 @@ def enumerate_by_counting(v: int, h: int) -> list[SpectrumPair]:
 def check_necessary(t: ParamTuple) -> Admissibility:
     """Screen a (v, h, r, s) tuple against the necessary conditions.
 
-    s = 0 needs only an even v with r = v - 1 (a plain 1-factorization);
-    s > 0 additionally needs 2h | v, s even and (r, s) in J(v).  Violations
-    are returned as values carrying the first failed condition.
+    Every tuple needs h >= 3 first, even one with s = 0.  Then s = 0 needs
+    only a positive even v with r = v - 1 (a plain 1-factorization); s > 0
+    needs v to be a positive multiple of 2h, as ``inadmissibility_reason``
+    tests it, s even and (r, s) in J(v).  Violations are returned as values
+    carrying the first failed condition.
     """
     v, h, r, s = t
     if h < 3:
@@ -105,7 +107,7 @@ def check_necessary(t: ParamTuple) -> Admissibility:
         return Admissibility(
             False, Reason.DIVISIBILITY, "v must be a positive even number for a 1-factorization"
         )
-    if s != 0 and (v <= 0 or v % (2 * h)):
+    if s != 0 and inadmissibility_reason(v, h):
         return Admissibility(
             False,
             Reason.DIVISIBILITY,

@@ -1,9 +1,11 @@
-"""The premise behind running ``cli.main`` without the cyclic collector.
+"""The premise behind running a ``sunurd`` process without the cyclic
+collector.
 
 A CLI call leaves no cyclic garbage: the command line is parsed from plain
 tables, and the library calls it runs drop no cycles.  So the collector
-would only rescan live records, and ``main`` switches it off for the call
-and then restores the caller's setting.
+would only rescan live records, and the process entry ``__main__.run``
+switches it off before it imports ``cli``.  ``main`` itself never touches
+the collector, so an in-process caller keeps its own setting.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ def collector_off():
 
 
 @pytest.mark.parametrize("enabled", (True, False))
-def test_main_restores_the_callers_setting(enabled, tmp_path, capsys):
-    # ``main`` also never freezes: only the process entry ``__main__.run`` does.
+def test_main_leaves_the_callers_setting(enabled, tmp_path, capsys, monkeypatch):
+    # ``main`` makes no call that reads or sets the collector, and never
+    # freezes: only the process entry ``__main__.run`` does.
     path = tmp_path / "d.json"
     calls = [
         (["spectrum", "--v", "12", "--h", "3"], 0),
@@ -45,10 +48,15 @@ def test_main_restores_the_callers_setting(enabled, tmp_path, capsys):
         (["verify", str(tmp_path / "missing.json")], 5),
     ]
     was, frozen = gc.isenabled(), gc.get_freeze_count()
+    made = []
     try:
         (gc.enable if enabled else gc.disable)()
         for argv, code in calls:
-            assert main(argv) == code
+            with monkeypatch.context() as m:
+                for name in ("disable", "enable", "isenabled"):
+                    m.setattr(gc, name, lambda *a, name=name: made.append((name, argv)))
+                assert main(argv) == code
+            assert made == []
             assert gc.isenabled() is enabled
             assert gc.get_freeze_count() == frozen
     finally:

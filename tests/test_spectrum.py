@@ -56,9 +56,13 @@ class TestAdmissiblePairs:
 
 class TestCountingOracle:
     def test_matches_closed_form_everywhere(self):
+        # Every v, so the empty spectra (v <= 0, or 2h not dividing v) are
+        # compared too, and the diagnostic is None exactly when J(v) is not empty.
         for h in range(3, 11):
-            for v in range(2 * h, 201, 2 * h):
-                assert admissible_pairs(v, h) == enumerate_by_counting(v, h), (v, h)
+            for v in range(-8, 201):
+                pairs = admissible_pairs(v, h)
+                assert pairs == enumerate_by_counting(v, h), (v, h)
+                assert (inadmissibility_reason(v, h) is None) == bool(pairs), (v, h)
 
     def test_20_5_by_scan(self):
         assert enumerate_by_counting(20, 5) == [
