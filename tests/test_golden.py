@@ -747,8 +747,9 @@ def inflation_texts(v: int, h: int, source: IngredientSource | None = None) -> l
 
 
 # Documents the spectrum pins do not reach: the odd-order Hamiltonian
-# construction, a quotient-stage ingredient, blown-cycle hosts (default and
-# scattered labels), a source that needs escaping, empty lists, and the
+# construction, a quotient-stage ingredient, blown-cycle hosts (both fills
+# with default labels for h = 3..16, and one sun fill on scattered labels),
+# a source that needs escaping, empty lists, and the
 # certify-large benchmark design (one 200-cycle sun per sun class, 2.7 MB),
 # and inflations whose base classes hold several cycles under both fills:
 # even h from a catalog written partly out of canonical form, odd h from the
@@ -763,9 +764,9 @@ DOCUMENT_DIGESTS = {
         "0c469ea208fd337be4840bad272b94a0abefedab9e27f12b964a35b10ba8ae8c",
     ),
     "blown-cycle": (
-        lambda: [dumps_document(urgdd_ch2(h, k), h=h) for h in (3, 4, 5) for k in UrgddKind]
+        lambda: [dumps_document(urgdd_ch2(h, k), h=h) for h in range(3, 17) for k in UrgddKind]
         + [dumps_document(urgdd_ch2(4, UrgddKind.ZERO_TWO, [10, 3, 7, 0], [1, 2, 12, 5]), h=4)],
-        "d6aa00351e3ea5b6393df63dcaa54bc12d59a987c54456d9b6e6a8b4f8e28da1",
+        "828fbbf18927efabfd9aeb1706c7cbb1e205bc50eb52c0c1f7214d8b6e881f45",
     ),
     "escaped-source": (
         lambda: [
