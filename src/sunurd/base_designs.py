@@ -2,16 +2,19 @@
 and round-robin 1-factorizations.
 
 The 6- and 12-vertex designs are fixed data; the fill designs on the blown
-cycle C_{h(2)} are generated from index formulas (1-based, cyclic over
-1..h) and every output here is expected to pass the independent verifier.
+cycle C_{h(2)} are generated from index formulas and every output here is
+expected to pass the independent verifier.  The two rules the builder's
+weight-2 inflation shares with the fills live here once: ``_doubled``
+(point p becomes the pair 2p, 2p+1) and ``_sun_fill`` (the (0,2) fill's
+suns, each pendant one step on along the cycle).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import ONE_FACTOR, Decomposition, HostGraph, ParallelClass
+from .core import ONE_FACTOR, Decomposition, HostGraph, ParallelClass, Sun, _successors
 from .writer import canonicalize_sun
 
 # ---------------------------------------------------------------------------
@@ -53,9 +56,7 @@ _FIXED_DESIGNS = {
 
 
 def _sun_class(suns) -> ParallelClass:
-    return ParallelClass.sun_factor(
-        tuple(canonicalize_sun(cycle, pendants) for cycle, pendants in suns)
-    )
+    return ParallelClass.sun_factor(canonicalize_sun(cycle, pendants) for cycle, pendants in suns)
 
 
 def _matching_class(pairs) -> ParallelClass:
@@ -91,6 +92,24 @@ def urd12_h3(pair: tuple[int, int]) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
+def _doubled(base) -> list[int]:
+    # The labels of a base on the doubled points: base point p becomes the
+    # pair 2p, 2p+1, so label 2i + k is 2*base[i] + k.
+    return [2 * q + k for q in base for k in (0, 1)]
+
+
+def _sun_fill(cycles, a: Sequence[int], b: Sequence[int]) -> Iterator[Iterator[Sun]]:
+    # The suns of the (0,2) fill on the blow-up of each cycle (all of one
+    # length h), its point x made the pair a[x], b[x]: first the class of
+    # suns on cycles a[x] with pendants b[succ x], then the class on cycles
+    # b[x] with pendants a[succ x], each over the cycles in order.  zip over
+    # h references to one iterator cuts a row into h-tuples.
+    flat, succ = _successors(cycles)
+    h = len(cycles[0])
+    for x, y in ((a, b), (b, a)):
+        yield map(Sun, zip(*[map(x.__getitem__, flat)] * h), zip(*[map(y.__getitem__, succ)] * h))
+
+
 class UrgddKind(enum.Enum):
     """The two uniform fill designs that exist on C_{h(2)}: two sun classes,
     or four perfect matchings."""
@@ -108,18 +127,20 @@ def urgdd_ch2(
     """Uniform resolvable fill of C_{h(2)} with groups {a_i, b_i}.
 
     ``kind=ZERO_TWO`` returns two sun classes, each one sun spanning all 2h
-    vertices; ``kind=FOUR_ZERO`` returns four perfect matchings of h edges.
-    Index formulas below are 1-based and cyclic (index h+1 wraps to 1); the
-    odd-h matching family mixes a formula part with literal patch edges and
-    is emitted exactly as written, not simplified.  Without labels the
-    groups are {2i, 2i+1} (0-based i): the builder's inflation calls it so
-    for the matching fill and relabels the result onto each base cycle.
+    vertices, by ``_sun_fill`` on the cycle of positions 0..h-1, the rule
+    the builder's inflation runs on each base class.  ``kind=FOUR_ZERO``
+    returns four perfect matchings of h edges; their index formulas are
+    1-based and cyclic (index h+1 wraps to 1), and the odd-h family mixes a
+    formula part with literal patch edges and is emitted exactly as
+    written, not simplified.  Without labels the groups are ``_doubled``'s,
+    {2i, 2i+1} (0-based i): the builder's inflation calls it so for the
+    matching fill and relabels the result onto each base cycle.
     """
     if h < 3:
         raise ValueError("h must be at least 3")
     if a_labels is None and b_labels is None:
-        a_labels = [2 * i for i in range(h)]
-        b_labels = [2 * i + 1 for i in range(h)]
+        labels = _doubled(range(h))
+        a_labels, b_labels = labels[::2], labels[1::2]
     a_labels = list(a_labels) if a_labels is not None else []
     b_labels = list(b_labels) if b_labels is not None else []
     if len(a_labels) != h or len(b_labels) != h:
@@ -136,10 +157,8 @@ def urgdd_ch2(
     host = HostGraph.blown_cycle((a(i), b(i)) for i in range(1, h + 1))
 
     if kind is UrgddKind.ZERO_TWO:
-        # One sun on each side, its pendants one step on along the other.
-        ring = range(1, h + 1)
-        suns = [([x(i) for i in ring], [y(i + 1) for i in ring]) for x, y in ((a, b), (b, a))]
-        return Decomposition(host, tuple(_sun_class([sun]) for sun in suns))
+        suns = _sun_fill([range(h)], a_labels, b_labels)
+        return Decomposition(host, tuple(map(_sun_class, suns)))
 
     if kind is not UrgddKind.FOUR_ZERO:
         raise ValueError(f"unknown fill kind {kind!r}")

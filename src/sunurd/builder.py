@@ -1,24 +1,24 @@
 """Top-level constructor: route a (v, h, r, s) tuple to a base design, a
 plain 1-factorization, or a weight-2 inflation of a cycle factorization.
 
-The inflation route doubles every base point p into the pair 2p, 2p+1 and
-replaces each base h-cycle with the blown cycle on its doubled points, filled
-with one of the two uniform fill designs: the sun fill contributes two
-global sun classes per base class, the matching fill four global matchings.
-The matching fill is one template relabelled onto every base cycle; the
-sun fill is written per base class from its vertices and their successors.
-The leftover edges are covered by matchings relabelled the same way: the
-doubled pairs {2p, 2p+1}, and on K_n - F the two matchings across each
-doubled edge of F.
+The inflation route doubles every base point p into the pair 2p, 2p+1
+(``base_designs._doubled``) and replaces each base h-cycle with the blown
+cycle on its doubled points, filled with one of the two uniform fill
+designs: the sun fill contributes two global sun classes per base class,
+the matching fill four global matchings.  The matching fill is one template
+relabelled onto every base cycle; the sun fill of a base class is
+``base_designs._sun_fill`` run on its cycles, the rule ``urgdd_ch2`` runs
+on one.  The leftover edges are covered by matchings relabelled the same
+way: the doubled pairs {2p, 2p+1}, and on K_n - F the two matchings across
+each doubled edge of F.
 """
 
 from __future__ import annotations
 
 import enum
-from operator import lt
 from typing import NamedTuple
 
-from .base_designs import UrgddKind, one_factorization, urd12_h3, urgdd_ch2
+from .base_designs import UrgddKind, _doubled, _fixed_design, _sun_fill, urgdd_ch2
 from .core import (
     COMPLETE,
     COMPLETE_MINUS_F,
@@ -28,7 +28,6 @@ from .core import (
     HostGraph,
     ParallelClass,
     Sun,
-    _successors,
     verify,
 )
 from .factorizations import CycleFactorization, IngredientSource, IngredientUnavailable
@@ -106,21 +105,15 @@ def inflate_cycle(cycle: tuple[int, ...], kind: UrgddKind) -> Decomposition:
     blown cycle on those groups and the classes come from the fill design of
     the requested kind (two sun classes, or four matchings).
     """
-    (labels,) = _doubled([cycle])
+    labels = _doubled(cycle)
     return urgdd_ch2(len(labels) // 2, kind, labels[::2], labels[1::2])
-
-
-def _doubled(bases) -> list[list[int]]:
-    # The template labels of each base on the doubled points: template
-    # vertex 2i + k becomes 2*base[i] + k.
-    return [[2 * q + k for q in base for k in (0, 1)] for base in bases]
 
 
 def _matchings(templates, bases) -> list[ParallelClass]:
     # Each template matching relabelled onto every base, each edge put
     # smaller end first, and sorted; the bases are vertex-disjoint, so the
     # copies of one template form one matching.
-    labels = _doubled(bases)
+    labels = list(map(_doubled, bases))
     return [
         ParallelClass(ONE_FACTOR, edges=tuple(sorted([
             (a, b) if a < b else (b, a)
@@ -133,11 +126,11 @@ def _matchings(templates, bases) -> list[ParallelClass]:
 def _assemble_inflation(t: ParamTuple, p: BuildPlan, cf: CycleFactorization) -> Decomposition:
     """Inflate every base cycle and add the leftover matchings.
 
-    The matching fill is built once, as ``urgdd_ch2`` on the labels a_i =
-    2i, b_i = 2i+1, and template vertex 2i + k becomes 2*cycle[i] + k, as in
-    ``inflate_cycle``.  The sun fill of a base class has cycles 2x with
-    pendants 2*succ(x)+1 and cycles 2x+1 with pendants 2*succ(x), x its
-    vertices in order.  x -> 2x + k keeps order, so only a class not already
+    The matching fill is built once, as ``urgdd_ch2`` on its default labels,
+    and template vertex 2i + k becomes 2*cycle[i] + k by ``_doubled``, as in
+    ``inflate_cycle``.  The sun fill of a base class is ``_sun_fill`` on its
+    cycles with a[x] = 2x and b[x] = 2x+1, the two halves of ``_doubled`` on
+    the base points.  x -> 2x + k keeps order, so only a class not already
     canonical and sorted has its suns put in canonical order one by one.
     No shape is checked again: the fill is a certified design, relabelling
     is injective and ``build`` certifies the whole design.
@@ -146,19 +139,16 @@ def _assemble_inflation(t: ParamTuple, p: BuildPlan, cf: CycleFactorization) -> 
     """
     v, h, r, s = t
     fill = [cls.edges for cls in urgdd_ch2(h, UrgddKind.FOUR_ZERO).classes]
-    even, odd = list(range(0, v, 2)).__getitem__, list(range(1, v, 2)).__getitem__
+    labels = _doubled(range(v // 2))
     sun_classes: list[ParallelClass] = []
     matchings: list[ParallelClass] = []
     for j, base_class in enumerate(cf.classes):
         if j < p.x:
             matchings += _matchings(fill, base_class)
             continue
-        flat, succ = _successors(base_class)
-        canonical = list(map(min, base_class)) == flat[::h] == sorted(flat[::h])
-        canonical = canonical and all(map(lt, flat[1::h], flat[h - 1 :: h]))
-        for on_cycle, pendant in ((even, odd), (odd, even)):
-            # zip over h references to one iterator cuts a row into h-tuples.
-            suns = map(Sun, zip(*[map(on_cycle, flat)] * h), zip(*[map(pendant, succ)] * h))
+        canonical = list(base_class) == sorted(base_class)
+        canonical = canonical and all(c[0] == min(c) and c[1] < c[-1] for c in base_class)
+        for suns in _sun_fill(base_class, labels[::2], labels[1::2]):
             if not canonical:
                 suns = sorted(Sun(*_canonical_order(*sun)) for sun in suns)
             sun_classes.append(ParallelClass.sun_factor(suns))
@@ -201,17 +191,15 @@ def build_with_plan(
     src = source if source is not None else _default_source
     v, h, r, s = t
 
-    if p.route is Route.PURE_MATCHINGS:
-        dec = Decomposition(HostGraph.complete(v), tuple(one_factorization(range(v))))
-        p = p._replace(provenance="construction:round-robin")
-    elif p.route is Route.SMALL_CASE:
-        dec = urd12_h3((r, s))
-        p = p._replace(provenance="construction:fixed-design")
-    else:
+    if p.route is Route.INFLATION:
         n, _, kind = p.ingredient
         cf = src.minus_f(n, h) if kind == COMPLETE_MINUS_F else src.odd(n, h)
         dec = _assemble_inflation(t, p, cf)
         p = p._replace(provenance=cf.source)
+    else:
+        # (v - 1, 0) is the round robin; the other pairs are the K_12 designs.
+        dec = _fixed_design(v, (r, s))
+        p = p._replace(provenance="construction:fixed-design" if s else "construction:round-robin")
 
     if certify:
         report = verify(dec, expected_h=h if s > 0 else None)

@@ -52,7 +52,7 @@ def admissible_pairs(v: int, h: int) -> list[SpectrumPair]:
     """
     if h < 3:
         raise ValueError("h must be at least 3")
-    if inadmissibility_reason(v, h):
+    if not _multiple(v, h):
         return []
     return [SpectrumPair(r, (v - 1 - r) // 2) for r in range((v - 1) % 4, v, 4)]
 
@@ -61,9 +61,24 @@ def inadmissibility_reason(v: int, h: int) -> str | None:
     """Why admissible_pairs(v, h) is empty, or None if it is not."""
     if h < 3:
         return "h must be at least 3"
-    if v <= 0 or v % (2 * h):
-        return f"v={v} is not a positive multiple of 2h={2 * h}"
+    if not _multiple(v, h):
+        return f"v={_written(v)} is not a positive multiple of 2h={_written(2 * h)}"
     return None
+
+
+def _multiple(v: int, h: int) -> bool:
+    # Whether v is a positive multiple of 2h: the one test of divisibility
+    # besides the oracle's, decided without writing either number.
+    return v > 0 and not v % (2 * h)
+
+
+def _written(n: int) -> str:
+    # str(n), or a stand-in for an int too long for str() to write
+    # (sys.get_int_max_str_digits), as ``core`` writes one in a finding.
+    try:
+        return str(n)
+    except ValueError:
+        return "<int too long to write>"
 
 
 def enumerate_by_counting(v: int, h: int) -> list[SpectrumPair]:
@@ -96,9 +111,10 @@ def check_necessary(t: ParamTuple) -> Admissibility:
 
     Every tuple needs h >= 3 first, even one with s = 0.  Then s = 0 needs
     only a positive even v with r = v - 1 (a plain 1-factorization); s > 0
-    needs v to be a positive multiple of 2h, as ``inadmissibility_reason``
-    tests it, s even and (r, s) in J(v).  Violations are returned as values
-    carrying the first failed condition.
+    needs v to be a positive multiple of 2h, as ``admissible_pairs`` tests
+    it, s even and (r, s) in J(v).  Violations are returned as values
+    carrying the first failed condition; an int too long to write appears
+    in their text as a stand-in.
     """
     v, h, r, s = t
     if h < 3:
@@ -107,11 +123,11 @@ def check_necessary(t: ParamTuple) -> Admissibility:
         return Admissibility(
             False, Reason.DIVISIBILITY, "v must be a positive even number for a 1-factorization"
         )
-    if s != 0 and inadmissibility_reason(v, h):
+    if s != 0 and not _multiple(v, h):
         return Admissibility(
             False,
             Reason.DIVISIBILITY,
-            f"v must be a positive multiple of 2h={2 * h} when s > 0",
+            f"v must be a positive multiple of 2h={_written(2 * h)} when s > 0",
         )
     if s % 2:
         return Admissibility(False, Reason.PARITY_OF_S, "s must be even")

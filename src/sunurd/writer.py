@@ -143,13 +143,6 @@ def _ints(values, depth: int) -> str:
     return _array(list(map(str, values)), depth)
 
 
-def _pairs(pairs, depth: int) -> str:
-    """Indent-2 JSON array of int pairs, its brackets at ``depth``: the text
-    of ``_array`` over ``_ints`` of each pair, made by one fill of a template."""
-    item = _ints(["%s", "%s"], depth + 1)
-    return _array([item] * len(pairs), depth) % tuple(chain.from_iterable(pairs))
-
-
 def _host_text(host: HostGraph) -> str:
     # ``host`` comes from a canonical form, so its matching is already sorted.
     if host.kind == COMPLETE:
@@ -157,7 +150,7 @@ def _host_text(host: HostGraph) -> str:
     elif host.kind == COMPLETE_MINUS_F:
         fields = (
             f'"kind": "complete_minus_f",\n    "v": {host.order},\n'
-            f'    "matching": {_pairs(host.matching, 2)}'
+            f'    "matching": {_array([_ints(e, 3) for e in host.matching], 2)}'
         )
     elif host.kind == BLOWN_CYCLE:
         groups = host.groups

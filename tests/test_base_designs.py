@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sunurd import (
     Decomposition,
     HostGraph,
+    ParallelClass,
     UrgddKind,
     canonicalize_sun,
     edge,
@@ -64,6 +68,26 @@ class TestUrd12:
             urd12_h3((5, 3))
 
 
+def ring_sun_fill(h: int, a_labels, b_labels) -> Decomposition:
+    """The (0,2) fill of C_{h(2)} by its 1-based index formula, kept as a
+    reference independent of ``urgdd_ch2``: one sun on a_1..a_h with
+    pendants b_2..b_{h+1}, one on b_1..b_h with pendants a_2..a_{h+1}, index
+    h+1 wrapping to 1."""
+
+    def a(i: int) -> int:
+        return a_labels[(i - 1) % h]
+
+    def b(i: int) -> int:
+        return b_labels[(i - 1) % h]
+
+    ring = range(1, h + 1)
+    host = HostGraph.blown_cycle((a(i), b(i)) for i in ring)
+    suns = [([x(i) for i in ring], [y(i + 1) for i in ring]) for x, y in ((a, b), (b, a))]
+    return Decomposition(
+        host, tuple(ParallelClass.sun_factor([canonicalize_sun(*sun)]) for sun in suns)
+    )
+
+
 class TestUrgddCh2:
     def test_zero_two_h3_explicit_classes(self):
         a, b = (10, 11, 12), (20, 21, 22)
@@ -115,6 +139,19 @@ class TestUrgddCh2:
                 assert len(cls.suns) == 1
                 covered = {x for sun in cls.suns for x in sun.cycle + sun.pendants}
                 assert len(covered) == 2 * h
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_zero_two_matches_the_ring_formula(self, data):
+        # Drawn h and 2h distinct labels in any order; without labels the
+        # groups are {2i, 2i+1}.
+        h = data.draw(st.integers(3, 40))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        labels = rng.sample(range(-(10**6), 10**6), 2 * h)
+        a, b = labels[:h], labels[h:]
+        assert urgdd_ch2(h, UrgddKind.ZERO_TWO, a, b) == ring_sun_fill(h, a, b)
+        evens, odds = range(0, 2 * h, 2), range(1, 2 * h, 2)
+        assert urgdd_ch2(h, UrgddKind.ZERO_TWO) == ring_sun_fill(h, evens, odds)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):

@@ -172,6 +172,15 @@ class TestBuild:
         with pytest.raises(ValueError, match="MAX_ORDER=2048"):
             build(ParamTuple(2050, 3, 2049, 0), source=source)
 
+    def test_inadmissible_with_an_int_too_long_to_write(self, source):
+        # str() refuses an int of more than 4,300 digits; this raised its
+        # ValueError while the divisibility test formatted its text.
+        with pytest.raises(InadmissibleTuple) as exc_info:
+            build(ParamTuple(10**5000, 3, 1, 2), source=source)
+        assert str(exc_info.value) == (
+            "divisibility: v must be a positive multiple of 2h=6 when s > 0"
+        )
+
     def test_missing_ingredient_reported_with_triple(self, source):
         with pytest.raises(IngredientUnavailable) as exc_info:
             build(ParamTuple(24, 3, 3, 10), source=source)

@@ -144,6 +144,30 @@ class TestCheckNecessary:
         assert adm.reason is Reason.EDGE_COUNT
         assert adm.detail == "r+2s must equal v-1"
 
+    def test_ints_too_long_to_write(self):
+        # str() refuses an int of more than 4,300 digits; divisibility is
+        # decided without writing one, and a text names it by a stand-in.
+        # Each of these raised ValueError while being formatted.
+        big = 10**5000
+        assert admissible_pairs(big, 3) == []
+        assert inadmissibility_reason(big, 3) == (
+            "v=<int too long to write> is not a positive multiple of 2h=6"
+        )
+        assert inadmissibility_reason(12, big) == (
+            "v=12 is not a positive multiple of 2h=<int too long to write>"
+        )
+        adm = check_necessary(ParamTuple(big, 3, 1, 2))
+        assert adm.reason is Reason.DIVISIBILITY
+        assert adm.detail == "v must be a positive multiple of 2h=6 when s > 0"
+        adm = check_necessary(ParamTuple(12, big, 1, 2))
+        assert adm.reason is Reason.DIVISIBILITY
+        assert adm.detail == "v must be a positive multiple of 2h=<int too long to write> when s > 0"
+        # A long v on the 2h grid passes divisibility, and the edge count is
+        # checked as for any other v.
+        adm = check_necessary(ParamTuple(6 * big, 3, 1, 2))
+        assert adm.reason is Reason.EDGE_COUNT
+        assert adm.detail == "r+2s must equal v-1"
+
     @settings(max_examples=1_000)
     @given(st.data())
     def test_screen_agrees_with_counting_oracle(self, data):
