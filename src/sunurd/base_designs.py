@@ -12,6 +12,7 @@ suns, each pendant one step on along the cycle).
 from __future__ import annotations
 
 import enum
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .core import ONE_FACTOR, Decomposition, HostGraph, ParallelClass, Sun, _successors
@@ -103,11 +104,13 @@ def _sun_fill(cycles, a: Sequence[int], b: Sequence[int]) -> Iterator[Iterator[S
     # length h), its point x made the pair a[x], b[x]: first the class of
     # suns on cycles a[x] with pendants b[succ x], then the class on cycles
     # b[x] with pendants a[succ x], each over the cycles in order.  zip over
-    # h references to one iterator cuts a row into h-tuples.
+    # h references to one iterator cuts a row into h-tuples, and each sun is
+    # made by tuple.__new__, without a Python call to Sun.__new__.
     flat, succ = _successors(cycles)
     h = len(cycles[0])
     for x, y in ((a, b), (b, a)):
-        yield map(Sun, zip(*[map(x.__getitem__, flat)] * h), zip(*[map(y.__getitem__, succ)] * h))
+        rows = zip(zip(*[map(x.__getitem__, flat)] * h), zip(*[map(y.__getitem__, succ)] * h))
+        yield map(tuple.__new__, repeat(Sun), rows)
 
 
 class UrgddKind(enum.Enum):

@@ -31,8 +31,10 @@ from .core import (
     verify,
 )
 from .factorizations import CycleFactorization, IngredientSource, IngredientUnavailable
-from .spectrum import Admissibility, ParamTuple, SpectrumPair, admissible_pairs, check_necessary
-from .writer import _canonical_order
+from .spectrum import (
+    Admissibility, ParamTuple, SpectrumPair, _written, admissible_pairs, check_necessary,
+)
+from .writer import _canonical_order, _written_canonically
 
 
 class Route(enum.Enum):
@@ -131,7 +133,9 @@ def _assemble_inflation(t: ParamTuple, p: BuildPlan, cf: CycleFactorization) -> 
     ``inflate_cycle``.  The sun fill of a base class is ``_sun_fill`` on its
     cycles with a[x] = 2x and b[x] = 2x+1, the two halves of ``_doubled`` on
     the base points.  x -> 2x + k keeps order, so only a class not already
-    canonical and sorted has its suns put in canonical order one by one.
+    sorted with each cycle written canonically (``_written_canonically``,
+    the rule ``writer`` tests a class of suns by) has its suns put in
+    canonical order one by one.
     No shape is checked again: the fill is a certified design, relabelling
     is injective and ``build`` certifies the whole design.
     The leftover edges are the doubled pairs {2p, 2p+1} and, on K_n - F,
@@ -146,8 +150,7 @@ def _assemble_inflation(t: ParamTuple, p: BuildPlan, cf: CycleFactorization) -> 
         if j < p.x:
             matchings += _matchings(fill, base_class)
             continue
-        canonical = list(base_class) == sorted(base_class)
-        canonical = canonical and all(c[0] == min(c) and c[1] < c[-1] for c in base_class)
+        canonical = list(base_class) == sorted(base_class) and _written_canonically(base_class)
         for suns in _sun_fill(base_class, labels[::2], labels[1::2]):
             if not canonical:
                 suns = sorted(Sun(*_canonical_order(*sun)) for sun in suns)
@@ -187,7 +190,7 @@ def build_with_plan(
     t = ParamTuple(*t)
     p = plan(t)
     if t.v > MAX_ORDER:
-        raise ValueError(f"v={t.v} is above MAX_ORDER={MAX_ORDER}, the verifier's cap")
+        raise ValueError(f"v={_written(t.v)} is above MAX_ORDER={MAX_ORDER}, the verifier's cap")
     src = source if source is not None else _default_source
     v, h, r, s = t
 

@@ -20,11 +20,13 @@ subcommand imports only the package modules it runs, inside its ``cmd_*``
 function: ``spectrum`` loads ``spectrum``; ``verify`` loads ``core`` and
 ``serialization`` (the reader, with ``json``); ``build`` loads ``spectrum``,
 ``core``, ``base_designs``, ``factorizations``, ``builder`` and ``writer``,
-and the reader, ``json`` and ``pathlib`` only with a seed catalog
-(``--seed-dir`` or ``$SUNURD_SEED_DIR``).  ``FORMAT_VERSION`` lives in
-``core``, so writing a document needs no reader.  A process that does not
-build never loads, or compiles, the builder, the searches, the canonical
-forms or the writer.
+the reader, ``json`` and ``pathlib`` only with a seed catalog
+(``--seed-dir`` or ``$SUNURD_SEED_DIR``), and ``search`` only for an
+ingredient that neither a construction nor the catalog supplies (a fixed
+design needs none).  ``FORMAT_VERSION`` lives in ``core``, so writing a
+document needs no reader.  A process that does not build never loads, or
+compiles, the builder, the search engine, the canonical forms or the
+writer.
 
 ``main`` never touches the cyclic garbage collector, so library callers
 and in-process tests keep their own setting, during a call and after it.

@@ -18,7 +18,7 @@ rejected.  A document with one fault gets the message of that fault.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .core import (
@@ -121,7 +121,8 @@ def from_document(doc) -> Document:
             _require(set(map(type, suns_doc)) <= {dict}, "each sun must be an object")
             cycles = _int_rows([s.get("cycle") for s in suns_doc], "sun cycle")
             pendants = _int_rows([s.get("pendants") for s in suns_doc], "sun pendants")
-            classes.append(ParallelClass(SUN_FACTOR, suns=tuple(map(Sun, cycles, pendants))))
+            suns = tuple(map(tuple.__new__, repeat(Sun), zip(cycles, pendants)))
+            classes.append(ParallelClass(SUN_FACTOR, suns=suns))
         else:
             raise DocumentFormatError(f"unknown class type {ctype!r}")
     return Document(h=h, payload=Decomposition(host, tuple(classes)), source=source)

@@ -102,17 +102,24 @@ def canonical_decomposition(dec: Decomposition) -> Decomposition:
     return Decomposition(_canonical_host(dec.host), tuple(classes))
 
 
+def _written_canonically(cycles) -> bool:
+    # Whether each cycle, a sequence of distinct vertices, is written as
+    # ``_canonical_order`` writes it: least vertex first, second vertex below
+    # its last.
+    return all(c[0] == min(c) and c[1] < c[-1] for c in cycles)
+
+
 def _canonical_suns(suns) -> list[Sun]:
     # A class of suns whose rows are tuples of one length h >= 3 sharing no
-    # vertex, each cycle with its least vertex first and its second vertex
-    # below its last, is canonical as a whole and only sorted.  Otherwise
-    # each sun is canonicalized and kept when that gives the same sun.
+    # vertex, each cycle written canonically, is canonical as a whole and
+    # only sorted.  Otherwise each sun is canonicalized and kept when that
+    # gives the same sun.
     rows = list(chain.from_iterable(suns))
     if not (
         set(map(len, suns)) == {2}
         and set(map(type, rows)) == {tuple}
         and _well_formed(rows, set(chain.from_iterable(rows)), len(rows[0]))
-        and all(min(c) == c[0] and c[1] < c[-1] for c in rows[::2])
+        and _written_canonically(rows[::2])
     ):
         suns = [sun if sun == (canon := canonicalize_sun(*sun)) else canon for sun in suns]
     return sorted(suns)

@@ -172,6 +172,19 @@ class TestBuild:
         with pytest.raises(ValueError, match="MAX_ORDER=2048"):
             build(ParamTuple(2050, 3, 2049, 0), source=source)
 
+    def test_order_above_cap_too_long_to_write(self, source):
+        # An admissible tuple whose v str() refuses to write: the cap's text,
+        # with the stand-in for v, not str()'s own ValueError.
+        v = 6 * 10**5000
+        with pytest.raises(ValueError) as exc_info:
+            build(ParamTuple(v, 3, v - 5, 2), source=source)
+        assert str(exc_info.value) == (
+            "v=<int too long to write> is above MAX_ORDER=2048, the verifier's cap"
+        )
+        with pytest.raises(ValueError) as exc_info:
+            build(ParamTuple(2050, 3, 2049, 0), source=source)
+        assert str(exc_info.value) == "v=2050 is above MAX_ORDER=2048, the verifier's cap"
+
     def test_inadmissible_with_an_int_too_long_to_write(self, source):
         # str() refuses an int of more than 4,300 digits; this raised its
         # ValueError while the divisibility test formatted its text.

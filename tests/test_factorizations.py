@@ -29,11 +29,10 @@ from sunurd import (
 )
 from sunurd.factorizations import (
     NONEXISTENT_MINUS_F,
-    QUOTIENT_NODES,
     _hamiltonian_minus_f,
-    _quotient_search,
     canonical_perfect_matching,
 )
+from sunurd.search import QUOTIENT_NODES, _quotient_search
 from sunurd.writer import canonical_cycle
 
 

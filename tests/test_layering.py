@@ -1,7 +1,8 @@
 """How the package's modules depend on each other: the verifier stays
 independent of the builders, each CLI subcommand loads only the modules it
-runs (and neither ``dataclasses`` nor ``inspect``), and the package exports
-its public names from their home modules."""
+runs (and neither ``dataclasses`` nor ``inspect``), only a build that
+searches loads the search engine, and the package exports its public names
+from their home modules."""
 
 from __future__ import annotations
 
@@ -93,6 +94,20 @@ class TestPackageSurface:
         with pytest.raises(AttributeError, match="no_such_name"):
             sunurd.no_such_name
         assert sunurd.__version__ == "0.1.0"
+
+    @pytest.mark.parametrize("name", ["SearchResult", "search_cycle_factorization"])
+    def test_search_names_are_one_object_on_three_paths(self, name):
+        from sunurd import factorizations, search
+
+        assert getattr(sunurd, name) is getattr(factorizations, name) is getattr(search, name)
+
+    def test_factorizations_forwards_only_the_public_search_names(self):
+        from sunurd import factorizations, search
+
+        for name in ("QUOTIENT_NODES", "_quotient_search", "_search"):
+            assert hasattr(search, name)
+            with pytest.raises(AttributeError, match=name):
+                getattr(factorizations, name)
 
 
 SRC = Path(sunurd.__file__).resolve().parent.parent
@@ -198,13 +213,38 @@ class TestSubcommandImports:
         assert "sunurd.serialization" not in modules
         assert {"json", "pathlib"} & self.beyond_bare(tmp_path, "-S")["build"] == set()
 
-    def test_build_with_seed_dir_loads_the_reader(self, tmp_path):
+    @staticmethod
+    def seed_dir(tmp_path) -> Path:
+        """A seed catalog holding a triangle factorization of K_9."""
         seeds = tmp_path / "seeds"
         seeds.mkdir()
         (seeds / "k9.json").write_text(
             sunurd.dumps_document(sunurd.cycle_factorization_odd(9, 3)), encoding="utf-8"
         )
+        return seeds
+
+    def test_build_with_seed_dir_loads_the_reader(self, tmp_path):
+        seeds = self.seed_dir(tmp_path)
         argv = ("build", "--v", "18", "--h", "3", "--r", "1", "--s", "8", "--seed-dir", str(seeds))
         code, modules = loaded_after(*argv, "--out", str(tmp_path / "d.json"))
         assert code == 0
         assert "sunurd.serialization" in modules
+
+    def test_only_a_build_that_searches_loads_the_search_engine(self, tmp_path):
+        path = tmp_path / "d.json"
+        seeds = str(self.seed_dir(tmp_path))
+        without = [
+            # A fixed design, a constructed ingredient (h = n) and a cataloged one.
+            ("build", "--v", "12", "--h", "3", "--r", "3", "--s", "4", "--out", str(path)),
+            ("verify", str(path)),
+            ("build", "--v", "20", "--h", "10", "--r", "3", "--s", "8", "--out", str(path)),
+            ("build", "--v", "18", "--h", "3", "--r", "1", "--s", "8", "--seed-dir", seeds),
+        ]
+        for argv in without:
+            code, modules = loaded_after(*argv)
+            assert code == 0, argv
+            assert "sunurd.search" not in modules, argv
+        code, modules = loaded_after("build", "--v", "30", "--h", "3", "--r", "1", "--s", "14")
+        assert code == 0
+        rest = {"sunurd", "sunurd.cli", "sunurd.core", "sunurd.spectrum", "sunurd.search"}
+        assert modules == self.SEARCH_AND_BUILD | rest

@@ -9,6 +9,8 @@ and set members, so their hash is that of their field values.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from sunurd import (
@@ -21,11 +23,15 @@ from sunurd import (
     HostGraph,
     IngredientSource,
     ParallelClass,
+    ParamTuple,
     Reason,
     Route,
     SearchResult,
     Sun,
     VerificationReport,
+    build,
+    dumps_document,
+    loads_document,
 )
 
 K3 = HostGraph.complete(3)
@@ -176,6 +182,23 @@ def test_sun_order_is_field_order():
 
 def test_sun_h_is_its_cycle_length():
     assert Sun((0, 1, 2), (3, 4, 5)).h == 3
+
+
+def test_suns_of_the_sun_fill_and_the_reader_are_suns():
+    # Both make each sun with tuple.__new__, not with a call to Sun.
+    dec = build(ParamTuple(20, 10, 3, 8))
+    text = dumps_document(dec)
+    rows = [
+        (tuple(sun["cycle"]), tuple(sun["pendants"]))
+        for cls in json.loads(text)["classes"] if cls["type"] == "sun_factor"
+        for sun in cls["suns"]
+    ]
+    assert len(rows) == 8
+    for design in (dec, loads_document(text).payload):
+        suns = [sun for cls in design.classes for sun in cls.suns]
+        assert [type(sun) for sun in suns] == [Sun] * len(rows)
+        assert suns == [Sun(cycle, pendants) for cycle, pendants in rows]
+        assert [(sun.cycle, sun.pendants, sun.h) for sun in suns] == [(*row, 10) for row in rows]
 
 
 def test_finding_order_is_index_then_kind_then_detail():
