@@ -9,11 +9,11 @@ certifies every factorization it returns with the validator, which lives in
 ``core`` with the type and the shape rule (its canonical form is in
 ``writer``).
 
-The search engine, the quotient stage and the plain search, lives in
-``search``.  ``_resolve`` imports it only when neither a construction nor
-the catalog supplies the ingredient, so ``build`` loads it only for a
-search; ``SearchResult`` and ``search_cycle_factorization`` are forwarded
-from it on first use (PEP 562).
+The search engine lives in ``search``.  ``_resolve`` imports it only when
+neither a construction nor the catalog supplies the ingredient, so
+``build`` loads it only for a search, and then runs its quotient stage
+alone; ``SearchResult`` and ``search_cycle_factorization``, the plain
+search for library callers, are forwarded from it on first use (PEP 562).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .core import (
 )
 from .writer import canonical_cycle
 
-DEFAULT_SEARCH_BUDGET = 2_000_000
+DEFAULT_SEARCH_BUDGET = 400_000
 
 FOUND = "found"
 NONEXISTENT = "nonexistent"
@@ -47,10 +47,11 @@ NONEXISTENT_MINUS_F = {(6, 3), (12, 3)}
 class IngredientUnavailable(Exception):
     """A required cycle factorization could not be supplied.
 
-    ``outcome`` distinguishes a proven-empty search space ("nonexistent")
-    from a search stopped by its node budget ("budget-exhausted").
-    ``nodes`` is the number of path extensions spent by the quotient stage
-    and the plain search together, 0 when no search ran.
+    ``outcome`` is "nonexistent" for an ingredient in NONEXISTENT_MINUS_F,
+    the only proof of absence a build uses, and "budget-exhausted" when the
+    quotient stage stopped without a factorization: its budget spent, or
+    every structure run out, which proves nothing.  ``nodes`` is the number
+    of path extensions the stage spent, 0 when no search ran.
     """
 
     def __init__(self, n: int, h: int, host_kind: str, outcome: str, nodes: int = 0):
@@ -110,12 +111,12 @@ def _hamiltonian_minus_f(n: int) -> CycleFactorization:
 
 
 # ---------------------------------------------------------------------------
-# Resolution: construction, catalog, quotient structures, plain search
+# Resolution: construction, catalog, quotient structures
 # ---------------------------------------------------------------------------
 
 
 def canonical_perfect_matching(n: int) -> tuple[Edge, ...]:
-    """The fixed matching {0,1}, {2,3}, ... used as F for searched hosts."""
+    """The fixed matching {0,1}, {2,3}, ..., an F for the plain search's host."""
     return tuple((2 * i, 2 * i + 1) for i in range(n // 2))
 
 
@@ -130,22 +131,17 @@ def _check_request(kind: str, n: int, h: int, budget) -> None:
         raise ValueError(problems[0])
 
 
-def _host(kind: str, n: int, matching: list[Edge]) -> HostGraph:
-    # The host of a kind: K_n, or K_n - F with F = ``matching``.
-    return HostGraph.complete(n) if kind == COMPLETE else HostGraph.complete_minus_f(n, matching)
-
-
 def _resolve(
     kind: str, n: int, h: int, catalog: Mapping | None, budget: int | None
 ) -> CycleFactorization:
     """Resolve one ingredient; this is the one certification of all it returns.
 
     After the request check, the factorization comes from exactly one
-    source: a seed catalog entry (h < n), the construction (h = n), the
-    quotient structures, or the plain search.  ``budget`` bounds the path
-    extensions of both searches together: the quotient stage spends at
-    most ``search.QUOTIENT_NODES`` of it and the plain search the rest.
-    Only the plain search can prove an ingredient nonexistent.  A catalog entry
+    source: a seed catalog entry (h < n), the construction (h = n), or the
+    quotient structures, whose stage is the only search a build runs and
+    whose path extensions ``budget`` bounds (None = unbounded).  A miss
+    raises IngredientUnavailable: "nonexistent" only for the tabled
+    NONEXISTENT_MINUS_F shapes, else "budget-exhausted".  A catalog entry
     that is not an h-cycle factorization of the host its key names raises
     SeedCatalogError (a ValueError) naming the key and, for an entry of the
     right host and h, the certifier's first findings.  Any other ingredient
@@ -167,17 +163,11 @@ def _resolve(
     elif h == n:
         cf = _hamiltonian_odd(n) if kind == COMPLETE else _hamiltonian_minus_f(n)
     else:
-        from .search import QUOTIENT_NODES, _quotient_search, search_cycle_factorization
+        from .search import _quotient_search
 
-        cap = QUOTIENT_NODES if budget is None else min(QUOTIENT_NODES, budget)
-        cf, nodes = _quotient_search(kind, n, h, cap)
+        cf, nodes = _quotient_search(kind, n, h, budget)
         if cf is None:
-            host = _host(kind, n, canonical_perfect_matching(n))
-            result = search_cycle_factorization(host, h, None if budget is None else budget - nodes)
-            nodes += result.nodes
-            if result.status != FOUND:
-                raise IngredientUnavailable(n, h, kind, result.status, nodes)
-            cf = result.factorization
+            raise IngredientUnavailable(n, h, kind, BUDGET_EXHAUSTED, nodes)
     report = validate_cycle_factorization(cf)
     if report.passed:
         return cf
@@ -196,7 +186,7 @@ def cycle_factorization_odd(
     """An h-cycle factorization of K_n, n odd, h | n; validated before return.
 
     Resolution order: direct construction (Hamiltonian shape h = n), the
-    seed catalog, the quotient structures, then bounded search.
+    seed catalog, then the quotient structures within ``budget``.
     """
     return _resolve(COMPLETE, n, h, catalog, budget)
 
@@ -291,10 +281,17 @@ def load_seed_catalog(path) -> dict[tuple[int, int, str], CycleFactorization]:
     return catalog
 
 
+# The two public names of the search engine, loaded on first use.
+_FORWARDED = ("SearchResult", "search_cycle_factorization")
+
+
 def __getattr__(name: str):
-    # The two public names of the search engine, loaded on first use.
-    if name in ("SearchResult", "search_cycle_factorization"):
+    if name in _FORWARDED:
         from . import search
 
         return getattr(search, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_FORWARDED})

@@ -1,13 +1,14 @@
 """The search engine: one backtracking search for the base classes of an
-h-cycle factorization under a group of translations, run for one base
-class under a cyclic group (the quotient stage) and, with the trivial
-group, as the bounded exact search.
+h-cycle factorization under a group of translations, run for one or two
+base classes under a cyclic group (the quotient stage) and, with the
+trivial group, as the bounded exact search.
 
 ``factorizations._resolve`` imports this module in its search branch, the
 only place a build runs the engine, so a build whose ingredient is
 constructed or cataloged never loads, or compiles, it; ``verify`` and
-``spectrum`` never do either.  ``SearchResult`` and
-``search_cycle_factorization`` are also reached as ``sunurd.X`` and
+``spectrum`` never do either.  A build runs the quotient stage alone;
+the exact search, ``search_cycle_factorization``, is for library callers.
+It and ``SearchResult`` are also reached as ``sunurd.X`` and
 ``sunurd.factorizations.X``, which load this module on first use.
 ``search_cycle_factorization`` returns what it finds unchecked.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import COMPLETE, COMPLETE_MINUS_F, CycleFactorization, HostGraph, _host_index
-from .factorizations import BUDGET_EXHAUSTED, FOUND, NONEXISTENT, _check_request, _host
+from .factorizations import BUDGET_EXHAUSTED, FOUND, NONEXISTENT, _check_request
 from .writer import canonical_factorization
 
 
@@ -262,12 +263,12 @@ def search_cycle_factorization(host: HostGraph, h: int, budget: int | None = Non
 
 
 # ---------------------------------------------------------------------------
-# Quotient stage: one base class under Z_q, on the same engine
+# Quotient stage: base classes under Z_q, on the same engine
 # ---------------------------------------------------------------------------
 
-# Path extensions the quotient stage may spend on one ingredient, and on the
-# first seeded restart of one structure; each round of restarts doubles it,
-# so a small search space is still run to exhaustion.
+# Path extensions the rows with one base class spend alone on one
+# ingredient, and on the first seeded restart of one structure; each round
+# of restarts doubles it, so a small search space is still run to exhaustion.
 QUOTIENT_NODES = 100_000
 _RESTART_NODES = 1_000
 
@@ -275,16 +276,20 @@ _RESTART_NODES = 1_000
 # The structure table.  A row gives the name, the host kind and the number k
 # of copies of Z_q.  The points are the k copies plus the f fixed points of
 # the host kind, one for K_n and two for K_n - F, so q = (n - f) / k.  The
-# classes are the q/s translates of one base class, where s is the order of
-# its stabilizer; they must be the host's (n - f) / 2 classes, so s = 2 / k,
-# and with k = 1 the base class is fixed by the half-turn.  F is the edge
-# between the two fixed points plus the pure half-difference pairs when q is
-# even, or the mixed difference-0 pairs when q is odd.
+# classes are the q/s translates of each of b base classes, where s is the
+# order of a base class's stabilizer; they must be the host's (n - f) / 2
+# classes, so b = k*s/2: with k = 1 the base class is fixed by the
+# half-turn (s = 2), with k = 2 one base class is free, and with k = 4 two
+# are.  F is the edge between the two fixed points plus the pure
+# half-difference pairs when q is even, or the mixed difference-0 pairs
+# between copies 2j and 2j+1 when q is odd.
 _STRUCTURES = (
     ("A", COMPLETE, 1),
     ("B", COMPLETE_MINUS_F, 1),
     ("C", COMPLETE, 2),
     ("C", COMPLETE_MINUS_F, 2),
+    ("D", COMPLETE, 4),
+    ("D", COMPLETE_MINUS_F, 4),
 )
 
 
@@ -296,42 +301,47 @@ def _fit(name: str, kind: str, k: int, n: int, h: int) -> tuple | None:
     through such orbits, so F must not: that leaves one fixed point, K_n.
     """
     f = 1 if kind == COMPLETE else 2
-    s = 2 // k
+    s, b = max(2 // k, 1), max(k // 2, 1)
     q, r = divmod(n - f, k)
     if r or q < 2 or q % s or (s, f) == (1, 1) and q % 2 == 0 or (s, f) == (2, 2) and h % 2:
         return None
-    if q % 2:
-        matching = [(0, 1)] + [(v, v + q) for v in range(f, f + q)]
-    else:
-        matching = [(0, 1)] + [(v, v + q // 2) for v in range(f, n) if (v - f) % q < q // 2]
-    return f"quotient:{name}", _host(kind, n, matching), f, q, s, 1
+    d = q if q % 2 else q // 2
+    matching = [(0, 1)] + [(v, v + d) for v in range(f, n) if (v - f) % (2 * d) < d]
+    host = HostGraph.complete(n) if f == 1 else HostGraph.complete_minus_f(n, matching)
+    return f"quotient:{name}", host, f, q, s, b
 
 
-def _quotient_search(kind: str, n: int, h: int, cap: int) -> tuple[CycleFactorization | None, int]:
-    """Search each fitting structure for a base class; (result, extensions).
+def _quotient_search(kind: str, n: int, h: int, cap) -> tuple[CycleFactorization | None, int]:
+    """Search each fitting structure for its base classes; (result, extensions).
 
     The fitting structures take seeded restarts in turn, _RESTART_NODES path
     extensions each in the first round and twice as many in each round after;
-    a structure whose search space runs out is dropped, and the stage stops
-    after ``cap`` extensions in all.  Each restart draws every point's pivot
-    from a generator seeded by (kind, n, h), so identical inputs give the
-    identical factorization in any process.  Running out proves nothing
-    about the ingredient, only about the structures.
+    a structure whose search space runs out is dropped.  The rows with one
+    base class (A, B, C) run alone until they have all run out or spent
+    QUOTIENT_NODES; then the rows with two (D) join the same rotation, and
+    the stage stops after ``cap`` extensions in all (None = no cap).  Each
+    restart draws every point's pivot from a generator seeded by
+    (kind, n, h), so identical inputs give the identical factorization in
+    any process.  Running out proves nothing about the ingredient, only
+    about the structures.
     """
     # Imported here: a caller of the plain search alone needs no generator.
     import random
 
     rng = random.Random(f"{kind}:{n}:{h}")
-    rows = [row for spec in _STRUCTURES if spec[1] == kind if (row := _fit(*spec, n, h))]
-    nodes, limit = 0, _RESTART_NODES
-    while rows and nodes < cap:
-        for row in list(rows):
-            pivots = [-1 << rng.randrange(n) for _ in range(n)]
-            status, cf, spent = _search(row, h, pivots, min(limit, cap - nodes))
-            nodes += spent
-            if cf is not None:
-                return cf, nodes
-            if status == NONEXISTENT:
-                rows.remove(row)
-        limit *= 2
+    fits = [row for spec in _STRUCTURES if spec[1] == kind if (row := _fit(*spec, n, h))]
+    cap = float("inf") if cap is None else cap
+    rows, nodes, limit = [], 0, _RESTART_NODES
+    for stop, b in ((min(cap, QUOTIENT_NODES), 1), (cap, 2)):
+        rows += [row for row in fits if row[-1] == b]
+        while rows and nodes < stop:
+            for row in list(rows):
+                pivots = [-1 << rng.randrange(n) for _ in range(n)]
+                status, cf, spent = _search(row, h, pivots, min(limit, stop - nodes))
+                nodes += spent
+                if cf is not None:
+                    return cf, nodes
+                if status == NONEXISTENT:
+                    rows.remove(row)
+            limit *= 2
     return None, nodes

@@ -205,7 +205,7 @@ class TestBuild:
         _, p = build_with_plan(ParamTuple(18, 3, 5, 6), source=source)
         assert p.provenance == "quotient:A"
         _, p = build_with_plan(ParamTuple(20, 5, 3, 8), source=source)
-        assert p.provenance == "search"
+        assert p.provenance == "quotient:D"
         _, p = build_with_plan(ParamTuple(10, 5, 5, 2), source=source)
         assert p.provenance.startswith("construction:")
         _, p = build_with_plan(ParamTuple(12, 3, 3, 4), source=source)

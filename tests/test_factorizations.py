@@ -310,7 +310,7 @@ def test_catalog_entry_for_another_ingredient_rejected(entry, reason):
         (9, 9, False, "construction:zigzag-hamiltonian"),
         (9, 3, True, "catalog:k9.json"),
         (15, 3, False, "quotient:C"),
-        (10, 5, False, "search"),
+        (10, 5, False, "quotient:D"),
     ],
     ids=["construction", "catalog", "quotient", "search"],
 )
@@ -459,18 +459,19 @@ def _route_ingredients(max_v: int, hs: range) -> list[tuple[int, int, str]]:
     return sorted(key for key in seen if key is not None)
 
 
-# Route ingredients up to v = 96 that neither the quotient structures nor the
-# plain search supply with the default budget; the README lists the same.
+# Route ingredients up to v = 96 with h <= 12 that the quotient stage does
+# not supply within GRID_BUDGET; at the default budget only (45, 3) is open.
+GRID_BUDGET = QUOTIENT_NODES + 1_000
 OPEN_INGREDIENTS = {
-    (18, 3, "complete_minus_f"),
-    (21, 3, "complete"),
     (42, 3, "complete_minus_f"),
     (45, 3, "complete"),
     (48, 3, "complete_minus_f"),
 }
 
 # Quotient-resolved ingredients of the search-desk benchmark and the golden
-# spectra, with the path extensions the quotient stage spends on each.
+# spectra, with the path extensions the quotient stage spends on each.  The
+# last two come from a row with two base classes, D, once the rows with one
+# have run out.
 QUOTIENT_SHAPES = [
     (9, 3, "complete", "quotient:A", 5),
     (15, 3, "complete", "quotient:C", 116),
@@ -478,6 +479,8 @@ QUOTIENT_SHAPES = [
     (16, 4, "complete_minus_f", "quotient:B", 131),
     (18, 6, "complete_minus_f", "quotient:B", 555),
     (14, 7, "complete_minus_f", "quotient:C", 41),
+    (10, 5, "complete_minus_f", "quotient:D", 974),
+    (21, 3, "complete", "quotient:D", 4560),
 ]
 
 
@@ -500,27 +503,33 @@ class TestQuotient:
         cf, nodes = _quotient_search(kind, n, h, QUOTIENT_NODES)
         assert (cf.source, nodes) == (source, extensions)
 
-    def test_structures_exhausted_then_plain_search(self):
-        # No structure holds a 5-cycle factorization of K_10 - F; running out
-        # of them proves nothing, and the plain search still finds one.
-        cf = cycle_factorization_minus_f(10, 5)
-        assert cf.source == "search"
+    def test_miss_reports_its_budget(self):
+        # Below QUOTIENT_NODES the rows with one base class spend the budget
+        # alone, above it the rows D take part; either way a miss reports it.
+        for budget in (10, QUOTIENT_NODES + 10):
+            with pytest.raises(IngredientUnavailable) as exc_info:
+                IngredientSource(budget=budget).odd(45, 3)
+            assert (exc_info.value.outcome, exc_info.value.nodes) == ("budget-exhausted", budget)
 
-    def test_budget_covers_both_stages(self):
-        budget = QUOTIENT_NODES + 10
-        with pytest.raises(IngredientUnavailable) as exc_info:
-            IngredientSource(budget=budget).minus_f(18, 3)
-        assert (exc_info.value.outcome, exc_info.value.nodes) == ("budget-exhausted", budget)
+    def test_route_ingredient_grid(self, monkeypatch):
+        # The quotient stage is the only search on the build path, so the
+        # plain search is never called.  The open ingredients must still
+        # miss, so the list cannot go stale unnoticed.
+        def plain_search(*args):
+            raise AssertionError("the plain search ran on the build path")
 
-    def test_route_ingredient_grid(self):
-        # Enough budget for the quotient stage and a short plain search.
-        source = IngredientSource(budget=QUOTIENT_NODES + 1_000)
+        monkeypatch.setattr("sunurd.search.search_cycle_factorization", plain_search)
+        source = IngredientSource(budget=GRID_BUDGET)
         for n, h, kind in _route_ingredients(96, range(3, 13)):
+            resolve = source.odd if kind == "complete" else source.minus_f
             if (n, h, kind) in OPEN_INGREDIENTS:
-                continue
-            if kind == "complete_minus_f" and (n, h) in NONEXISTENT_MINUS_F:
+                with pytest.raises(IngredientUnavailable) as exc_info:
+                    resolve(n, h)
+                exc = exc_info.value
+                assert (exc.outcome, exc.nodes) == ("budget-exhausted", GRID_BUDGET), (n, h, kind)
+            elif kind == "complete_minus_f" and (n, h) in NONEXISTENT_MINUS_F:
                 with pytest.raises(IngredientUnavailable):
-                    source.minus_f(n, h)
-                continue
-            cf = source.odd(n, h) if kind == "complete" else source.minus_f(n, h)
-            assert validate_cycle_factorization(cf).passed, (n, h, kind)
+                    resolve(n, h)
+            else:
+                cf = resolve(n, h)
+                assert validate_cycle_factorization(cf).passed, (n, h, kind)

@@ -684,7 +684,7 @@ def resolution_texts(max_n: int, budget: int):
 
 def test_resolution_grid_bytes():
     assert digest(resolution_texts(40, 20_000)) == (
-        "3a23f68c44ee7b53c9ff4ceef7c1aba8aa2fdcbe9e68260767643eba6ced3892"
+        "2ca605af7b28f13b6457ce69e2d16fc6f52074c592a4591eaead8c7d6c92b220"
     )
 
 
@@ -692,7 +692,7 @@ SPECTRUM_DIGESTS = {
     (12, 3): "d862a88766107678f4f08ca37433105a6d8a4695348981efd6e53605ef4abc1c",
     (18, 3): "ba5a1f65be6e89ee2ead0d97b97f46b8640159f60946b865ce4f87390bfd58ab",
     (16, 4): "35e7d073012eb85a1907a6fbd60e354c6859ea2c250d305f486e6d0f1b6f1398",
-    (20, 5): "605053c78394f9370be883f7db305005f620016437a5a5c25bcf2a48a84c682b",
+    (20, 5): "28c3d2eadc51cda1008d93f018e4baca1803590926ab66cb1b241baaaaac83f2",
 }
 
 

@@ -109,6 +109,14 @@ class TestPackageSurface:
             with pytest.raises(AttributeError, match=name):
                 getattr(factorizations, name)
 
+    def test_factorizations_dir_lists_the_forwarded_names(self):
+        # Like the package's: what the module answers for, dir() lists.
+        from sunurd import factorizations
+
+        listed = dir(factorizations)
+        assert {"SearchResult", "search_cycle_factorization"} <= set(listed)
+        assert "cycle_factorization_odd" in listed and listed == sorted(listed)
+
 
 SRC = Path(sunurd.__file__).resolve().parent.parent
 

@@ -213,7 +213,7 @@ def test_finding_order_is_index_then_kind_then_detail():
 
 
 def test_ingredient_source_repr_and_cache():
-    assert repr(IngredientSource()) == "IngredientSource(catalog=None, budget=2000000)"
+    assert repr(IngredientSource()) == "IngredientSource(catalog=None, budget=400000)"
     a = IngredientSource(catalog={}, budget=10)
     assert repr(a) == "IngredientSource(catalog={}, budget=10)"
     assert (a.catalog, a.budget) == ({}, 10)
