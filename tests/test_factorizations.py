@@ -32,7 +32,7 @@ from sunurd.factorizations import (
     _hamiltonian_minus_f,
     canonical_perfect_matching,
 )
-from sunurd.search import QUOTIENT_NODES, _quotient_search
+from sunurd.search import _STRUCTURES, QUOTIENT_NODES, _fit, _quotient_search, _search
 from sunurd.writer import canonical_cycle
 
 
@@ -502,6 +502,20 @@ class TestQuotient:
         # number of path extensions in any process.
         cf, nodes = _quotient_search(kind, n, h, QUOTIENT_NODES)
         assert (cf.source, nodes) == (source, extensions)
+
+    def test_structures_exhausted_then_plain_search(self):
+        # No structure with one base class holds a 5-cycle factorization of
+        # K_10 - F; running out of them proves nothing: a row D finds one on
+        # the build path, and the plain search still finds one off it.
+        fits = [_fit(*spec, 10, 5) for spec in _STRUCTURES if spec[1] == "complete_minus_f"]
+        one_base = [row for row in fits if row is not None and row[-1] == 1]
+        assert one_base
+        for row in one_base:
+            assert _search(row, 5, [0] * 10, None).status == "nonexistent"
+        assert cycle_factorization_minus_f(10, 5).source == "quotient:D"
+        result = search_cycle_factorization(minus_f_host(10), 5)
+        assert result.status == "found"
+        assert validate_cycle_factorization(result.factorization).passed
 
     def test_miss_reports_its_budget(self):
         # Below QUOTIENT_NODES the rows with one base class spend the budget
